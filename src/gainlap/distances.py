@@ -6,23 +6,37 @@ paths between the two vertices, conjugated when the pair is queried
 against the active vertex ordering.  The gain distance matrix scales
 each auxiliary gain by the hop distance; it is Hermitian with zero
 diagonal by construction.
+
+Every distance object reads one geodesic table per graph, memoized on
+the graph.  It is built by one BFS per source; walking the source's
+shortest-path DAG in BFS order gives each vertex the set of distinct
+gains of its geodesics from the source, each formed left to right as
+:func:`~gainlap.graphs.path_gain` forms it, so every kept value is bit
+for bit the gain of one of those geodesics.  The table keeps the hop
+distance and the lex-max and lex-min gain of every (source, target)
+pair, and the largest number of distinct geodesic gains of any pair,
+which the path cap bounds.  Path enumeration stays as public API and
+as a test oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import Disconnected, PathExplosion, ValidationError
-from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
+from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph, path_gain
 
-#: Default cap on the number of shortest paths enumerated per vertex pair.
+#: Default cap on the number of distinct geodesic gains of one vertex
+#: pair (and on the number of paths :func:`enumerate_shortest_paths`
+#: lists).
 DEFAULT_PATH_CAP = 1_000_000
 
-#: Two real parts closer than this are treated as tied by the
-#: lexicographic comparison, falling through to the imaginary parts.
+#: Real parts within this distance of the extremal one count as tied
+#: with it; the imaginary part then decides among them.
 LEX_TIE_BAND = 1e-12
 
 #: Entrywise tolerance for matrix-equality predicates.
@@ -34,17 +48,117 @@ def _require_mode(mode: str) -> None:
         raise ValidationError(f"mode: expected 'max' or 'min', got {mode!r}")
 
 
-def _bfs_distances(g: GainGraph, source: int) -> list[int]:
+def _require_ordering(g: GainGraph, ordering: VertexOrdering) -> None:
+    if ordering.n != g.n:
+        raise ValidationError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
+
+
+def _bfs(g: GainGraph, source: int) -> tuple[list[int], list[int]]:
+    """Hop distance from ``source`` to every vertex (-1 if unreachable,
+    index 0 unused) and the reached vertices in BFS order."""
+    g.neighbors(source)  # validates the source
+    adj = g._neighbors
     dist = [-1] * (g.n + 1)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
+    order = [source]
+    for a in order:  # the growing list is the queue
+        for b in adj[a]:
             if dist[b] < 0:
                 dist[b] = dist[a] + 1
-                queue.append(b)
-    return dist
+                order.append(b)
+    return dist, order
+
+
+class _GeodesicTable(NamedTuple):
+    """Row s, column t: hop distance and lex-extremal geodesic gain from
+    vertex s + 1 to vertex t + 1; the diagonal gains are zero.  ``widest``
+    is the largest number of distinct geodesic gains of one pair, first
+    reached at ``widest_pair``."""
+
+    hop: np.ndarray
+    lex_max: np.ndarray
+    lex_min: np.ndarray
+    widest: int
+    widest_pair: tuple[int, int]
+
+
+def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
+    n = g.n
+    adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
+    hop = np.zeros((n, n), dtype=int)
+    lex_max = np.zeros((n, n), dtype=complex)
+    lex_min = np.zeros((n, n), dtype=complex)
+    widest, widest_pair = 1, (1, 1)
+    for s in range(1, n + 1):
+        dist, order = _bfs(g, s)
+        if len(order) < n:
+            v = dist.index(-1, 1)
+            raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
+        hi, lo = [0j] * (n + 1), [0j] * (n + 1)
+        # BFS order completes a vertex's gain set before reading it; each
+        # set is dropped once pushed on, so only the frontier is held.
+        gains: dict[int, set[complex]] = {s: {1.0 + 0.0j}}
+        for a in order:
+            ws = gains.pop(a)
+            if len(ws) == 1:
+                (only,) = ws
+                hi[a] = lo[a] = only
+            else:
+                if len(ws) > widest:
+                    widest, widest_pair = len(ws), (s, a)
+                hi[a], lo[a] = _lex_extremes(ws)
+            step = dist[a] + 1
+            for b, z in adj[a]:
+                if dist[b] == step:
+                    acc = gains.setdefault(b, set())
+                    acc.update([w * z for w in ws])
+                    if len(acc) > limit:
+                        raise PathExplosion(
+                            f"more than {limit} distinct geodesic gains between {s} and {b}"
+                        )
+        hi[s] = lo[s] = 0j
+        hop[s - 1] = dist[1:]
+        lex_max[s - 1] = hi[1:]
+        lex_min[s - 1] = lo[1:]
+    for arr in (hop, lex_max, lex_min):
+        arr.flags.writeable = False
+    return _GeodesicTable(hop, lex_max, lex_min, widest, widest_pair)
+
+
+def _geodesic_table(g: GainGraph, limit: int = DEFAULT_PATH_CAP) -> _GeodesicTable:
+    """The geodesic table of g, built on first use and memoized on the
+    graph instance (stored as functools.cached_property stores a value).
+
+    The build holds at most max(limit, DEFAULT_PATH_CAP) distinct gains
+    per pair, and a table is memoized only once built whole, so its
+    ``widest`` is exact and answers every later cap.
+
+    Raises:
+        Disconnected: if some vertex is unreachable.
+        PathExplosion: if some pair has more distinct geodesic gains
+            than the build holds.
+    """
+    table = vars(g).get("_geodesics")
+    if table is None:
+        table = _build_table(g, max(limit, DEFAULT_PATH_CAP))
+        vars(g)["_geodesics"] = table
+    return table
+
+
+def _capped_table(g: GainGraph, cap: int) -> _GeodesicTable:
+    """The geodesic table of g, for a query of its gains under ``cap``.
+
+    Raises:
+        PathExplosion: if some pair has more than ``cap`` distinct
+            geodesic gains.
+    """
+    if cap < 1:
+        raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
+    table = _geodesic_table(g, cap)
+    if table.widest > cap:
+        u, v = table.widest_pair
+        raise PathExplosion(f"more than {cap} distinct geodesic gains between {u} and {v}")
+    return table
 
 
 def shortest_distances(g: GainGraph) -> np.ndarray:
@@ -52,15 +166,10 @@ def shortest_distances(g: GainGraph) -> np.ndarray:
 
     Raises:
         Disconnected: if some pair of vertices has no connecting walk.
+        PathExplosion: if some pair has more than ``DEFAULT_PATH_CAP``
+            distinct geodesic gains.
     """
-    out = np.zeros((g.n, g.n), dtype=int)
-    for u in range(1, g.n + 1):
-        dist = _bfs_distances(g, u)
-        for v in range(1, g.n + 1):
-            if dist[v] < 0:
-                raise Disconnected(f"vertex {v} is unreachable from vertex {u}")
-            out[u - 1, v - 1] = dist[v]
-    return out
+    return _geodesic_table(g).hop.copy()
 
 
 def enumerate_shortest_paths(
@@ -78,10 +187,10 @@ def enumerate_shortest_paths(
     """
     if cap < 1:
         raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
-    du = _bfs_distances(g, u)
+    du, _ = _bfs(g, u)
+    dv, _ = _bfs(g, v)
     if du[v] < 0:
         raise Disconnected(f"vertex {v} is unreachable from vertex {u}")
-    dv = _bfs_distances(g, v)
     total = du[v]
 
     paths: list[tuple[int, ...]] = []
@@ -110,32 +219,31 @@ def geodesic_gains(
     g: GainGraph, u: int, v: int, cap: int = DEFAULT_PATH_CAP
 ) -> tuple[complex, ...]:
     """Gains of all shortest u -> v paths, in enumeration order."""
-    from .graphs import path_gain
-
     return tuple(path_gain(g, p) for p in enumerate_shortest_paths(g, u, v, cap))
 
 
-def _lex_prefer(a: complex, b: complex, want_max: bool, band: float = LEX_TIE_BAND) -> bool:
-    """True if a is preferred over b under the (Re, Im) lexicographic
-    order, with real parts within ``band`` treated as tied."""
-    if a.real > b.real + band:
-        return want_max
-    if a.real < b.real - band:
-        return not want_max
-    return a.imag > b.imag if want_max else a.imag < b.imag
+def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
+    """(lex max, lex min) of a nonempty collection; see lex_extremal."""
+    vals = sorted(values, key=attrgetter("real"))
+    top = bisect_left(vals, vals[-1].real - LEX_TIE_BAND, key=attrgetter("real"))
+    bot = bisect_right(vals, vals[0].real + LEX_TIE_BAND, key=attrgetter("real"))
+    imag_real = attrgetter("imag", "real")
+    return max(vals[top:], key=imag_real), min(vals[:bot], key=imag_real)
 
 
 def lex_extremal(values: Iterable[complex], mode: Mode) -> complex:
+    """The lexicographically extremal value, real part first.
+
+    Two stages keep the result independent of the input order: take
+    the extremal real part, then among the values whose real part lies
+    within ``LEX_TIE_BAND`` of it the extremal (imaginary, real) pair.
+    """
     _require_mode(mode)
-    it = iter(values)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise ValidationError("lex_extremal needs at least one value") from None
-    for z in it:
-        if _lex_prefer(z, best, mode == "max"):
-            best = z
-    return best
+    vals = list(values)
+    if not vals:
+        raise ValidationError("lex_extremal needs at least one value")
+    hi, lo = _lex_extremes(vals)
+    return hi if mode == "max" else lo
 
 
 def auxiliary_gain(
@@ -154,13 +262,30 @@ def auxiliary_gain(
     value off the unit circle.
     """
     _require_mode(mode)
-    if ordering.n != g.n:
-        raise ValidationError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
+    _require_ordering(g, ordering)
     if u == v:
         return 0.0 + 0.0j
     a, b = ordering.sort_pair(u, v)
-    best = lex_extremal(geodesic_gains(g, a, b, cap), mode)
+    table = _capped_table(g, cap)
+    ext = table.lex_max if mode == "max" else table.lex_min
+    best = complex(ext[a - 1, b - 1])
     return best if (u, v) == (a, b) else best.conjugate()
+
+
+def auxiliary_gain_matrix(
+    g: GainGraph,
+    ordering: VertexOrdering,
+    mode: Mode,
+    cap: int = DEFAULT_PATH_CAP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The auxiliary gains of all pairs, (j, k) entry that of (v_j, v_k)
+    with a zero diagonal, and the hop distances."""
+    _require_mode(mode)
+    _require_ordering(g, ordering)
+    table = _capped_table(g, cap)
+    ext = table.lex_max if mode == "max" else table.lex_min
+    rank = np.array(ordering.ranks)
+    return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
 
 
 def gain_distance_matrix(
@@ -171,26 +296,13 @@ def gain_distance_matrix(
 ) -> np.ndarray:
     """Hermitian matrix whose (j, k) entry is the auxiliary gain of
     (v_j, v_k) times the hop distance; zero diagonal."""
-    _require_mode(mode)
-    if ordering.n != g.n:
-        raise ValidationError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
-    dist = shortest_distances(g)
-    n = g.n
-    out = np.zeros((n, n), dtype=complex)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            a, b = ordering.sort_pair(u, v)
-            best = lex_extremal(geodesic_gains(g, a, b, cap), mode)
-            d = float(dist[a - 1, b - 1])
-            out[a - 1, b - 1] = best * d
-            out[b - 1, a - 1] = best.conjugate() * d
-    return out
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode, cap)
+    return aux * hop
 
 
 def transmission_matrix(g: GainGraph) -> np.ndarray:
     """Diagonal matrix of transmissions, tr(v) = sum of distances from v."""
-    dist = shortest_distances(g)
-    return np.diag(dist.sum(axis=1).astype(float))
+    return np.diag(_geodesic_table(g).hop.sum(axis=1).astype(float))
 
 
 def is_compatible(g: GainGraph, ordering: VertexOrdering, tol: float = ENTRY_TOL) -> bool:
@@ -229,11 +341,8 @@ def associated_complete_graph(
     _require_mode(mode)
     if g.n < 2:
         raise ValidationError("the associated complete graph needs n >= 2")
-    dist = shortest_distances(g)
-    edges: list[tuple[int, int, complex]] = []
-    weights: list[float] = []
-    for u in range(1, g.n + 1):
-        for v in range(u + 1, g.n + 1):
-            edges.append((u, v, auxiliary_gain(g, ordering, mode, u, v, cap)))
-            weights.append(float(dist[u - 1, v - 1]))
-    return WeightedGainGraph(GainGraph(g.n, tuple(edges)), tuple(weights))
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode, cap)
+    pairs = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
+    edges = tuple((u, v, complex(aux[u - 1, v - 1])) for u, v in pairs)
+    weights = tuple(float(hop[u - 1, v - 1]) for u, v in pairs)
+    return WeightedGainGraph(GainGraph(g.n, edges), weights)

@@ -189,8 +189,12 @@ def emit_graph(doc: GraphDocument) -> str:
 
 
 def format_complex(z: complex) -> str:
-    """Render a complex number as 're+imi' with 17 significant digits."""
-    re = f"{z.real:.17g}"
+    """Render a complex number as 're+imi' with 17 significant digits.
+
+    A zero part prints as 0, never -0 (-0.0 is falsy, so ``or`` swaps
+    in 0.0).
+    """
+    re = f"{z.real or 0.0:.17g}"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re}{sign}{abs(z.imag):.17g}i"
 

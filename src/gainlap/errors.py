@@ -22,7 +22,8 @@ class Disconnected(GainLapError):
 
 
 class PathExplosion(GainLapError):
-    """Shortest-path enumeration exceeded the configured cap."""
+    """A vertex pair has more distinct geodesic gains (or, when listed,
+    more shortest paths) than the configured cap."""
 
 
 class TooLarge(GainLapError):

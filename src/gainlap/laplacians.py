@@ -10,6 +10,7 @@ through the incidence of the associated complete graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +18,8 @@ import numpy as np
 
 from .distances import (
     DEFAULT_PATH_CAP,
-    auxiliary_gain,
+    auxiliary_gain_matrix,
     gain_distance_matrix,
-    shortest_distances,
     transmission_matrix,
 )
 from .errors import ValidationError
@@ -120,20 +120,15 @@ def distance_incidence(
     """
     if g.n < 2:
         raise ValidationError("the distance incidence matrix needs n >= 2")
-    dist = shortest_distances(g)
-    pairs = [
-        ordering.sort_pair(u, v)
-        for u in range(1, g.n + 1)
-        for v in range(u + 1, g.n + 1)
-    ]
-    pairs.sort(key=lambda p: (ordering.rank(p[0]), ordering.rank(p[1])))
-    H = np.zeros((g.n, len(pairs)), dtype=complex)
-    for col, (a, b) in enumerate(pairs):
-        z = auxiliary_gain(g, ordering, mode, a, b, cap)
-        sw = math.sqrt(float(dist[a - 1, b - 1]))
-        H[a - 1, col] = sw
-        H[b - 1, col] = -z.conjugate() * sw
-    return IncidenceMatrix(H, tuple(pairs))
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode, cap)
+    by_rank = sorted(range(g.n), key=ordering.ranks.__getitem__)
+    a, b = np.array(list(itertools.combinations(by_rank, 2))).T
+    cols = np.arange(a.size)
+    sw = np.sqrt(hop[a, b].astype(float))
+    H = np.zeros((g.n, a.size), dtype=complex)
+    H[a, cols] = sw
+    H[b, cols] = -aux[a, b].conj() * sw
+    return IncidenceMatrix(H, tuple(zip((a + 1).tolist(), (b + 1).tolist())))
 
 
 def distance_laplacian(

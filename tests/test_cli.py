@@ -259,6 +259,18 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "det", "--method", "forests", path)
         assert code == 0
 
+    def test_path_cap_triggers_exit_3(self, capsys, demo_path, monkeypatch):
+        import functools
+
+        import gainlap.cli as cli
+        from gainlap import gain_distance_matrix
+
+        # demo pair (1, 3) has two distinct geodesic gains
+        monkeypatch.setattr(cli, "gain_distance_matrix", functools.partial(gain_distance_matrix, cap=1))
+        code, _, err = invoke(capsys, "dmatrix", "--mode", "max", demo_path)
+        assert code == 3
+        assert "distinct geodesic gains" in err
+
     def test_budget_env_not_integer(self, capsys, tmp_path, monkeypatch):
         path = write_document(
             tmp_path, cycle_document([1 + 0j, 1 + 0j, 1j]), name="c3.json"

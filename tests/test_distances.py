@@ -8,8 +8,12 @@ conftest.  Everything else in the suite leans on the demo graph only
 after that gate.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     Q,
@@ -42,7 +46,24 @@ from gainlap import (
     transmission_matrix,
     weighted_laplacian,
 )
+from gainlap.distances import LEX_TIE_BAND, lex_extremal
 import cmath
+
+#: The gain group T4 = {1, i, -1, -i}: many geodesics share a gain, and
+#: real parts tie exactly.
+T4 = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+@st.composite
+def small_graphs(draw):
+    """A random connected graph on at most 7 vertices, with generic or
+    T4 gains, and a random vertex ordering."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, n, draw(st.integers(0, 6)))
+    if draw(st.booleans()):
+        g = GainGraph(n, tuple((u, v, T4[int(rng.integers(4))]) for u, v, _ in g.edges))
+    return g, random_ordering(rng, n)
 
 
 def test_demo_graph_reproduces_golden_matrices(demo, std5):
@@ -86,6 +107,21 @@ class TestShortestDistances:
 
     def test_single_vertex(self):
         assert shortest_distances(GainGraph(1, ())).tolist() == [[0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_matches_brute_force(self, case):
+        g, _ = case
+        want = [
+            [len(brute_shortest_paths(g, u, v)[0]) - 1 for v in range(1, g.n + 1)]
+            for u in range(1, g.n + 1)
+        ]
+        assert shortest_distances(g).tolist() == want
+
+    def test_result_is_a_private_copy(self, demo):
+        d = shortest_distances(demo)
+        d[0, 1] = 99
+        assert shortest_distances(demo)[0, 1] == 1
 
 
 class TestEnumerateShortestPaths:
@@ -148,24 +184,84 @@ class TestAuxiliaryGain:
             auxiliary_gain(demo, std5, "sup", 1, 2)
 
 
-def _naive_gain_distance(g, ordering, mode):
-    """The definition followed literally on brute-force geodesics, with
-    exact lexicographic comparison; an independent code path."""
+def _exact_lex(gains, mode):
+    return (max if mode == "max" else min)(gains, key=lambda z: (z.real, z.imag))
+
+
+def _naive_gain_distance(g, ordering, mode, select=_exact_lex):
+    """The definition followed literally on brute-force geodesics and
+    path_gain products, pair by pair.  By default the selection is the
+    exact lexicographic comparison, an independent code path."""
     n = g.n
     out = np.zeros((n, n), dtype=complex)
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             a, b = ordering.sort_pair(u, v)
             paths = brute_shortest_paths(g, a, b)
-            gains = [path_gain(g, p) for p in paths]
-            pick = (max if mode == "max" else min)(gains, key=lambda z: (z.real, z.imag))
+            pick = select([path_gain(g, p) for p in paths], mode)
             d = len(paths[0]) - 1
             out[a - 1, b - 1] = pick * d
             out[b - 1, a - 1] = pick.conjugate() * d
     return out
 
 
+class TestLexExtremal:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                complex,
+                st.integers(-4, 4).map(lambda k: k * 0.4 * LEX_TIE_BAND) | st.floats(-1, 1),
+                st.sampled_from([-0.9, 0.0, 0.9]) | st.floats(-1, 1),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(["max", "min"]),
+    )
+    @example([0.9j, 8e-13, 1.6e-12 - 0.9j], "max")
+    def test_ignores_input_order(self, values, mode):
+        """Real parts within the tie band of each other chain without
+        being transitive; the result must not depend on which value
+        comes first."""
+        first = lex_extremal(values, mode)
+        assert all(lex_extremal(p, mode) == first for p in itertools.permutations(values))
+
+    def test_non_transitive_band_example(self):
+        values = [0.9j, 8e-13, 1.6e-12 - 0.9j]
+        assert lex_extremal(values, "max") == 8e-13
+        assert lex_extremal(values, "min") == 8e-13
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            lex_extremal([], "max")
+
+
 class TestGainDistanceMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.sampled_from(["max", "min"]))
+    def test_matches_brute_force_oracle(self, case, mode):
+        g, order = case
+        for o in (order, order.reverse()):
+            want = _naive_gain_distance(g, o, mode, select=lex_extremal)
+            assert np.array_equal(gain_distance_matrix(g, o, mode), want)
+
+    def test_cap_bounds_distinct_gains(self, demo, std5):
+        # demo pair (1, 3) has two geodesics with distinct gains
+        with pytest.raises(PathExplosion):
+            gain_distance_matrix(demo, std5, "max", cap=1)
+        gain_distance_matrix(demo, std5, "max")  # memoizes the table
+        with pytest.raises(PathExplosion):
+            gain_distance_matrix(demo, std5, "max", cap=1)
+        assert np.array_equal(gain_distance_matrix(demo, std5, "max", cap=2), demo_dmax_standard())
+
+    def test_cap_counts_gains_not_paths(self):
+        square = GainGraph(4, ((1, 2, 1j), (2, 3, 1j), (1, 4, -1), (3, 4, 1)))
+        o = VertexOrdering.standard(4)
+        with pytest.raises(PathExplosion):
+            enumerate_shortest_paths(square, 1, 3, cap=1)
+        assert gain_distance_matrix(square, o, "max", cap=1)[0, 2] == -2
+
     def test_single_edge_gain_i(self):
         g = GainGraph(2, ((1, 2, 1j),))
         o = VertexOrdering.standard(2)

@@ -199,6 +199,11 @@ class TestComplexCells:
         assert format_complex(0j) == "0+0i"
         assert format_complex(-1 + 1j) == "-1+1i"
 
+    def test_negative_zero_real_part_prints_as_zero(self):
+        z = complex(-0.0, 3.0)
+        assert format_complex(z) == "0+3i"
+        assert csv_to_matrix(matrix_to_csv(np.array([[z]])))[0, 0] == z
+
     def test_parse(self):
         assert parse_complex("1.5-2.25i") == 1.5 - 2.25j
         assert parse_complex(" 3+0i ") == 3 + 0j
