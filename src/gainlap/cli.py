@@ -22,7 +22,7 @@ import numpy as np
 from .distances import gain_distance_matrix
 from .documents import GraphDocument, matrix_to_csv, parse_graph
 from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
-from .forests import det_direct, det_via_forests, numerical_rank
+from .forests import det_via_forests
 from .graphs import SwitchingFunction, cycle_gain, is_balanced
 from .laplacians import (
     distance_factorization_residual,
@@ -36,8 +36,9 @@ from .laplacians import (
 from .spectra import (
     balance_by_cospectrality,
     balance_by_singularity,
+    det_direct,
     hermitian_spectrum,
-    singularity_threshold,
+    numerical_rank,
     switching_similarity_check,
 )
 
@@ -112,7 +113,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         M = weighted_laplacian(doc.weighted_graph())
     else:
         mode = "max" if args.target == "dlmax" else "min"
-        M = distance_laplacian(doc.gain_graph(), doc.vertex_ordering(), mode)
+        M = distance_laplacian(doc.gain_graph(), _ordering(doc, args.reverse), mode)
     for value in hermitian_spectrum(M):
         print(f"{value:.17g}")
     return 0
@@ -190,9 +191,8 @@ def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, s
 
     if theorem == 6:
         L = weighted_laplacian(wg)
-        det = abs(det_direct(L))
-        singular = det <= singularity_threshold(L)
-        return is_balanced(g) == singular, det, None
+        singular = numerical_rank(L) < g.n
+        return is_balanced(g) == singular, abs(det_direct(L)), None
 
     if theorem == 7:
         residual = max(
@@ -204,24 +204,15 @@ def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, s
 
     if theorem == 11:
         rep = balance_by_singularity(g, ordering)
-        balanced = is_balanced(g)
-        if balanced:
-            ok = (
-                rep.balanced
-                and rep.rank_max == g.n - 1
-                and rep.rank_min == g.n - 1
-                and abs(rep.det_max) <= rep.threshold_max
-                and abs(rep.det_min) <= rep.threshold_min
-            )
+        below = (
+            rep.log_det_max <= rep.log_threshold_max,
+            rep.log_det_min <= rep.log_threshold_min,
+        )
+        if is_balanced(g):
+            ok = rep.balanced and all(below)
             residual = max(abs(rep.det_max), abs(rep.det_min))
         else:
-            ok = (
-                not rep.balanced
-                and rep.rank_max == g.n
-                and rep.rank_min == g.n
-                and abs(rep.det_max) > rep.threshold_max
-                and abs(rep.det_min) > rep.threshold_min
-            )
+            ok = rep.rank_max == g.n and rep.rank_min == g.n and not any(below)
             residual = 0.0
         return ok, residual, None
 
@@ -285,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", _cmd_spectrum, "eigenvalues, ascending, one per line")
     p.add_argument("--target", choices=("dlmax", "dlmin", "adj", "lap"), required=True)
+    p.add_argument("--reverse", action="store_true", help="reverse the vertex ordering (dlmax, dlmin)")
     p.add_argument("file")
 
     p = add("det", _cmd_det, "determinant of the weighted Laplacian")

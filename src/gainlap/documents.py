@@ -13,7 +13,8 @@ Gains are given either as an angle in radians ({"theta": t}) or in
 rectangular form ({"re": a, "im": b}); rectangular gains must lie
 within 1e-6 of the unit circle and are renormalized onto it.  Weights
 default to 1 and the ordering defaults to the natural order of the
-vertex labels.
+vertex labels.  Every number must be finite; NaN and Infinity literals
+are refused with the path of their field.
 """
 
 from __future__ import annotations
@@ -59,22 +60,28 @@ class GraphDocument:
         return VertexOrdering(self.ordering)
 
 
+def _number(val: object, where: str) -> float:
+    """A finite JSON number as a float."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            x = float(val)
+        except OverflowError:  # an integer literal beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{where}: expected a finite number, got {val!r}")
+
+
 def _parse_gain(raw: object, where: str) -> complex:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: expected an object, got {raw!r}")
     keys = set(raw)
     if keys == {"theta"}:
-        theta = raw["theta"]
-        if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-            raise ValidationError(f"{where}.theta: expected a number, got {theta!r}")
-        return cmath.exp(1j * float(theta))
+        return cmath.exp(1j * _number(raw["theta"], f"{where}.theta"))
     if keys == {"re", "im"}:
-        re, im = raw["re"], raw["im"]
-        for name, val in (("re", re), ("im", im)):
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValidationError(f"{where}.{name}: expected a number, got {val!r}")
+        z = complex(_number(raw["re"], f"{where}.re"), _number(raw["im"], f"{where}.im"))
         try:
-            return normalize_gain(complex(float(re), float(im)), strict=True)
+            return normalize_gain(z, strict=True)
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
     raise ValidationError(
@@ -96,7 +103,9 @@ def parse_graph(data: bytes | str) -> GraphDocument:
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from None
     try:
-        obj = json.loads(data)
+        # NaN and ±Infinity are not JSON numbers: kept as text, they fail
+        # the number check of their field, which names its path.
+        obj = json.loads(data, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(obj, dict):
@@ -143,10 +152,8 @@ def parse_graph(data: bytes | str) -> GraphDocument:
             )
         ws = []
         for i, w in enumerate(raw_w):
-            if not isinstance(w, (int, float)) or isinstance(w, bool):
-                raise ValidationError(f"weights[{i}]: expected a number, got {w!r}")
-            w = float(w)
-            if not (math.isfinite(w) and w > 0.0):
+            w = _number(w, f"weights[{i}]")
+            if not w > 0.0:
                 raise ValidationError(f"weights[{i}]: expected a positive weight, got {w!r}")
             ws.append(w)
         weights = tuple(ws)

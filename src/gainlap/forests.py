@@ -7,22 +7,32 @@ carries as many edges as vertices.  The determinant of the weighted
 gain Laplacian expands over spanning 1-forests: every forest
 contributes the product of its edge weights times, per component,
 2 * (1 - Re(cycle gain)).
+
+The forests are found by a depth-first search over the edges in index
+order, each edge first included, then excluded, on a union-find with
+rollback that keeps each component's cycle factor and each vertex's
+gain potential.  A branch is cut as soon as no spanning 1-forest can
+follow from it: an edge would give a component a second cycle, fewer
+edges remain than are still needed, or a vertex no chosen edge covers
+would lose its last incident edge.  Every leaf is a forest, found in the
+lexicographic order of its edge indices, and its weight is built up
+along the way.  The search is refused up front when n exceeds
+``DEFAULT_VERTEX_LIMIT`` or C(m, n) exceeds the subset budget: the
+budget bounds the number of n-edge subsets, not the work the search
+does, which is far smaller.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import Disconnected, TooLarge, ValidationError
-from .graphs import GainGraph, WeightedGainGraph, cycle_gain
+from .graphs import GainGraph, WeightedGainGraph, _bfs_tree, cycle_gain
 
-#: Largest number of n-edge subsets scanned before giving up.
+#: Largest number C(m, n) of n-edge subsets for which the search runs.
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 #: Largest vertex count accepted by the exhaustive enumeration.
@@ -127,33 +137,139 @@ def is_spanning_one_forest(
     return _one_forest_components(n, pairs) is not None
 
 
+def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Edge indices and weight of every spanning 1-forest, in
+    lexicographic order of edge indices, by the search that the module
+    docstring describes.
+
+    The union-find uses union by size and no path compression, so one
+    union is undone by resetting one parent.  A root holds its
+    component's cycle factor 2 * (1 - Re(cycle gain)), or None while the
+    component is a tree; a vertex holds its potential, the gain of the
+    tree path to its parent.  With no second cycle anywhere, n edges
+    leave every component with as many edges as vertices, so each leaf
+    at depth n is a spanning 1-forest.  The loop is flat and ``find`` is
+    inlined, so the search runs in one frame whatever its depth.
+    """
+    n, m = wg.base.n, wg.base.m
+    ends = [(u, v) for u, v, _ in wg.base.edges]
+    gains = [z for _, _, z in wg.base.edges]
+    weights = wg.weights
+    last = [-1] * (n + 1)  # index of each vertex's last incident edge
+    for j, (u, v) in enumerate(ends):
+        last[u] = last[v] = j
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    pot = [1.0 + 0.0j] * (n + 1)
+    cycle: list[float | None] = [None] * (n + 1)
+    degree = [0] * (n + 1)  # chosen edges at each vertex
+    chosen: list[int] = []
+    # Per chosen edge: (root that got its cycle, -1, weight before) or
+    # (child root, the root it was attached under, weight before).
+    undo: list[tuple[int, int, float]] = []
+    weight = 1.0
+    j = 0
+    while True:
+        if len(chosen) == n:
+            yield tuple(chosen), weight
+        else:
+            stop = m - n + len(chosen)  # the last index that leaves enough edges
+            while j <= stop:
+                u, v = ends[j]
+                ru, gu = u, 1.0 + 0.0j
+                while parent[ru] != ru:
+                    gu *= pot[ru]
+                    ru = parent[ru]
+                rv, gv = v, 1.0 + 0.0j
+                while parent[rv] != rv:
+                    gv *= pot[rv]
+                    rv = parent[rv]
+                # gu, gv: gains of the tree paths from u and v to their roots.
+                if ru == rv:
+                    if cycle[ru] is None:
+                        c = gains[j] * gv * gu.conjugate()  # u -> v, then back to u
+                        factor = cycle[ru] = 2.0 * (1.0 - c.real)
+                        undo.append((ru, -1, weight))
+                        weight = weight * weights[j] * factor
+                        break
+                elif cycle[ru] is None or cycle[rv] is None:
+                    z = gains[j]
+                    if size[ru] < size[rv]:
+                        child, root, pot[ru] = ru, rv, gu.conjugate() * z * gv
+                    else:
+                        child, root, pot[rv] = rv, ru, (gv * z).conjugate() * gu
+                    parent[child] = root
+                    size[root] += size[child]
+                    if cycle[root] is None:
+                        cycle[root] = cycle[child]
+                    undo.append((child, root, weight))
+                    weight = weight * weights[j]
+                    break
+                # Edge j is excluded.
+                if (last[u] == j and degree[u] == 0) or (last[v] == j and degree[v] == 0):
+                    j = stop + 1
+                    break
+                j += 1
+            if j <= stop:  # edge j was included
+                degree[u] += 1
+                degree[v] += 1
+                chosen.append(j)
+                j += 1
+                continue
+        # Backtrack: undo the latest inclusion, then take its exclusion branch.
+        while True:
+            if not chosen:
+                return
+            k = chosen.pop()
+            u, v = ends[k]
+            degree[u] -= 1
+            degree[v] -= 1
+            child, root, weight = undo.pop()
+            if root < 0:
+                cycle[child] = None
+            else:
+                parent[child] = child
+                size[root] -= size[child]
+                if cycle[child] is not None:
+                    cycle[root] = None
+            if not ((last[u] == k and degree[u] == 0) or (last[v] == k and degree[v] == 0)):
+                j = k + 1
+                break
+
+
+def _checked_search(
+    wg: WeightedGainGraph, budget: int | None, vertex_limit: int
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """The search, after the size checks that refuse it up front."""
+    n, m = wg.base.n, wg.base.m
+    if n > vertex_limit:
+        raise TooLarge(f"n = {n} exceeds the enumeration limit {vertex_limit}")
+    budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
+    if m >= n and math.comb(m, n) > budget:
+        raise TooLarge(
+            f"C({m}, {n}) = {math.comb(m, n)} subsets exceeds the budget {budget}"
+        )
+    return _one_forest_search(wg)
+
+
 def enumerate_spanning_one_forests(
     wg: WeightedGainGraph,
     budget: int | None = None,
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
 ) -> Iterator[OneForest]:
-    """All spanning 1-forests, scanning n-edge subsets in lexicographic
-    order of edge indices.
+    """All spanning 1-forests, in lexicographic order of edge indices.
 
     Raises:
         TooLarge: if n exceeds ``vertex_limit`` or the subset count
-            exceeds ``budget`` (checked before any work is done).
+            C(m, n) exceeds ``budget`` (checked before any work is done).
     """
     n, pairs = wg.base.n, _edge_pairs(wg)
-    if n > vertex_limit:
-        raise TooLarge(f"n = {n} exceeds the enumeration limit {vertex_limit}")
-    budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
-    if len(pairs) >= n and math.comb(len(pairs), n) > budget:
-        raise TooLarge(
-            f"C({len(pairs)}, {n}) = {math.comb(len(pairs), n)} subsets "
-            f"exceeds the budget {budget}"
-        )
+    search = _checked_search(wg, budget, vertex_limit)
 
     def generate() -> Iterator[OneForest]:
-        for subset in itertools.combinations(pairs, n):
-            comps = _one_forest_components(n, subset)
-            if comps is not None:
-                yield OneForest(subset, comps)
+        for indices, _ in search:
+            edges = tuple(pairs[j] for j in indices)
+            yield OneForest(edges, _one_forest_components(n, edges))
 
     return generate()
 
@@ -169,44 +285,12 @@ def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
     return acc
 
 
-def _is_connected(g: GainGraph) -> bool:
-    seen = [False] * (g.n + 1)
-    seen[1] = True
-    queue = deque([1])
-    count = 1
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
-            if not seen[b]:
-                seen[b] = True
-                count += 1
-                queue.append(b)
-    return count == g.n
-
-
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
     weights; zero when no spanning 1-forest exists."""
-    if not _is_connected(wg.base):
+    if len(_bfs_tree(wg.base)) != wg.base.n - 1:
         raise Disconnected("the spanning 1-forest expansion needs a connected graph")
-    return sum(
-        forest_weight(f, wg) for f in enumerate_spanning_one_forests(wg, budget=budget)
-    )
-
-
-def det_direct(M: np.ndarray) -> complex:
-    """Determinant through LU with partial pivoting."""
-    return complex(np.linalg.det(np.asarray(M, dtype=complex)))
-
-
-def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
-    """Number of eigenvalues of a Hermitian matrix larger in magnitude
-    than ``tol``; defaults to 1e-8 * max(1, max |eigenvalue|)."""
-    vals = np.linalg.eigvalsh(np.asarray(M, dtype=complex))
-    if tol is None:
-        top = float(np.max(np.abs(vals))) if vals.size else 0.0
-        tol = 1e-8 * max(1.0, top)
-    return int(np.sum(np.abs(vals) > tol))
+    return sum(weight for _, weight in _checked_search(wg, budget, DEFAULT_VERTEX_LIMIT))
 
 
 def spanning_subgraph(

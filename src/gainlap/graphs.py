@@ -9,6 +9,8 @@ function, so values can be shared freely.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
@@ -39,9 +41,12 @@ def normalize_gain(z: complex, strict: bool = False) -> complex:
 
     Raises:
         ZeroGain: if z == 0.
-        ValidationError: if strict and | |z| - 1 | > UNIT_TOL.
+        ValidationError: if z is not finite, or if strict and
+            | |z| - 1 | > UNIT_TOL.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"gain {z!r} is not finite")
     r = abs(z)
     if r == 0.0:
         raise ZeroGain("a zero gain has no direction on the unit circle")
@@ -87,7 +92,10 @@ class GainGraph:
             if (u, v) in seen:
                 raise ValidationError(f"edges[{i}]: duplicate edge ({u}, {v})")
             seen.add((u, v))
-            canon.append((u, v, normalize_gain(z)))
+            try:
+                canon.append((u, v, normalize_gain(z)))
+            except (ValidationError, ZeroGain) as exc:
+                raise type(exc)(f"edges[{i}].gain: {exc}") from None
         object.__setattr__(self, "edges", tuple(canon))
 
     @cached_property
@@ -130,9 +138,14 @@ class GainGraph:
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u, v, _ in self.edges)
 
-    def underlying(self) -> "GainGraph":
-        """The same graph with every gain replaced by 1."""
+    @cached_property
+    def _underlying(self) -> "GainGraph":
         return GainGraph(self.n, tuple((u, v, 1.0 + 0.0j) for u, v, _ in self.edges))
+
+    def underlying(self) -> "GainGraph":
+        """The same graph with every gain replaced by 1.  It is built once
+        and memoized on this instance, so its geodesic table is too."""
+        return self._underlying
 
 
 @dataclass(frozen=True)
@@ -154,8 +167,10 @@ class WeightedGainGraph:
         ws = []
         for i, w in enumerate(self.weights):
             w = float(w)
-            if not w > 0.0:
-                raise ValidationError(f"weights[{i}]: expected a positive weight, got {w!r}")
+            if not (math.isfinite(w) and w > 0.0):
+                raise ValidationError(
+                    f"weights[{i}]: expected a finite positive weight, got {w!r}"
+                )
             ws.append(w)
         object.__setattr__(self, "weights", tuple(ws))
 

@@ -10,6 +10,7 @@ evidence alongside the verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,10 @@ from .distances import (
     gain_distance_matrix,
     is_compatible,
     is_ordering_independent,
+    shortest_distances,
+    transmission_matrix,
 )
 from .errors import NotHermitian, ValidationError
-from .forests import det_direct, numerical_rank
 from .graphs import GainGraph, SwitchingFunction, VertexOrdering, is_balanced, switch
 from .laplacians import distance_laplacian, hermitian_residual
 
@@ -30,6 +32,25 @@ HERMITIAN_TOL = 1e-12
 
 #: Entrywise tolerance for the similarity check after switching.
 SIMILARITY_TOL = 1e-10
+
+#: Relative size below which an eigenvalue, or a determinant against the
+#: product of its row norms, counts as zero.
+SINGULAR_TOL = 1e-8
+
+
+def det_direct(M: np.ndarray) -> complex:
+    """Determinant through LU with partial pivoting."""
+    return complex(np.linalg.det(np.asarray(M, dtype=complex)))
+
+
+def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
+    """Number of eigenvalues of a Hermitian matrix larger in magnitude
+    than ``tol``; defaults to SINGULAR_TOL * max(1, max |eigenvalue|)."""
+    vals = np.linalg.eigvalsh(np.asarray(M, dtype=complex))
+    if tol is None:
+        top = float(np.max(np.abs(vals))) if vals.size else 0.0
+        tol = SINGULAR_TOL * max(1.0, top)
+    return int(np.sum(np.abs(vals) > tol))
 
 
 def hermitian_spectrum(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -84,14 +105,19 @@ def is_cospectral(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> boo
     return bool(np.max(np.abs(sa - sb)) <= tol)
 
 
+def _log_singularity_threshold(M: np.ndarray) -> float:
+    """log of SINGULAR_TOL times the product over rows of max(1, row
+    norm): log|det M| at or below it counts as zero."""
+    norms = np.linalg.norm(np.asarray(M, dtype=complex), axis=1)
+    return math.log(SINGULAR_TOL) + float(np.sum(np.log(np.maximum(norms, 1.0))))
+
+
 def singularity_threshold(M: np.ndarray) -> float:
-    """1e-8 times the product over rows of max(1, row norm); a scale
-    under which a determinant counts as zero."""
-    M = np.asarray(M, dtype=complex)
-    scale = 1.0
-    for j in range(M.shape[0]):
-        scale *= max(1.0, float(np.linalg.norm(M[j])))
-    return 1e-8 * scale
+    """SINGULAR_TOL times the product over rows of max(1, row norm); a
+    scale under which a determinant counts as zero.  It is inf where it
+    overflows, so verdicts compare in the log domain instead."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_singularity_threshold(M)))
 
 
 # --- balance verdicts ----------------------------------------------------
@@ -101,9 +127,11 @@ def singularity_threshold(M: np.ndarray) -> float:
 class SingularityReport:
     """Dets and ranks of both gain distance Laplacians.
 
-    The verdict is rank-based (rank n-1 in both modes means balanced);
-    the determinant thresholds are recorded so callers can see how far
-    from singular each mode is.
+    The verdict is rank-based (rank n-1 in both modes means balanced).
+    The determinants and their singularity thresholds are recorded so
+    callers can see how far from singular each mode is; ``det_*`` and
+    ``threshold_*`` are inf where they overflow, and the ``log_*`` fields
+    hold the same quantities in the log domain, where they do not.
     """
 
     n: int
@@ -115,13 +143,25 @@ class SingularityReport:
     rank_min: int
     balanced: bool
     matches_potential: bool
+    log_det_max: float
+    log_det_min: float
+    log_threshold_max: float
+    log_threshold_min: float
+
+
+def _det_and_log(M: np.ndarray) -> tuple[float, float]:
+    """det M (inf where it overflows) and log |det M| (-inf when M is
+    exactly singular), from one LU."""
+    sign, log_abs = np.linalg.slogdet(M)
+    with np.errstate(over="ignore"):
+        return float((sign * np.exp(log_abs)).real), float(log_abs)
 
 
 def balance_by_singularity(g: GainGraph, ordering: VertexOrdering) -> SingularityReport:
     dl_max = distance_laplacian(g, ordering, "max")
     dl_min = distance_laplacian(g, ordering, "min")
-    det_max = det_direct(dl_max).real
-    det_min = det_direct(dl_min).real
+    det_max, log_det_max = _det_and_log(dl_max)
+    det_min, log_det_min = _det_and_log(dl_min)
     rank_max = numerical_rank(dl_max)
     rank_min = numerical_rank(dl_min)
     balanced = rank_max == g.n - 1 and rank_min == g.n - 1
@@ -135,6 +175,10 @@ def balance_by_singularity(g: GainGraph, ordering: VertexOrdering) -> Singularit
         rank_min=rank_min,
         balanced=balanced,
         matches_potential=balanced == is_balanced(g),
+        log_det_max=log_det_max,
+        log_det_min=log_det_min,
+        log_threshold_max=_log_singularity_threshold(dl_max),
+        log_threshold_min=_log_singularity_threshold(dl_min),
     )
 
 
@@ -155,7 +199,10 @@ def balance_by_cospectrality(
     dl_max = distance_laplacian(g, ordering, "max")
     dl_min = distance_laplacian(g, ordering, "min")
     match = bool(np.max(np.abs(dl_max - dl_min)) <= ENTRY_TOL) if g.n else True
-    dl_plain = distance_laplacian(g.underlying(), ordering, "max")
+    # The all-gain-1 copy has gain 1 on every geodesic, so its distance
+    # Laplacian (in either mode, under any ordering) is read off the hop
+    # distances of g's own geodesic table.
+    dl_plain = transmission_matrix(g) - shortest_distances(g)
     cosp = is_cospectral(dl_max, dl_plain)
     balanced = match and cosp
     return CospectralityReport(

@@ -1,5 +1,7 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from conftest import (
     demo_transmissions,
     write_document,
 )
-from gainlap import csv_to_matrix
+from gainlap import csv_to_matrix, distance_laplacian, hermitian_spectrum, parse_graph
 from gainlap.cli import run
 
 
@@ -101,6 +103,17 @@ class TestScalarCommands:
         assert len(values) == 5
         assert values == sorted(values)
         assert sum(values) == pytest.approx(float(np.trace(demo_transmissions())))
+
+    @pytest.mark.parametrize("target", ["dlmax", "dlmin"])
+    def test_spectrum_reverse(self, capsys, demo_path, target):
+        doc = parse_graph(json.dumps(demo_document()))
+        mode = "max" if target == "dlmax" else "min"
+        std = doc.vertex_ordering()
+        for flags, ordering in (((), std), (("--reverse",), std.reverse())):
+            code, out, _ = invoke(capsys, "spectrum", "--target", target, *flags, demo_path)
+            assert code == 0
+            want = hermitian_spectrum(distance_laplacian(doc.gain_graph(), ordering, mode))
+            assert np.max(np.abs(np.array([float(x) for x in out.split()]) - want)) <= 1e-12
 
     def test_spectrum_adjacency(self, capsys, tmp_path):
         obj = {
@@ -192,6 +205,21 @@ class TestVerify:
             code, out, _ = invoke(capsys, "verify", "--theorem", "1", "--seed", seed, demo_path)
             assert code == 0 and out.startswith("PASS")
 
+    @pytest.mark.parametrize("theorem", ["6", "11"])
+    @pytest.mark.parametrize("n", [24, 100, 160])
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_long_cycles(self, capsys, tmp_path, theorem, n, balanced):
+        """Regression: a determinant threshold that grows with n, and a
+        determinant that overflows, once failed theorems 6 and 11 here."""
+        rng = np.random.default_rng(n)
+        gains = np.exp(2j * np.pi * rng.random(n))
+        if balanced:
+            gains[-1] = np.prod(gains[:-1]).conjugate()  # cycle gain 1
+        path = write_document(tmp_path, cycle_document(list(gains)), name=f"c{n}.json")
+        code, out, err = invoke(capsys, "verify", "--theorem", theorem, path)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"PASS theorem={theorem}")
+
     def test_fail_exits_2(self, capsys, demo_path, monkeypatch):
         import gainlap.cli as cli_module
 
@@ -234,6 +262,16 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "gain", ['{"theta": NaN}', '{"re": NaN, "im": 0}', '{"theta": -Infinity}', '{"theta": 1e999}']
+    )
+    def test_non_finite_gain(self, capsys, tmp_path, gain):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "edges": [{"u": 1, "v": 2, "gain": %s}]}' % gain)
+        code, out, err = invoke(capsys, "balance", str(path))
+        assert (code, out) == (1, "")
+        assert "edges[0].gain." in err and "finite" in err
 
     def test_missing_theorem_choice(self, capsys, demo_path):
         code, _, err = invoke(capsys, "verify", "--theorem", "4", demo_path)

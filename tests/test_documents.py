@@ -149,6 +149,27 @@ class TestParse:
         with pytest.raises(ValidationError, match=r"weights\[1\]"):
             parse_graph(doc_text(weights=[1.0, -2.0]))
 
+    @pytest.mark.parametrize(
+        "gain, field",
+        [
+            ('{"theta": NaN}', "theta"),
+            ('{"theta": Infinity}', "theta"),
+            ('{"re": NaN, "im": 0}', "re"),
+            ('{"re": 1, "im": -Infinity}', "im"),
+            ('{"theta": 1e999}', "theta"),
+        ],
+    )
+    def test_non_finite_gain(self, gain, field):
+        text = '{"n": 2, "edges": [{"u": 1, "v": 2, "gain": %s}]}' % gain
+        with pytest.raises(ValidationError, match=rf"edges\[0\]\.gain\.{field}: expected a finite number"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("w", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_weight(self, w):
+        text = '{"n": 2, "edges": [{"u": 1, "v": 2, "gain": {"theta": 0}}], "weights": [%s]}' % w
+        with pytest.raises(ValidationError, match=r"weights\[0\]: expected a finite number"):
+            parse_graph(text)
+
     def test_weights_accepted(self):
         doc = parse_graph(doc_text(weights=[1.5, 2.5]))
         assert doc.weights == (1.5, 2.5)

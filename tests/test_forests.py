@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_simple_cycles,
@@ -35,8 +37,13 @@ from gainlap import (
     numerical_rank,
     spanning_subgraph,
     unit_weights,
+    weighted_incidence,
     weighted_laplacian,
 )
+
+#: The gain group T4 = {1, i, -1, -i}: cycle gains are exact, and many
+#: cycles are balanced.
+T4 = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def unit_cycle(n, gains):
@@ -259,3 +266,62 @@ class TestDetDirectAndRank:
         wg = random_weighted(rng, random_connected_graph(rng, 6, 0))  # tree: balanced
         assert numerical_rank(weighted_laplacian(wg)) == 5
         assert numerical_rank(np.diag([5.0, 6.0, 7.0, 6.0, 8.0])) == 5
+
+
+@st.composite
+def weighted_small_graphs(draw):
+    """A random connected weighted graph on at most 7 vertices, with
+    generic or T4 gains, a tree-like or a dense edge set (at most 14
+    edges, so the brute-force scan stays small), and its edges listed in
+    a random order, so that the search meets them in any order."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    most = min(n * (n - 1) // 2, 14) - (n - 1)
+    extra = most if draw(st.booleans()) else min(most, draw(st.integers(0, 2)))
+    edges = list(random_connected_graph(rng, n, extra).edges)
+    if draw(st.booleans()):
+        edges = [(u, v, T4[int(rng.integers(4))]) for u, v, _ in edges]
+    rng.shuffle(edges)
+    return random_weighted(rng, GainGraph(n, tuple(edges)))
+
+
+class TestSearchAgainstBruteForce:
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_small_graphs())
+    def test_same_forests_same_order_same_sum(self, wg):
+        n = wg.base.n
+        want = [
+            subset
+            for subset in itertools.combinations(wg.base.edge_pairs(), n)
+            if _naive_is_one_forest(n, subset)
+        ]
+        forests = list(enumerate_spanning_one_forests(wg))
+        assert [f.edges for f in forests] == want
+        brute = sum(forest_weight(f, wg) for f in forests)
+        assert det_via_forests(wg) == pytest.approx(brute, rel=1e-12, abs=1e-300)
+
+
+class TestMarginals:
+    def test_edge_marginals_match_the_incidence_formula(self):
+        """P(e in F) under the forest measure equals h_e* L^-1 h_e, with
+        L = H H* and h_e the column of e in the weighted incidence H; the
+        marginals sum to n."""
+        rng = np.random.default_rng(241)
+        for _ in range(12):
+            n = int(rng.integers(3, 9))
+            wg = random_weighted(rng, random_connected_graph(rng, n, int(rng.integers(1, 5))))
+            index = {pair: j for j, pair in enumerate(wg.base.edge_pairs())}
+            inside = np.zeros(wg.base.m)
+            total = 0.0
+            for f in enumerate_spanning_one_forests(wg):
+                w = forest_weight(f, wg)
+                total += w
+                for pair in f.edges:
+                    inside[index[pair]] += w
+            enumerated = inside / total
+            H = weighted_incidence(wg).matrix
+            L = H @ H.conj().T
+            formula = np.real(np.einsum("ie,ie->e", H.conj(), np.linalg.solve(L, H)))
+            assert np.max(np.abs(enumerated - formula)) <= 1e-9
+            assert enumerated.sum() == pytest.approx(n, rel=1e-12)
+            assert formula.sum() == pytest.approx(n, rel=1e-9)

@@ -44,6 +44,17 @@ class TestNormalizeGain:
     def test_rescales_off_circle_input(self):
         assert normalize_gain(2.0 + 0.0j) == 1.0 + 0.0j
 
+    @pytest.mark.parametrize(
+        "z", [complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(float("-inf"), 1.0)]
+    )
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValidationError, match="not finite"):
+            normalize_gain(z)
+        with pytest.raises(ValidationError, match=r"edges\[0\]\.gain"):
+            GainGraph(2, ((1, 2, z),))
+        with pytest.raises(ValidationError):
+            SwitchingFunction((1, z))
+
     def test_zero_rejected(self):
         with pytest.raises(ZeroGain):
             normalize_gain(0.0)
@@ -90,12 +101,22 @@ class TestGainGraph:
         assert u.edge_pairs() == g.edge_pairs()
         assert all(z == 1 for _, _, z in u.edges)
 
+    def test_underlying_is_built_once(self):
+        g = demo_graph()
+        assert g.underlying() is g.underlying()
+        assert g.underlying() == GainGraph(5, tuple((u, v, 1) for u, v in g.edge_pairs()))
+
 
 class TestWeightedGainGraph:
     def test_weight_lookup_is_orientation_free(self):
         wg = WeightedGainGraph(GainGraph(2, ((1, 2, 1j),)), (2.5,))
         assert wg.weight(1, 2) == wg.weight(2, 1) == 2.5
         assert wg.weighted_gain(2, 1) == -2.5j
+
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValidationError, match=r"weights\[0\]"):
+            WeightedGainGraph(GainGraph(2, ((1, 2, 1j),)), (w,))
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValidationError):

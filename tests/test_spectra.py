@@ -172,6 +172,21 @@ class TestSingularityVerdict:
 
 
 class TestCospectralityVerdict:
+    def test_verdicts_match_a_fresh_all_gain_1_copy(self):
+        """The report reads the copy's Laplacian off g's own hop table;
+        its verdicts must be those of a freshly built copy."""
+        rng = np.random.default_rng(337)
+        for build in (potential_balanced_graph, planted_unbalanced_graph) * 4:
+            n = int(rng.integers(4, 8))
+            g, ordering = build(rng, n, int(rng.integers(1, 4))), random_ordering(rng, n)
+            fresh = GainGraph(n, tuple((u, v, 1) for u, v in g.edge_pairs()))
+            plain = distance_laplacian(fresh, ordering, "max")
+            report = balance_by_cospectrality(g, ordering)
+            want = is_cospectral(distance_laplacian(g, ordering, "max"), plain)
+            assert report.cospectral_with_underlying is want
+            assert report.balanced is is_balanced(g)
+            assert balance_by_cospectrality(g, ordering) == report
+
     def test_demo_graph(self):
         report = balance_by_cospectrality(demo_graph(), VertexOrdering.standard(5))
         assert not report.laplacians_match  # max and min matrices differ
@@ -253,6 +268,24 @@ class TestSwitchingSimilarity:
             assert report.switched_compatible
             assert report.similarity_residual <= 1e-10
             assert report.spectra_match
+
+
+class TestLargeCycles:
+    """Determinants of the distance Laplacians of long unbalanced cycles
+    overflow a float; the verdicts and the log fields must not."""
+
+    @pytest.mark.parametrize("n", [100, 160])
+    def test_log_domain_fields(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+        g = GainGraph(n, tuple((u, v, np.exp(2j * np.pi * rng.random())) for u, v in pairs))
+        report = balance_by_singularity(g, VertexOrdering.standard(n))
+        assert report.det_max == np.inf and report.threshold_max == np.inf
+        assert not report.balanced and report.matches_potential
+        assert report.rank_max == n and report.rank_min == n
+        assert np.isfinite(report.log_det_max) and np.isfinite(report.log_threshold_max)
+        assert report.log_det_max > report.log_threshold_max
+        assert report.log_det_min > report.log_threshold_min
 
 
 class TestSingularityThreshold:
