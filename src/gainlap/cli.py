@@ -34,6 +34,7 @@ from .laplacians import (
     weighted_laplacian,
 )
 from .spectra import (
+    SIMILARITY_TOL,
     balance_by_cospectrality,
     balance_by_singularity,
     det_direct,
@@ -43,6 +44,13 @@ from .spectra import (
 )
 
 VERIFY_CHOICES = (1, 2, 3, 6, 7, 11, 12, 13)
+
+#: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
+#: and 7), and the relative gap of det L by LU to its closed form on a
+#: cycle (theorem 2) and to the spanning 1-forest sum (theorem 3).
+_FACTORIZATION_TOL = 1e-12
+_CYCLE_DET_TOL = 1e-9
+_FOREST_DET_TOL = 1e-7
 
 
 class _UsageError(Exception):
@@ -172,7 +180,7 @@ def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, s
             (u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.base.edges
         )
         residual = max(factorization_residual(wg), factorization_residual(wg, flipped))
-        return residual <= 1e-12, residual, None
+        return residual <= _FACTORIZATION_TOL, residual, None
 
     if theorem == 2:
         cycle = _spanning_cycle(doc)
@@ -181,13 +189,13 @@ def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, s
             closed *= w
         lu = det_direct(weighted_laplacian(wg)).real
         residual = abs(lu - closed) / max(1.0, abs(closed))
-        return residual <= 1e-9, residual, None
+        return residual <= _CYCLE_DET_TOL, residual, None
 
     if theorem == 3:
         by_forests = det_via_forests(wg, budget=_env_budget())
         lu = det_direct(weighted_laplacian(wg)).real
         residual = abs(by_forests - lu) / max(1.0, abs(lu))
-        return residual <= 1e-7, residual, None
+        return residual <= _FOREST_DET_TOL, residual, None
 
     if theorem == 6:
         L = weighted_laplacian(wg)
@@ -200,7 +208,7 @@ def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, s
             for o in (ordering, ordering.reverse())
             for mode in ("max", "min")
         )
-        return residual <= 1e-12, residual, None
+        return residual <= _FACTORIZATION_TOL, residual, None
 
     if theorem == 11:
         rep = balance_by_singularity(g, ordering)
@@ -224,7 +232,7 @@ def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, s
             return True, 0.0, "hypothesis not met (not compatible and ordering independent); nothing to judge"
         ok = bool(
             rep.switched_compatible
-            and rep.similarity_residual <= 1e-10
+            and rep.similarity_residual <= SIMILARITY_TOL
             and rep.spectra_match
         )
         return ok, max(rep.similarity_residual, rep.spectrum_gap), None

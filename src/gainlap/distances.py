@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import Disconnected, PathExplosion, ValidationError
-from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph, path_gain
+from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph, _bfs, path_gain
 
 #: Default cap on the number of distinct geodesic gains of one vertex
 #: pair (and on the number of paths :func:`enumerate_shortest_paths`
@@ -53,22 +53,6 @@ def _require_ordering(g: GainGraph, ordering: VertexOrdering) -> None:
         raise ValidationError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
 
 
-def _bfs(g: GainGraph, source: int) -> tuple[list[int], list[int]]:
-    """Hop distance from ``source`` to every vertex (-1 if unreachable,
-    index 0 unused) and the reached vertices in BFS order."""
-    g.neighbors(source)  # validates the source
-    adj = g._neighbors
-    dist = [-1] * (g.n + 1)
-    dist[source] = 0
-    order = [source]
-    for a in order:  # the growing list is the queue
-        for b in adj[a]:
-            if dist[b] < 0:
-                dist[b] = dist[a] + 1
-                order.append(b)
-    return dist, order
-
-
 class _GeodesicTable(NamedTuple):
     """Row s, column t: hop distance and lex-extremal geodesic gain from
     vertex s + 1 to vertex t + 1; the diagonal gains are zero.  ``widest``
@@ -90,7 +74,7 @@ def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
     lex_min = np.zeros((n, n), dtype=complex)
     widest, widest_pair = 1, (1, 1)
     for s in range(1, n + 1):
-        dist, order = _bfs(g, s)
+        dist, order, _ = _bfs(g, s)
         if len(order) < n:
             v = dist.index(-1, 1)
             raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
@@ -187,8 +171,8 @@ def enumerate_shortest_paths(
     """
     if cap < 1:
         raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
-    du, _ = _bfs(g, u)
-    dv, _ = _bfs(g, v)
+    du = _bfs(g, u)[0]
+    dv = _bfs(g, v)[0]
     if du[v] < 0:
         raise Disconnected(f"vertex {v} is unreachable from vertex {u}")
     total = du[v]

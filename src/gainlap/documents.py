@@ -15,14 +15,19 @@ within 1e-6 of the unit circle and are renormalized onto it.  Weights
 default to 1 and the ordering defaults to the natural order of the
 vertex labels.  Every number must be finite; NaN and Infinity literals
 are refused with the path of their field.
+
+The parser checks only the shape of the JSON; the model constructors
+in :mod:`gainlap.graphs` check every invariant of the values (n, the
+vertex range, u < v, duplicate edges, positive weights, the ordering
+permutation) and name the offending field.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .graphs import (
     GainGraph,
     VertexOrdering,
     WeightedGainGraph,
+    _finite,
     normalize_gain,
     unit_weights,
 )
@@ -45,8 +51,14 @@ class GraphDocument:
     weights: tuple[float, ...] | None = None
     ordering: tuple[int, ...] | None = None
 
-    def gain_graph(self) -> GainGraph:
+    @cached_property
+    def _gain_graph(self) -> GainGraph:
         return GainGraph(self.n, self.edges)
+
+    def gain_graph(self) -> GainGraph:
+        """The document's graph.  It is built once and memoized on this
+        instance, so its geodesic table is too."""
+        return self._gain_graph
 
     def weighted_graph(self) -> WeightedGainGraph:
         g = self.gain_graph()
@@ -60,26 +72,14 @@ class GraphDocument:
         return VertexOrdering(self.ordering)
 
 
-def _number(val: object, where: str) -> float:
-    """A finite JSON number as a float."""
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        try:
-            x = float(val)
-        except OverflowError:  # an integer literal beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ValidationError(f"{where}: expected a finite number, got {val!r}")
-
-
 def _parse_gain(raw: object, where: str) -> complex:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: expected an object, got {raw!r}")
     keys = set(raw)
     if keys == {"theta"}:
-        return cmath.exp(1j * _number(raw["theta"], f"{where}.theta"))
+        return cmath.exp(1j * _finite(raw["theta"], f"{where}.theta"))
     if keys == {"re", "im"}:
-        z = complex(_number(raw["re"], f"{where}.re"), _number(raw["im"], f"{where}.im"))
+        z = complex(_finite(raw["re"], f"{where}.re"), _finite(raw["im"], f"{where}.im"))
         try:
             return normalize_gain(z, strict=True)
         except ValidationError as exc:
@@ -89,13 +89,25 @@ def _parse_gain(raw: object, where: str) -> complex:
     )
 
 
+def _list(obj: dict, key: str) -> list:
+    val = obj.get(key)
+    if not isinstance(val, list):
+        raise ValidationError(f"{key}: expected a list, got {val!r}")
+    return val
+
+
 def parse_graph(data: bytes | str) -> GraphDocument:
-    """Decode and validate a graph document.
+    """Decode a graph document.
+
+    The parser checks the JSON shape: an object with known keys, a list
+    of edge objects with keys u, v and gain, gains of either form, and
+    lists of weights and ranks.  The model constructors then check the
+    values, and the ordering is checked to rank all n vertices.
 
     Raises:
         ParseError: if the input is not valid JSON.
-        ValidationError: if a structural invariant fails; the message
-            names the offending field.
+        ValidationError: if the shape is wrong or a structural invariant
+            fails; the message names the offending field.
     """
     if isinstance(data, bytes):
         try:
@@ -114,64 +126,30 @@ def parse_graph(data: bytes | str) -> GraphDocument:
     if unknown:
         raise ValidationError(f"document: unknown keys {sorted(unknown)}")
 
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n: expected a positive integer, got {n!r}")
-
-    raw_edges = obj.get("edges")
-    if not isinstance(raw_edges, list):
-        raise ValidationError(f"edges: expected a list, got {raw_edges!r}")
     edges: list[tuple[int, int, complex]] = []
-    seen: set[tuple[int, int]] = set()
-    for i, item in enumerate(raw_edges):
+    for i, item in enumerate(_list(obj, "edges")):
         where = f"edges[{i}]"
         if not isinstance(item, dict):
             raise ValidationError(f"{where}: expected an object, got {item!r}")
         extra = set(item) - {"u", "v", "gain"}
         if extra:
             raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
-        u, v = item.get("u"), item.get("v")
-        for name, val in (("u", u), ("v", v)):
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ValidationError(f"{where}.{name}: expected an integer, got {val!r}")
-            if not 1 <= val <= n:
-                raise ValidationError(f"{where}.{name}: vertex {val} outside 1..{n}")
-        if not u < v:
-            raise ValidationError(f"{where}: requires u < v, got ({u}, {v})")
-        if (u, v) in seen:
-            raise ValidationError(f"{where}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v, _parse_gain(item.get("gain"), f"{where}.gain")))
+        edges.append((item.get("u"), item.get("v"), _parse_gain(item.get("gain"), f"{where}.gain")))
+    g = GainGraph(obj.get("n"), tuple(edges))
 
     weights: tuple[float, ...] | None = None
     if "weights" in obj:
-        raw_w = obj["weights"]
-        if not isinstance(raw_w, list) or len(raw_w) != len(edges):
-            raise ValidationError(
-                f"weights: expected a list of {len(edges)} numbers, got {raw_w!r}"
-            )
-        ws = []
-        for i, w in enumerate(raw_w):
-            w = _number(w, f"weights[{i}]")
-            if not w > 0.0:
-                raise ValidationError(f"weights[{i}]: expected a positive weight, got {w!r}")
-            ws.append(w)
-        weights = tuple(ws)
+        weights = WeightedGainGraph(g, tuple(_list(obj, "weights"))).weights
 
     ordering: tuple[int, ...] | None = None
     if "ordering" in obj:
-        raw_o = obj["ordering"]
-        if (
-            not isinstance(raw_o, list)
-            or len(raw_o) != n
-            or any(not isinstance(r, int) or isinstance(r, bool) for r in raw_o)
-            or sorted(raw_o) != list(range(1, n + 1))
-        ):
-            raise ValidationError(f"ordering: expected a permutation of 1..{n}, got {raw_o!r}")
-        ordering = tuple(raw_o)
+        ranks = _list(obj, "ordering")
+        if len(ranks) != g.n:
+            raise ValidationError(f"ordering: expected {g.n} ranks, got {ranks!r}")
+        ordering = VertexOrdering(tuple(ranks)).ranks
 
-    doc = GraphDocument(n=n, edges=tuple(edges), weights=weights, ordering=ordering)
-    doc.gain_graph()  # surfaces any invariant the field checks above missed
+    doc = GraphDocument(n=g.n, edges=tuple(edges), weights=weights, ordering=ordering)
+    vars(doc)["_gain_graph"] = g  # stored as functools.cached_property stores it
     return doc
 
 

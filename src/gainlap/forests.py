@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import Disconnected, TooLarge, ValidationError
-from .graphs import GainGraph, WeightedGainGraph, _bfs_tree, cycle_gain
+from .graphs import GainGraph, WeightedGainGraph, _bfs, cycle_gain
 
 #: Largest number C(m, n) of n-edge subsets for which the search runs.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -288,7 +288,7 @@ def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
     weights; zero when no spanning 1-forest exists."""
-    if len(_bfs_tree(wg.base)) != wg.base.n - 1:
+    if len(_bfs(wg.base, 1)[1]) != wg.base.n:
         raise Disconnected("the spanning 1-forest expansion needs a connected graph")
     return sum(weight for _, weight in _checked_search(wg, budget, DEFAULT_VERTEX_LIMIT))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
@@ -22,6 +23,10 @@ UNIT_TOL = 1e-6
 
 #: Absolute tolerance on |gain - 1| used by balance checks.
 BALANCE_TOL = 1e-9
+
+#: A gain this close to the unit circle is kept as given: dividing by |z|
+#: would only churn the last ulp and break bitwise round-trips.
+_ON_CIRCLE_TOL = 1e-15
 
 Mode = Literal["max", "min"]
 
@@ -41,9 +46,11 @@ def normalize_gain(z: complex, strict: bool = False) -> complex:
 
     Raises:
         ZeroGain: if z == 0.
-        ValidationError: if z is not finite, or if strict and
-            | |z| - 1 | > UNIT_TOL.
+        ValidationError: if z is not a number or not finite, or if
+            strict and | |z| - 1 | > UNIT_TOL.
     """
+    if isinstance(z, bool) or not isinstance(z, numbers.Number):
+        raise ValidationError(f"expected a number, got {z!r}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValidationError(f"gain {z!r} is not finite")
@@ -52,11 +59,21 @@ def normalize_gain(z: complex, strict: bool = False) -> complex:
         raise ZeroGain("a zero gain has no direction on the unit circle")
     if strict and abs(r - 1.0) > UNIT_TOL:
         raise ValidationError(f"gain modulus {r!r} is not within {UNIT_TOL} of 1")
-    if abs(r - 1.0) <= 1e-15:
-        # Already on the circle to within roundoff; dividing again would
-        # only churn the last ulp and break bitwise round-trips.
+    if abs(r - 1.0) <= _ON_CIRCLE_TOL:
         return z
     return z / r
+
+
+def _finite(val: object, where: str) -> float:
+    """A finite real number (not a bool) as a float."""
+    if isinstance(val, numbers.Real) and not isinstance(val, bool):
+        try:
+            x = float(val)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{where}: expected a finite number, got {val!r}")
 
 
 def _check_vertex(x: object, n: int, what: str) -> int:
@@ -80,7 +97,7 @@ class GainGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"n: expected a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
         canon: list[Edge] = []
@@ -164,15 +181,11 @@ class WeightedGainGraph:
             raise ValidationError(
                 f"weights: expected {len(self.base.edges)} entries, got {len(self.weights)}"
             )
-        ws = []
-        for i, w in enumerate(self.weights):
-            w = float(w)
-            if not (math.isfinite(w) and w > 0.0):
-                raise ValidationError(
-                    f"weights[{i}]: expected a finite positive weight, got {w!r}"
-                )
-            ws.append(w)
-        object.__setattr__(self, "weights", tuple(ws))
+        ws = tuple(_finite(w, f"weights[{i}]") for i, w in enumerate(self.weights))
+        for i, w in enumerate(ws):
+            if not w > 0.0:
+                raise ValidationError(f"weights[{i}]: expected a positive weight, got {w!r}")
+        object.__setattr__(self, "weights", ws)
 
     @cached_property
     def _weight_of(self) -> dict[tuple[int, int], float]:
@@ -205,10 +218,10 @@ class VertexOrdering:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.ranks)
-        if sorted(self.ranks) != list(range(1, n + 1)):
-            raise ValidationError(f"ranks: expected a permutation of 1..{n}, got {self.ranks!r}")
-        object.__setattr__(self, "ranks", tuple(self.ranks))
+        ranks, n = tuple(self.ranks), len(self.ranks)
+        if not n or any(type(r) is not int for r in ranks) or sorted(ranks) != [*range(1, n + 1)]:
+            raise ValidationError(f"ordering: expected a permutation of 1..{n}, got {ranks!r}")
+        object.__setattr__(self, "ranks", ranks)
 
     @classmethod
     def standard(cls, n: int) -> "VertexOrdering":
@@ -300,42 +313,47 @@ def cycle_gain(g: GainGraph, cycle: Sequence[int]) -> complex:
     return path_gain(g, verts + [verts[0]])
 
 
-def _bfs_tree(g: GainGraph) -> list[tuple[int, int]]:
-    """Edges (parent, child) of a BFS forest covering every component."""
-    from collections import deque
-
-    parent_edges: list[tuple[int, int]] = []
-    seen = [False] * (g.n + 1)
-    for root in range(1, g.n + 1):
-        if seen[root]:
+def _bfs(g: GainGraph, *roots: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS from each root not reached from an earlier one: per vertex the
+    hop distance from its root (-1 if unreached) and the parent that first
+    reached it (0 if none), index 0 unused; and the reached vertices in
+    BFS order."""
+    adj = g._neighbors
+    dist = [-1] * (g.n + 1)
+    parent = [0] * (g.n + 1)
+    order: list[int] = []
+    for root in roots:
+        _check_vertex(root, g.n, "vertex")
+        if dist[root] >= 0:
             continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b in g.neighbors(a):
-                if not seen[b]:
-                    seen[b] = True
-                    parent_edges.append((a, b))
-                    queue.append(b)
-    return parent_edges
+        dist[root] = 0
+        reached = [root]
+        for a in reached:  # the growing list is the queue
+            for b in adj[a]:
+                if dist[b] < 0:
+                    dist[b] = dist[a] + 1
+                    parent[b] = a
+                    reached.append(b)
+        order += reached
+    return dist, order, parent
 
 
 def is_balanced(g: GainGraph, tol: float = BALANCE_TOL) -> bool:
     """Whether every cycle has gain 1, equivalently whether the gains
     derive from a vertex potential.
 
-    Propagates a potential over a spanning forest and checks every
+    Propagates a potential over a BFS spanning forest and checks every
     non-forest edge against it; a mismatch beyond ``tol`` witnesses an
     unbalanced cycle.
     """
+    _, order, parent = _bfs(g, *range(1, g.n + 1))
     theta: list[complex] = [1.0 + 0.0j] * (g.n + 1)
-    tree = set()
-    for a, b in _bfs_tree(g):
-        theta[b] = theta[a] * g.gain(a, b)
-        tree.add((a, b) if a < b else (b, a))
+    for b in order:
+        a = parent[b]
+        if a:
+            theta[b] = theta[a] * g.gain(a, b)
     for u, v, z in g.edges:
-        if (u, v) in tree:
+        if parent[v] == u or parent[u] == v:
             continue
         if abs(z - theta[u].conjugate() * theta[v]) > tol:
             return False

@@ -33,9 +33,14 @@ HERMITIAN_TOL = 1e-12
 #: Entrywise tolerance for the similarity check after switching.
 SIMILARITY_TOL = 1e-10
 
-#: Relative size below which an eigenvalue, or a determinant against the
-#: product of its row norms, counts as zero.
+#: Relative size below which a determinant, against the product of its
+#: row norms, counts as zero.  Ranks use the ``matrix_rank`` cutoff
+#: instead (see :func:`numerical_rank`).
 SINGULAR_TOL = 1e-8
+
+#: Two spectra agree when their sorted eigenvalues differ entrywise by at
+#: most this much times 1 + the largest eigenvalue magnitude.
+_SPECTRUM_TOL = 1e-8
 
 
 def det_direct(M: np.ndarray) -> complex:
@@ -45,12 +50,28 @@ def det_direct(M: np.ndarray) -> complex:
 
 def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
     """Number of eigenvalues of a Hermitian matrix larger in magnitude
-    than ``tol``; defaults to SINGULAR_TOL * max(1, max |eigenvalue|)."""
+    than ``tol``; defaults to n * eps * max(1, max |eigenvalue|), the
+    ``numpy.linalg.matrix_rank`` convention."""
     vals = np.linalg.eigvalsh(np.asarray(M, dtype=complex))
     if tol is None:
-        top = float(np.max(np.abs(vals))) if vals.size else 0.0
-        tol = SINGULAR_TOL * max(1.0, top)
+        tol = vals.size * np.finfo(float).eps * max(1.0, _top(vals))
     return int(np.sum(np.abs(vals) > tol))
+
+
+def _top(spectrum: np.ndarray) -> float:
+    """The largest eigenvalue magnitude, 0 for an empty spectrum."""
+    return float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
+
+
+def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
+    """M as a complex array, once checked square and Hermitian."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    res = hermitian_residual(M)
+    if res > tol:
+        raise NotHermitian(f"max |M - M*| = {res:.3e} exceeds {tol:.3e}")
+    return M
 
 
 def hermitian_spectrum(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -59,24 +80,14 @@ def hermitian_spectrum(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     Raises:
         NotHermitian: if max |M - M*| exceeds ``tol``.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    res = hermitian_residual(M)
-    if res > tol:
-        raise NotHermitian(f"max |M - M*| = {res:.3e} exceeds {tol:.3e}")
-    return np.linalg.eigvalsh(M)
+    return np.linalg.eigvalsh(_hermitian(M, tol))
 
 
 def hermitian_eigensystem(
     M: np.ndarray, tol: float = HERMITIAN_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-    M = np.asarray(M, dtype=complex)
-    res = hermitian_residual(M)
-    if res > tol:
-        raise NotHermitian(f"max |M - M*| = {res:.3e} exceeds {tol:.3e}")
-    return np.linalg.eigh(M)
+    return np.linalg.eigh(_hermitian(M, tol))
 
 
 def max_eigenpair_residual(M: np.ndarray) -> float:
@@ -90,7 +101,8 @@ def max_eigenpair_residual(M: np.ndarray) -> float:
 
 def is_cospectral(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> bool:
     """Whether two Hermitian matrices share their sorted spectra
-    entrywise, within ``tol`` (default 1e-8 * (1 + max |eigenvalue of A|))."""
+    entrywise, within ``tol`` (default _SPECTRUM_TOL * (1 + max |eigenvalue
+    of A|))."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape:
@@ -98,8 +110,7 @@ def is_cospectral(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> boo
     sa = hermitian_spectrum(A)
     sb = hermitian_spectrum(B)
     if tol is None:
-        top = float(np.max(np.abs(sa))) if sa.size else 0.0
-        tol = 1e-8 * (1.0 + top)
+        tol = _SPECTRUM_TOL * (1.0 + _top(sa))
     if sa.size == 0:
         return True
     return bool(np.max(np.abs(sa - sb)) <= tol)
@@ -253,11 +264,10 @@ def switching_similarity_check(
     spec_before = hermitian_spectrum(distance_laplacian(g, ordering, "max"))
     spec_after = hermitian_spectrum(distance_laplacian(gx, ordering, "max"))
     gap = float(np.max(np.abs(spec_before - spec_after))) if spec_before.size else 0.0
-    top = float(np.max(np.abs(spec_before))) if spec_before.size else 0.0
     return SwitchingReport(
         hypothesis_met=True,
         switched_compatible=switched_compatible,
         similarity_residual=residual,
-        spectra_match=gap <= 1e-8 * (1.0 + top),
+        spectra_match=gap <= _SPECTRUM_TOL * (1.0 + _top(spec_before)),
         spectrum_gap=gap,
     )

@@ -13,8 +13,15 @@ from conftest import (
     demo_transmissions,
     write_document,
 )
-from gainlap import csv_to_matrix, distance_laplacian, hermitian_spectrum, parse_graph
+from gainlap import (
+    ValidationError,
+    csv_to_matrix,
+    distance_laplacian,
+    hermitian_spectrum,
+    parse_graph,
+)
 from gainlap.cli import run
+from test_documents import PARITY_CASES
 
 
 def invoke(capsys, *argv):
@@ -220,6 +227,19 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.startswith(f"PASS theorem={theorem}")
 
+    @pytest.mark.parametrize("n, phi", [(24, 1e-3), (60, 1e-2), (160, 1e-2)])
+    def test_near_balanced_cycles(self, capsys, tmp_path, n, phi):
+        """Regression: a rank cutoff of 1e-8 * max |eigenvalue| once
+        counted the smallest eigenvalue of L, about 2(1 - cos(phi / n)),
+        as zero on these unbalanced cycles."""
+        rng = np.random.default_rng(n)
+        gains = np.exp(2j * np.pi * rng.random(n))
+        gains[-1] = np.prod(gains[:-1]).conjugate() * np.exp(1j * phi)  # cycle gain e^{i phi}
+        path = write_document(tmp_path, cycle_document(list(gains)), name=f"c{n}.json")
+        code, out, err = invoke(capsys, "verify", "--theorem", "6", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS theorem=6")
+
     def test_fail_exits_2(self, capsys, demo_path, monkeypatch):
         import gainlap.cli as cli_module
 
@@ -253,6 +273,16 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "balance", path)
         assert code == 1
         assert "u < v" in err
+
+    @pytest.mark.parametrize("text", [t for t, _ in PARITY_CASES.values()], ids=PARITY_CASES.keys())
+    def test_malformed_values_name_their_field(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "balance", str(path))
+        assert (code, out) == (1, "")
+        with pytest.raises(ValidationError) as exc:
+            parse_graph(text)
+        assert f"{str(exc.value).split(':', 1)[0]}:" in err
 
     def test_bad_usage(self, capsys, demo_path):
         code, _, err = invoke(capsys, "dmatrix", "--mode", "median", demo_path)

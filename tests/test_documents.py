@@ -9,9 +9,11 @@ import pytest
 
 from conftest import demo_document, demo_graph, random_unit
 from gainlap import (
+    GainGraph,
     GraphDocument,
     ParseError,
     ValidationError,
+    WeightedGainGraph,
     csv_to_matrix,
     emit_graph,
     format_complex,
@@ -187,6 +189,76 @@ class TestParse:
         doc = parse_graph(doc_text())
         assert doc.weighted_graph().weights == (1.0, 1.0)
         assert doc.vertex_ordering() == VertexOrdering.standard(3)
+
+
+def _doc_graph() -> GainGraph:
+    """The graph of ``doc_text()``."""
+    return GainGraph(3, ((1, 2, 1 + 0j), (2, 3, 1j)))
+
+
+def _field(exc: Exception) -> str:
+    return str(exc).split(":", 1)[0]
+
+
+#: Every malformed document above whose fault is in the values rather
+#: than the JSON shape, with the constructor call on the same values.
+PARITY_CASES = {
+    **{
+        f"n={bad!r}": (json.dumps({"n": bad, "edges": []}), lambda bad=bad: GainGraph(bad, ()))
+        for bad in (0, -1, 2.5, "3", None, True)
+    },
+    "reversed": (
+        json.dumps({"n": 3, "edges": [{"u": 3, "v": 1, "gain": {"theta": 0.0}}]}),
+        lambda: GainGraph(3, ((3, 1, 1 + 0j),)),
+    ),
+    "out-of-range": (
+        json.dumps({"n": 2, "edges": [{"u": 1, "v": 5, "gain": {"theta": 0.0}}]}),
+        lambda: GainGraph(2, ((1, 5, 1 + 0j),)),
+    ),
+    "duplicate": (
+        json.dumps(
+            {
+                "n": 2,
+                "edges": [
+                    {"u": 1, "v": 2, "gain": {"theta": 0.0}},
+                    {"u": 1, "v": 2, "gain": {"theta": 1.0}},
+                ],
+            }
+        ),
+        lambda: GainGraph(2, ((1, 2, 1 + 0j), (1, 2, cmath.exp(1j)))),
+    ),
+    "weights-length": (
+        doc_text(weights=[1.0]),
+        lambda: WeightedGainGraph(_doc_graph(), (1.0,)),
+    ),
+    "weights-negative": (
+        doc_text(weights=[1.0, -2.0]),
+        lambda: WeightedGainGraph(_doc_graph(), (1.0, -2.0)),
+    ),
+    **{
+        f"weight={w}": (
+            '{"n": 2, "edges": [{"u": 1, "v": 2, "gain": {"theta": 0}}], "weights": [%s]}' % w,
+            lambda x=x: WeightedGainGraph(GainGraph(2, ((1, 2, 1 + 0j),)), (x,)),
+        )
+        for w, x in (("NaN", math.nan), ("Infinity", math.inf), ("1e999", math.inf))
+    },
+    "ordering": (
+        doc_text(ordering=[1, 1, 2]),
+        lambda: VertexOrdering((1, 1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("text, build", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_parser_and_constructors_agree(text, build):
+    """The parser reports a bad value exactly as the constructor that
+    owns its invariant does: same exception type, same field path."""
+    with pytest.raises(Exception) as by_parser:
+        parse_graph(text)
+    with pytest.raises(Exception) as by_constructor:
+        build()
+    assert by_parser.type is by_constructor.type is ValidationError
+    assert _field(by_parser.value) == _field(by_constructor.value)
 
 
 class TestEmit:

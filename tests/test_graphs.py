@@ -8,8 +8,12 @@ Key claims covered here:
   * switching preserves all cycle gains and therefore balance.
 """
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     Q,
@@ -18,6 +22,7 @@ from conftest import (
     potential_balanced_graph,
     random_connected_graph,
     random_switching,
+    random_unit,
 )
 from gainlap import (
     GainGraph,
@@ -59,6 +64,11 @@ class TestNormalizeGain:
         with pytest.raises(ZeroGain):
             normalize_gain(0.0)
 
+    @pytest.mark.parametrize("z", ["1", "x", True, None])
+    def test_non_number_rejected(self, z):
+        with pytest.raises(ValidationError, match="expected a number"):
+            normalize_gain(z)
+
     def test_strict_rejects_far_from_unit(self):
         with pytest.raises(ValidationError):
             normalize_gain(1.001 + 0.0j, strict=True)
@@ -89,6 +99,20 @@ class TestGainGraph:
     def test_rejects_vertex_out_of_range(self):
         with pytest.raises(ValidationError):
             GainGraph(3, ((1, 4, 1.0),))
+
+    @pytest.mark.parametrize(
+        "n, edges, field",
+        [
+            (True, (), "n"),
+            (2, ((1, 2, "1"),), r"edges\[0\]\.gain"),
+            (2, ((1, 2, "x"),), r"edges\[0\]\.gain"),
+            (2, ((1, 2, True),), r"edges\[0\]\.gain"),
+        ],
+        ids=["bool-n", "str-gain", "text-gain", "bool-gain"],
+    )
+    def test_rejects_malformed_values(self, n, edges, field):
+        with pytest.raises(ValidationError, match=rf"^{field}: "):
+            GainGraph(n, edges)
 
     def test_non_edge_query(self):
         g = GainGraph(3, ((1, 2, 1.0),))
@@ -122,6 +146,17 @@ class TestWeightedGainGraph:
         with pytest.raises(ValidationError):
             WeightedGainGraph(GainGraph(2, ((1, 2, 1.0),)), (0.0,))
 
+    @pytest.mark.parametrize(
+        "w", ["3", True, None, pytest.param(10**400, id="10**400"), 1j]
+    )
+    def test_rejects_non_number_weight(self, w):
+        with pytest.raises(ValidationError, match=r"^weights\[0\]: "):
+            WeightedGainGraph(GainGraph(2, ((1, 2, 1j),)), (w,))
+
+    def test_accepts_integer_weights(self):
+        wg = WeightedGainGraph(GainGraph(2, ((1, 2, 1j),)), (np.int64(3),))
+        assert wg.weights == (3.0,) and type(wg.weights[0]) is float
+
     def test_rejects_misaligned_weights(self):
         with pytest.raises(ValidationError):
             WeightedGainGraph(GainGraph(2, ((1, 2, 1.0),)), (1.0, 2.0))
@@ -143,6 +178,13 @@ class TestVertexOrdering:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValidationError):
             VertexOrdering((1, 1, 3))
+
+    @pytest.mark.parametrize(
+        "ranks", [(True, 2), (1.0, 2.0), (), (2, "1")], ids=["bool", "float", "empty", "str"]
+    )
+    def test_rejects_malformed_ranks(self, ranks):
+        with pytest.raises(ValidationError, match=r"^ordering: "):
+            VertexOrdering(ranks)
 
 
 class TestPathGain:
@@ -205,6 +247,35 @@ class TestCycleGain:
         assert cycle_gain(g, [3, 4, 1, 2]) == pytest.approx(z)
 
 
+#: The gain group T4 = {1, i, -1, -i}: cycle gains are exact.
+T4 = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+@st.composite
+def any_small_graphs(draw):
+    """A graph on at most 7 vertices, connected or not, whose gains are a
+    vertex potential (balanced), a potential with some edges twisted away
+    from it, generic, or in T4."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["potential", "twisted", "generic", "t4"]))
+    theta = [random_unit(rng) for _ in range(n + 1)]
+
+    def gain(u: int, v: int) -> complex:
+        if kind == "generic":
+            return random_unit(rng)
+        if kind == "t4":
+            return T4[int(rng.integers(4))]
+        z = theta[u].conjugate() * theta[v]
+        if kind == "twisted" and rng.random() < 0.3:
+            z *= cmath.exp(1j * rng.uniform(0.1, 2 * np.pi - 0.1))
+        return z
+
+    return GainGraph(n, tuple((u, v, gain(u, v)) for u, v in sorted(chosen)))
+
+
 class TestBalance:
     def test_demo_graph_unbalanced(self):
         # its 4-cycle has gain e^{i pi/2}
@@ -232,6 +303,13 @@ class TestBalance:
                 abs(cycle_gain(g, c) - 1) <= 1e-9 for c in all_simple_cycles(g)
             )
             assert is_balanced(g) == oracle
+
+    @given(any_small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_cycle_oracle(self, g):
+        """Graphs on at most 7 vertices, disconnected ones included."""
+        oracle = all(abs(cycle_gain(g, c) - 1) <= 1e-9 for c in all_simple_cycles(g))
+        assert is_balanced(g) == oracle
 
     def test_potential_construction_is_balanced(self):
         rng = np.random.default_rng(13)
