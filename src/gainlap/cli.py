@@ -22,8 +22,8 @@ import numpy as np
 from .distances import gain_distance_matrix
 from .documents import GraphDocument, matrix_to_csv, parse_graph
 from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
-from .forests import det_via_forests
-from .graphs import SwitchingFunction, cycle_gain, is_balanced
+from .forests import _one_forest_components, det_via_forests
+from .graphs import GainGraph, SwitchingFunction, cycle_gain, is_balanced
 from .laplacians import (
     distance_factorization_residual,
     distance_incidence,
@@ -42,8 +42,6 @@ from .spectra import (
     numerical_rank,
     switching_similarity_check,
 )
-
-VERIFY_CHOICES = (1, 2, 3, 6, 7, 11, 12, 13)
 
 #: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
 #: and 7), and the relative gap of det L by LU to its closed form on a
@@ -86,25 +84,16 @@ def _ordering(doc: GraphDocument, reverse: bool):
     return ordering.reverse() if reverse else ordering
 
 
-# --- subcommand handlers -------------------------------------------------
+# --- subcommand handlers: (document, arguments) -> exit code -------------
 
 
-def _cmd_dmatrix(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
-    D = gain_distance_matrix(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
-    print(matrix_to_csv(D))
+def _cmd_distance(doc: GraphDocument, args: argparse.Namespace) -> int:
+    build = gain_distance_matrix if args.command == "dmatrix" else distance_laplacian
+    print(matrix_to_csv(build(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)))
     return 0
 
 
-def _cmd_dlaplacian(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
-    DL = distance_laplacian(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
-    print(matrix_to_csv(DL))
-    return 0
-
-
-def _cmd_incidence(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
+def _cmd_incidence(doc: GraphDocument, args: argparse.Namespace) -> int:
     if args.distance:
         inc = distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
     else:
@@ -113,8 +102,7 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
+def _cmd_spectrum(doc: GraphDocument, args: argparse.Namespace) -> int:
     if args.target == "adj":
         M = weighted_adjacency(doc.weighted_graph())
     elif args.target == "lap":
@@ -127,8 +115,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_det(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
+def _cmd_det(doc: GraphDocument, args: argparse.Namespace) -> int:
     wg = doc.weighted_graph()
     if args.method == "lu":
         value = det_direct(weighted_laplacian(wg)).real
@@ -138,114 +125,120 @@ def _cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
+def _cmd_rank(doc: GraphDocument, args: argparse.Namespace) -> int:
     print(numerical_rank(weighted_laplacian(doc.weighted_graph())))
     return 0
 
 
-def _cmd_balance(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
+def _cmd_balance(doc: GraphDocument, args: argparse.Namespace) -> int:
     print("balanced" if is_balanced(doc.gain_graph()) else "unbalanced")
     return 0
 
 
-# --- verify --------------------------------------------------------------
+# --- verify: one row per theorem, (document, rng) -> (ok, residual, note) --
+
+_Verdict = tuple[bool, float, "str | None"]
 
 
-def _spanning_cycle(doc: GraphDocument) -> list[int]:
-    """Vertex sequence of the graph when it is one spanning cycle."""
-    g = doc.gain_graph()
-    if g.n < 3 or g.m != g.n or any(len(g.neighbors(v)) != 2 for v in range(1, g.n + 1)):
+def _spanning_cycle(g: GainGraph) -> tuple[int, ...]:
+    """Vertex sequence of the graph when it is one spanning cycle, from
+    vertex 1 toward its smaller neighbor."""
+    comps = _one_forest_components(g.n, g.edge_pairs()) if g.m == g.n else None
+    if comps is None or len(comps) != 1 or len(comps[0].cycle) != g.n:
         raise ValidationError("this check needs a graph that is a single cycle")
-    seq = [1, min(g.neighbors(1))]
-    while True:
-        nxt = next(w for w in g.neighbors(seq[-1]) if w != seq[-2])
-        if nxt == 1:
-            break
-        seq.append(nxt)
-    if len(seq) != g.n:
-        raise ValidationError("this check needs a graph that is a single cycle")
-    return seq
+    return comps[0].cycle
 
 
-def _verify(doc: GraphDocument, theorem: int, seed: int) -> tuple[bool, float, str | None]:
-    g = doc.gain_graph()
+def _theorem_1(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """L = H H* for the weighted incidence, as stored and re-oriented."""
     wg = doc.weighted_graph()
-    ordering = doc.vertex_ordering()
-    rng = np.random.default_rng(seed)
-
-    if theorem == 1:
-        flipped = tuple(
-            (u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.base.edges
-        )
-        residual = max(factorization_residual(wg), factorization_residual(wg, flipped))
-        return residual <= _FACTORIZATION_TOL, residual, None
-
-    if theorem == 2:
-        cycle = _spanning_cycle(doc)
-        closed = 2.0 * (1.0 - cycle_gain(g, cycle).real)
-        for w in wg.weights:
-            closed *= w
-        lu = det_direct(weighted_laplacian(wg)).real
-        residual = abs(lu - closed) / max(1.0, abs(closed))
-        return residual <= _CYCLE_DET_TOL, residual, None
-
-    if theorem == 3:
-        by_forests = det_via_forests(wg, budget=_env_budget())
-        lu = det_direct(weighted_laplacian(wg)).real
-        residual = abs(by_forests - lu) / max(1.0, abs(lu))
-        return residual <= _FOREST_DET_TOL, residual, None
-
-    if theorem == 6:
-        L = weighted_laplacian(wg)
-        singular = numerical_rank(L) < g.n
-        return is_balanced(g) == singular, abs(det_direct(L)), None
-
-    if theorem == 7:
-        residual = max(
-            distance_factorization_residual(g, o, mode)
-            for o in (ordering, ordering.reverse())
-            for mode in ("max", "min")
-        )
-        return residual <= _FACTORIZATION_TOL, residual, None
-
-    if theorem == 11:
-        rep = balance_by_singularity(g, ordering)
-        below = (
-            rep.log_det_max <= rep.log_threshold_max,
-            rep.log_det_min <= rep.log_threshold_min,
-        )
-        if is_balanced(g):
-            ok = rep.balanced and all(below)
-            residual = max(abs(rep.det_max), abs(rep.det_min))
-        else:
-            ok = rep.rank_max == g.n and rep.rank_min == g.n and not any(below)
-            residual = 0.0
-        return ok, residual, None
-
-    if theorem == 12:
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=g.n)
-        xi = SwitchingFunction(tuple(np.exp(1j * angles)))
-        rep = switching_similarity_check(g, ordering, xi)
-        if not rep.hypothesis_met:
-            return True, 0.0, "hypothesis not met (not compatible and ordering independent); nothing to judge"
-        ok = bool(
-            rep.switched_compatible
-            and rep.similarity_residual <= SIMILARITY_TOL
-            and rep.spectra_match
-        )
-        return ok, max(rep.similarity_residual, rep.spectrum_gap), None
-
-    if theorem == 13:
-        rep = balance_by_cospectrality(g, ordering)
-        return rep.matches_potential, 0.0, None
-
-    raise ValidationError(f"--theorem: expected one of {VERIFY_CHOICES}, got {theorem}")
+    flipped = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.base.edges)
+    residual = max(factorization_residual(wg), factorization_residual(wg, flipped))
+    return residual <= _FACTORIZATION_TOL, residual, None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
+def _theorem_2(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """det L of a cycle = 2 (1 - Re(cycle gain)) times the weights."""
+    wg = doc.weighted_graph()
+    closed = 2.0 * (1.0 - cycle_gain(wg.base, _spanning_cycle(wg.base)).real)
+    for w in wg.weights:
+        closed *= w
+    residual = abs(det_direct(weighted_laplacian(wg)).real - closed) / max(1.0, abs(closed))
+    return residual <= _CYCLE_DET_TOL, residual, None
+
+
+def _theorem_3(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """det L by LU = the sum over spanning 1-forests."""
+    wg = doc.weighted_graph()
+    by_forests = det_via_forests(wg, budget=_env_budget())
+    lu = det_direct(weighted_laplacian(wg)).real
+    residual = abs(by_forests - lu) / max(1.0, abs(lu))
+    return residual <= _FOREST_DET_TOL, residual, None
+
+
+def _theorem_6(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """L is singular exactly when the graph is balanced."""
+    g = doc.gain_graph()
+    L = weighted_laplacian(doc.weighted_graph())
+    return is_balanced(g) == (numerical_rank(L) < g.n), abs(det_direct(L)), None
+
+
+def _theorem_7(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """DL = H H* in both modes, for the ordering and its reverse."""
+    g, ordering = doc.gain_graph(), doc.vertex_ordering()
+    residual = max(
+        distance_factorization_residual(g, o, mode)
+        for o in (ordering, ordering.reverse())
+        for mode in ("max", "min")
+    )
+    return residual <= _FACTORIZATION_TOL, residual, None
+
+
+def _theorem_11(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """Both distance Laplacians have rank n-1 when balanced, n otherwise."""
+    g = doc.gain_graph()
+    rep = balance_by_singularity(g, doc.vertex_ordering())
+    if is_balanced(g):
+        return rep.balanced, max(abs(rep.det_max), abs(rep.det_min)), None
+    return rep.rank_max == g.n and rep.rank_min == g.n, 0.0, None
+
+
+def _theorem_12(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """A random switching of a compatible, ordering-independent graph
+    keeps it compatible, its distance Laplacian similar and cospectral."""
+    g = doc.gain_graph()
+    xi = SwitchingFunction(tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=g.n))))
+    rep = switching_similarity_check(g, doc.vertex_ordering(), xi)
+    if not rep.hypothesis_met:
+        return True, 0.0, "hypothesis not met (not compatible and ordering independent); nothing to judge"
+    ok = bool(
+        rep.switched_compatible
+        and rep.similarity_residual <= SIMILARITY_TOL
+        and rep.spectra_match
+    )
+    return ok, max(rep.similarity_residual, rep.spectrum_gap), None
+
+
+def _theorem_13(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+    """DL is cospectral with that of the all-gain-1 copy exactly when
+    the graph is balanced."""
+    rep = balance_by_cospectrality(doc.gain_graph(), doc.vertex_ordering())
+    return rep.matches_potential, 0.0, None
+
+
+_THEOREMS = {
+    1: _theorem_1, 2: _theorem_2, 3: _theorem_3, 6: _theorem_6,
+    7: _theorem_7, 11: _theorem_11, 12: _theorem_12, 13: _theorem_13,
+}
+
+VERIFY_CHOICES = tuple(_THEOREMS)
+
+
+def _verify(doc: GraphDocument, theorem: int, seed: int) -> _Verdict:
+    return _THEOREMS[theorem](doc, np.random.default_rng(seed))
+
+
+def _cmd_verify(doc: GraphDocument, args: argparse.Namespace) -> int:
     ok, residual, note = _verify(doc, args.theorem, args.seed)
     line = f"{'PASS' if ok else 'FAIL'} theorem={args.theorem} max_residual={residual:.3e}"
     if note:
@@ -261,47 +254,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gainlap", description="gain graph matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name, handler, help_text, *options, reverse: str | None = None) -> None:
+        """A subcommand with ``options`` ((flag, keywords) pairs), then
+        ``--reverse`` when ``reverse`` gives its help, then the file."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
-        return p
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if reverse is not None:
+            p.add_argument("--reverse", action="store_true", help=reverse)
+        p.add_argument("file")
 
-    p = add("dmatrix", _cmd_dmatrix, "gain distance matrix as CSV")
-    p.add_argument("--mode", choices=("max", "min"), required=True)
-    p.add_argument("--reverse", action="store_true", help="reverse the vertex ordering")
-    p.add_argument("file")
-
-    p = add("dlaplacian", _cmd_dlaplacian, "gain distance Laplacian as CSV")
-    p.add_argument("--mode", choices=("max", "min"), required=True)
-    p.add_argument("--reverse", action="store_true")
-    p.add_argument("file")
-
-    p = add("incidence", _cmd_incidence, "incidence matrix as CSV")
-    p.add_argument("--distance", action="store_true", help="incidence of the associated complete graph")
-    p.add_argument("--mode", choices=("max", "min"), default="max")
-    p.add_argument("--reverse", action="store_true")
-    p.add_argument("file")
-
-    p = add("spectrum", _cmd_spectrum, "eigenvalues, ascending, one per line")
-    p.add_argument("--target", choices=("dlmax", "dlmin", "adj", "lap"), required=True)
-    p.add_argument("--reverse", action="store_true", help="reverse the vertex ordering (dlmax, dlmin)")
-    p.add_argument("file")
-
-    p = add("det", _cmd_det, "determinant of the weighted Laplacian")
-    p.add_argument("--method", choices=("lu", "forests"), required=True)
-    p.add_argument("file")
-
-    p = add("rank", _cmd_rank, "numerical rank of the weighted Laplacian")
-    p.add_argument("file")
-
-    p = add("balance", _cmd_balance, "print 'balanced' or 'unbalanced'")
-    p.add_argument("file")
-
-    p = add("verify", _cmd_verify, "re-derive an identity on the input graph")
-    p.add_argument("--theorem", type=int, choices=VERIFY_CHOICES, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("file")
-
+    mode = ("--mode", {"choices": ("max", "min"), "required": True})
+    reverse = "reverse the vertex ordering"
+    add("dmatrix", _cmd_distance, "gain distance matrix as CSV", mode, reverse=reverse)
+    add("dlaplacian", _cmd_distance, "gain distance Laplacian as CSV", mode, reverse=reverse)
+    add(
+        "incidence", _cmd_incidence, "incidence matrix as CSV",
+        ("--distance", {"action": "store_true", "help": "incidence of the associated complete graph"}),
+        ("--mode", {"choices": ("max", "min"), "default": "max"}),
+        reverse=reverse,
+    )
+    add(
+        "spectrum", _cmd_spectrum, "eigenvalues, ascending, one per line",
+        ("--target", {"choices": ("dlmax", "dlmin", "adj", "lap"), "required": True}),
+        reverse=f"{reverse} (dlmax, dlmin)",
+    )
+    add(
+        "det", _cmd_det, "determinant of the weighted Laplacian",
+        ("--method", {"choices": ("lu", "forests"), "required": True}),
+    )
+    add("rank", _cmd_rank, "numerical rank of the weighted Laplacian")
+    add("balance", _cmd_balance, "print 'balanced' or 'unbalanced'")
+    add(
+        "verify", _cmd_verify, "re-derive an identity on the input graph",
+        ("--theorem", {"type": int, "choices": VERIFY_CHOICES, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+    )
     return parser
 
 
@@ -315,7 +304,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_read_document(args.file), args)
     except (PathExplosion, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,5 +38,6 @@ class ParseError(GainLapError):
     """Input text could not be decoded as a graph document."""
 
 
-class ValidationError(GainLapError):
-    """A structural invariant of the input data is violated."""
+class ValidationError(GainLapError, ValueError):
+    """A structural invariant of the input data is violated.  It is also
+    a ``ValueError``: the input has the right type but a bad value."""

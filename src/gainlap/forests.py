@@ -240,11 +240,13 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
 def _checked_search(
     wg: WeightedGainGraph, budget: int | None, vertex_limit: int
 ) -> Iterator[tuple[tuple[int, ...], float]]:
-    """The search, after the size checks that refuse it up front."""
+    """The search, after the checks that refuse it up front."""
+    budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
+    if budget < 1:
+        raise ValidationError(f"budget: expected a positive integer, got {budget}")
     n, m = wg.base.n, wg.base.m
     if n > vertex_limit:
         raise TooLarge(f"n = {n} exceeds the enumeration limit {vertex_limit}")
-    budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if m >= n and math.comb(m, n) > budget:
         raise TooLarge(
             f"C({m}, {n}) = {math.comb(m, n)} subsets exceeds the budget {budget}"
@@ -260,6 +262,7 @@ def enumerate_spanning_one_forests(
     """All spanning 1-forests, in lexicographic order of edge indices.
 
     Raises:
+        ValidationError: if ``budget`` is below 1.
         TooLarge: if n exceeds ``vertex_limit`` or the subset count
             C(m, n) exceeds ``budget`` (checked before any work is done).
     """

@@ -106,7 +106,7 @@ def is_cospectral(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> boo
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+        raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
     sa = hermitian_spectrum(A)
     sb = hermitian_spectrum(B)
     if tol is None:

@@ -240,6 +240,66 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.startswith("PASS theorem=6")
 
+    @pytest.mark.parametrize("n, phi", [(24, 1e-5), (12, 1e-6)])
+    def test_theorem_11_near_balanced_cycles(self, capsys, tmp_path, n, phi):
+        """Regression: theorem 11 once also required log|det| above its
+        log threshold, which these unbalanced cycles of rank n are not."""
+        rng = np.random.default_rng(n)
+        gains = np.exp(2j * np.pi * rng.random(n))
+        gains[-1] = np.prod(gains[:-1]).conjugate() * np.exp(1j * phi)  # cycle gain e^{i phi}
+        path = write_document(tmp_path, cycle_document(list(gains)), name=f"c{n}.json")
+        code, out, err = invoke(capsys, "verify", "--theorem", "11", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS theorem=11 max_residual=0.000e+00")
+
+    @pytest.mark.parametrize(
+        "theorem, name, fake",
+        [
+            (1, "factorization_residual", lambda real: lambda *a: 1.0),
+            (2, "det_direct", lambda real: lambda M: real(M) + 1.0),
+            (3, "det_via_forests", lambda real: lambda *a, **k: real(*a, **k) + 1.0),
+            (7, "distance_factorization_residual", lambda real: lambda *a: 1.0),
+        ],
+    )
+    def test_each_bounded_row_can_fail(self, capsys, tmp_path, monkeypatch, theorem, name, fake):
+        """Each row with a bound exits 2 once the quantity it reads is
+        pushed past that bound."""
+        import gainlap.cli as cli_module
+
+        obj = cycle_document(
+            [np.exp(0.7j), np.exp(1.9j), np.exp(0.2j), np.exp(4.4j)],
+            weights=[0.5, 2.0, 1.25, 0.8],
+        )
+        path = write_document(tmp_path, obj, name="c4.json")
+        code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), path)
+        assert (code, out[:4]) == (0, "PASS")
+        monkeypatch.setattr(cli_module, name, fake(getattr(cli_module, name)))
+        code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), path)
+        assert code == 2
+        assert out.startswith(f"FAIL theorem={theorem} max_residual=")
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)],  # two triangles
+            [(1, 2), (2, 3), (1, 3), (3, 4)],  # a triangle with a pendant vertex
+        ],
+    )
+    def test_theorem_2_refuses_other_unicyclic_shapes(self, capsys, tmp_path, edges):
+        n = max(v for e in edges for v in e)
+        obj = {"n": n, "edges": [{"u": u, "v": v, "gain": {"theta": 0.3}} for u, v in edges]}
+        path = write_document(tmp_path, obj, name="g.json")
+        code, out, err = invoke(capsys, "verify", "--theorem", "2", path)
+        assert (code, out) == (1, "")
+        assert "single cycle" in err
+
+    def test_spanning_cycle_walks_from_1_toward_its_smaller_neighbor(self):
+        from gainlap import GainGraph
+        from gainlap.cli import _spanning_cycle
+
+        g = GainGraph(5, ((1, 3, 1), (2, 3, 1), (2, 5, 1), (4, 5, 1), (1, 4, 1)))
+        assert _spanning_cycle(g) == (1, 3, 2, 5, 4)
+
     def test_fail_exits_2(self, capsys, demo_path, monkeypatch):
         import gainlap.cli as cli_module
 
@@ -338,6 +398,17 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "dmatrix", "--mode", "max", demo_path)
         assert code == 3
         assert "distinct geodesic gains" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_env_not_positive(self, capsys, tmp_path, monkeypatch, budget):
+        """Regression: a budget below 1 exited 3, as if exceeded."""
+        path = write_document(
+            tmp_path, cycle_document([1 + 0j, 1 + 0j, 1j]), name="c3.json"
+        )
+        monkeypatch.setenv("GAINLAP_BUDGET", budget)
+        code, out, err = invoke(capsys, "det", "--method", "forests", path)
+        assert (code, out) == (1, "")
+        assert "budget" in err and "exceeds" not in err
 
     def test_budget_env_not_integer(self, capsys, tmp_path, monkeypatch):
         path = write_document(

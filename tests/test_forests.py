@@ -155,6 +155,16 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             enumerate_spanning_one_forests(k5, budget=100)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget(self, budget):
+        """Regression: a budget below 1 was refused as exceeded
+        (TooLarge) instead of as invalid."""
+        wg = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1), (1, 3, 1j))))
+        with pytest.raises(ValidationError, match="budget"):
+            enumerate_spanning_one_forests(wg, budget=budget)
+        with pytest.raises(ValidationError, match="budget"):
+            det_via_forests(wg, budget=budget)
+
 
 def _naive_is_one_forest(n, pairs):
     """Independent check: each component (isolated vertices included)

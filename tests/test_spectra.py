@@ -19,6 +19,7 @@ from conftest import (
 )
 from gainlap import (
     GainGraph,
+    GainLapError,
     NotHermitian,
     SwitchingFunction,
     ValidationError,
@@ -113,6 +114,10 @@ class TestCospectrality:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
+            is_cospectral(np.eye(2), np.eye(3))
+
+    def test_shape_mismatch_is_a_package_error(self):
+        with pytest.raises(GainLapError):
             is_cospectral(np.eye(2), np.eye(3))
 
     def test_trace_equals_total_distance(self):
