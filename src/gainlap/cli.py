@@ -22,7 +22,7 @@ import numpy as np
 from .distances import gain_distance_matrix
 from .documents import GraphDocument, matrix_to_csv, parse_graph
 from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
-from .forests import _one_forest_components, det_via_forests
+from .forests import _cycle_factor, _one_forest_components, det_via_forests
 from .graphs import GainGraph, SwitchingFunction, cycle_gain, is_balanced
 from .laplacians import (
     distance_factorization_residual,
@@ -158,9 +158,9 @@ def _theorem_1(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 
 
 def _theorem_2(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
-    """det L of a cycle = 2 (1 - Re(cycle gain)) times the weights."""
+    """det L of a cycle = |1 - cycle gain|^2 times the weights."""
     wg = doc.weighted_graph()
-    closed = 2.0 * (1.0 - cycle_gain(wg.base, _spanning_cycle(wg.base)).real)
+    closed = _cycle_factor(cycle_gain(wg.base, _spanning_cycle(wg.base)))
     for w in wg.weights:
         closed *= w
     residual = abs(det_direct(weighted_laplacian(wg)).real - closed) / max(1.0, abs(closed))

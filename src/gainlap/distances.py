@@ -12,7 +12,11 @@ the graph.  It is built by one BFS per source; walking the source's
 shortest-path DAG in BFS order gives each vertex the set of distinct
 gains of its geodesics from the source, each formed left to right as
 :func:`~gainlap.graphs.path_gain` forms it, so every kept value is bit
-for bit the gain of one of those geodesics.  The table keeps the hop
+for bit the gain of one of those geodesics.  A vertex whose geodesics
+so far share one gain holds that bare complex, pushed on by one
+multiplication per edge; it becomes a set only when a second distinct
+gain arrives.  Of gains equal under ``==`` (such as 0.0 and -0.0 parts)
+the first to arrive is kept, as a set keeps it.  The table keeps the hop
 distance and the lex-max and lex-min gain of every (source, target)
 pair, and the largest number of distinct geodesic gains of any pair,
 which the path cap bounds.  Path enumeration stays as public API and
@@ -66,6 +70,10 @@ class _GeodesicTable(NamedTuple):
     widest_pair: tuple[int, int]
 
 
+def _too_many(cap: int, u: int, v: int) -> PathExplosion:
+    return PathExplosion(f"more than {cap} distinct geodesic gains between {u} and {v}")
+
+
 def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
     n = g.n
     adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
@@ -79,11 +87,32 @@ def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
             v = dist.index(-1, 1)
             raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
         hi, lo = [0j] * (n + 1), [0j] * (n + 1)
-        # BFS order completes a vertex's gain set before reading it; each
-        # set is dropped once pushed on, so only the frontier is held.
-        gains: dict[int, set[complex]] = {s: {1.0 + 0.0j}}
+        # Per vertex: None until reached, then its one geodesic gain as a
+        # bare complex, then a set once a second distinct gain arrives.
+        # BFS order completes a vertex's gains before reading them.
+        gains: list = [None] * (n + 1)
+        gains[s] = 1.0 + 0.0j
         for a in order:
-            ws = gains.pop(a)
+            ws = gains[a]
+            step = dist[a] + 1
+            if type(ws) is complex:
+                hi[a] = lo[a] = ws
+                for b, z in adj[a]:
+                    if dist[b] == step:
+                        w = ws * z
+                        acc = gains[b]
+                        if acc is None:
+                            gains[b] = w
+                            continue
+                        if type(acc) is complex:
+                            if acc == w:  # keep the first of == gains (signed zeros)
+                                continue
+                            acc = gains[b] = {acc}
+                        acc.add(w)
+                        if len(acc) > limit:
+                            raise _too_many(limit, s, b)
+                continue
+            gains[a] = None  # a set is dropped once pushed on
             if len(ws) == 1:
                 (only,) = ws
                 hi[a] = lo[a] = only
@@ -91,15 +120,16 @@ def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
                 if len(ws) > widest:
                     widest, widest_pair = len(ws), (s, a)
                 hi[a], lo[a] = _lex_extremes(ws)
-            step = dist[a] + 1
             for b, z in adj[a]:
                 if dist[b] == step:
-                    acc = gains.setdefault(b, set())
+                    acc = gains[b]
+                    if acc is None:
+                        acc = gains[b] = set()
+                    elif type(acc) is complex:
+                        acc = gains[b] = {acc}
                     acc.update([w * z for w in ws])
                     if len(acc) > limit:
-                        raise PathExplosion(
-                            f"more than {limit} distinct geodesic gains between {s} and {b}"
-                        )
+                        raise _too_many(limit, s, b)
         hi[s] = lo[s] = 0j
         hop[s - 1] = dist[1:]
         lex_max[s - 1] = hi[1:]
@@ -140,8 +170,7 @@ def _capped_table(g: GainGraph, cap: int) -> _GeodesicTable:
         raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
     table = _geodesic_table(g, cap)
     if table.widest > cap:
-        u, v = table.widest_pair
-        raise PathExplosion(f"more than {cap} distinct geodesic gains between {u} and {v}")
+        raise _too_many(cap, *table.widest_pair)
     return table
 
 

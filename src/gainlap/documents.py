@@ -28,6 +28,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -194,9 +195,36 @@ def parse_complex(cell: str) -> complex:
 
 
 def matrix_to_csv(M: np.ndarray) -> str:
-    """Comma-separated rows of 'a+bi' cells, one matrix row per line."""
+    """Comma-separated rows of 'a+bi' cells, one matrix row per line.
+
+    The output is byte for byte ``",".join(format_complex(z) for z in
+    row)`` over the rows, ±0.0, ±inf and NaN parts included: a zero real
+    part prints as 0, and the sign of the imaginary part is "+" exactly
+    when it is >= 0, so a NaN one prints as "-nan".
+
+    Raises:
+        ValidationError: if M is not 2-D.
+    """
     M = np.asarray(M, dtype=complex)
-    return "\n".join(",".join(format_complex(z) for z in row) for row in M)
+    if M.ndim != 2:
+        raise ValidationError(f"matrix_to_csv: expected a 2-D matrix, got {M.ndim}-D input")
+    return "\n".join(_csv_rows(M))
+
+
+def _csv_rows(M: np.ndarray) -> Iterator[str]:
+    """The lines of :func:`matrix_to_csv`.  The parts are taken for the
+    whole matrix at once, and each row is formatted by one ``%`` over
+    all its cells.  As a generator, it frees the parts before the rows
+    are joined."""
+    re = M.real + 0.0  # -0.0 + 0.0 is 0.0
+    sign = np.where(M.imag >= 0, "+", "-")
+    im = abs(M.imag)
+    m = M.shape[1]
+    row = ",".join(["%.17g%s%.17gi"] * m)
+    args: list = [None] * (3 * m)  # re, sign, |im| of each cell in turn
+    for r, s, i in zip(re, sign, im):
+        args[0::3], args[1::3], args[2::3] = r.tolist(), s.tolist(), i.tolist()
+        yield row % tuple(args)
 
 
 def csv_to_matrix(text: str) -> np.ndarray:

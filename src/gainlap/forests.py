@@ -5,8 +5,12 @@ disjoint union of 1-trees.  A spanning 1-forest of a graph on n
 vertices picks exactly n edges covering every vertex, so each component
 carries as many edges as vertices.  The determinant of the weighted
 gain Laplacian expands over spanning 1-forests: every forest
-contributes the product of its edge weights times, per component,
-2 * (1 - Re(cycle gain)).
+contributes the product of its edge weights times, per component, the
+cycle factor |1 - c|^2 of its cycle gain c.  For |c| = 1 this equals
+2 * (1 - Re c), but near c = 1 that form keeps few correct digits, as
+1 - Re c cancels.  In (1 - Re c)^2 + (Im c)^2 the cancelled term is
+squared and small next to (Im c)^2, so two rounding orders of c give
+nearly the same factor.
 
 The forests are found by a depth-first search over the edges in index
 order, each edge first included, then excluded, on a union-find with
@@ -144,7 +148,7 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
 
     The union-find uses union by size and no path compression, so one
     union is undone by resetting one parent.  A root holds its
-    component's cycle factor 2 * (1 - Re(cycle gain)), or None while the
+    component's cycle factor (:func:`_cycle_factor`), or None while the
     component is a tree; a vertex holds its potential, the gain of the
     tree path to its parent.  With no second cycle anywhere, n edges
     leave every component with as many edges as vertices, so each leaf
@@ -187,8 +191,11 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
                 # gu, gv: gains of the tree paths from u and v to their roots.
                 if ru == rv:
                     if cycle[ru] is None:
-                        c = gains[j] * gv * gu.conjugate()  # u -> v, then back to u
-                        factor = cycle[ru] = 2.0 * (1.0 - c.real)
+                        # The cycle u -> v, then back to u, has gain
+                        # c = z gv conj(gu); as |gu| = 1, its factor
+                        # |1 - c|^2 is |gu - z gv|^2, formed without c.
+                        factor = abs(gu - gains[j] * gv)
+                        factor = cycle[ru] = factor * factor
                         undo.append((ru, -1, weight))
                         weight = weight * weights[j] * factor
                         break
@@ -277,14 +284,21 @@ def enumerate_spanning_one_forests(
     return generate()
 
 
+def _cycle_factor(c: complex) -> float:
+    """|1 - c|^2, which is 2 * (1 - Re c) for a unit c but does not lose
+    its digits to the cancellation of 1 - Re c near c = 1; always >= 0."""
+    x, y = 1.0 - c.real, c.imag
+    return x * x + y * y
+
+
 def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
-    """Product of the forest's edge weights times, per component,
-    2 * (1 - Re(cycle gain)); always >= 0."""
+    """Product of the forest's edge weights times, per component, the
+    cycle factor |1 - c|^2 of its cycle gain c; always >= 0."""
     acc = 1.0
     for u, v in forest.edges:
         acc *= wg.weight(u, v)
     for tree in forest.components:
-        acc *= 2.0 * (1.0 - cycle_gain(wg.base, tree.cycle).real)
+        acc *= _cycle_factor(cycle_gain(wg.base, tree.cycle))
     return acc
 
 

@@ -46,7 +46,14 @@ from gainlap import (
     transmission_matrix,
     weighted_laplacian,
 )
-from gainlap.distances import LEX_TIE_BAND, lex_extremal
+from gainlap.distances import (
+    DEFAULT_PATH_CAP,
+    LEX_TIE_BAND,
+    _build_table,
+    _lex_extremes,
+    lex_extremal,
+)
+from gainlap.graphs import _bfs
 import cmath
 
 #: The gain group T4 = {1, i, -1, -i}: many geodesics share a gain, and
@@ -436,3 +443,104 @@ class TestAssociatedCompleteGraph:
     def test_needs_two_vertices(self):
         with pytest.raises(ValidationError):
             associated_complete_graph(GainGraph(1, ()), VertexOrdering.standard(1), "max")
+
+
+# --- the geodesic table against the set-per-vertex walk --------------------
+
+
+def _set_walk_table(g, limit):
+    """The geodesic table by the plain walk: every reached vertex holds
+    a set of gains in a dict, even when it has one.  Same values, same
+    insertion order, so every kept value must match bit for bit."""
+    n = g.n
+    adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
+    hop = np.zeros((n, n), dtype=int)
+    lex_max = np.zeros((n, n), dtype=complex)
+    lex_min = np.zeros((n, n), dtype=complex)
+    widest, widest_pair = 1, (1, 1)
+    for s in range(1, n + 1):
+        dist, order, _ = _bfs(g, s)
+        if len(order) < n:
+            raise Disconnected(f"vertex {dist.index(-1, 1)} is unreachable from vertex {s}")
+        hi, lo = [0j] * (n + 1), [0j] * (n + 1)
+        gains = {s: {1.0 + 0.0j}}
+        for a in order:
+            ws = gains.pop(a)
+            if len(ws) == 1:
+                (only,) = ws
+                hi[a] = lo[a] = only
+            else:
+                if len(ws) > widest:
+                    widest, widest_pair = len(ws), (s, a)
+                hi[a], lo[a] = _lex_extremes(ws)
+            for b, z in adj[a]:
+                if dist[b] == dist[a] + 1:
+                    acc = gains.setdefault(b, set())
+                    acc.update([w * z for w in ws])
+                    if len(acc) > limit:
+                        raise PathExplosion(
+                            f"more than {limit} distinct geodesic gains between {s} and {b}"
+                        )
+        hi[s] = lo[s] = 0j
+        hop[s - 1], lex_max[s - 1], lex_min[s - 1] = dist[1:], hi[1:], lo[1:]
+    return hop, lex_max, lex_min, widest, widest_pair
+
+
+def _bits(a):
+    """The raw bits of an array, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def table_graphs(draw):
+    """A graph on at most 7 vertices with generic, T4 or balanced gains,
+    dense enough for pairs with several geodesic gains; sometimes a
+    vertex is cut off, which disconnects it."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["generic", "t4", "balanced"]))
+    if kind == "balanced":
+        g = potential_balanced_graph(rng, n, extra)
+    else:
+        g = random_connected_graph(rng, n, extra)
+        if kind == "t4":
+            g = GainGraph(n, tuple((u, v, T4[int(rng.integers(4))]) for u, v, _ in g.edges))
+    if n > 1 and draw(st.integers(0, 5)) == 0:
+        g = GainGraph(n, tuple(e for e in g.edges if n not in e[:2]))
+    return g
+
+
+class TestGeodesicTableParity:
+    @settings(max_examples=150, deadline=None)
+    @given(table_graphs(), st.integers(1, 3))
+    def test_same_bits_as_the_set_walk(self, g, cap):
+        try:
+            want = _set_walk_table(g, DEFAULT_PATH_CAP)
+        except Disconnected as exc:
+            with pytest.raises(Disconnected) as got:
+                _build_table(g, DEFAULT_PATH_CAP)
+            assert str(got.value) == str(exc)
+            return
+        got = _build_table(g, DEFAULT_PATH_CAP)
+        for have, expect in zip(got[:3], want[:3]):
+            assert np.array_equal(_bits(have), _bits(expect))
+        assert (got.widest, got.widest_pair) == want[3:]
+        # A low cap, in the build and in the public query.
+        try:
+            _set_walk_table(g, cap)
+        except PathExplosion as exc:
+            with pytest.raises(PathExplosion) as low:
+                _build_table(g, cap)
+            assert str(low.value) == str(exc)
+        else:
+            assert _build_table(g, cap).widest <= cap
+        o = VertexOrdering.standard(g.n)
+        if want[3] > cap:
+            u, v = want[4]
+            message = f"more than {cap} distinct geodesic gains between {u} and {v}"
+            with pytest.raises(PathExplosion) as query:
+                gain_distance_matrix(g, o, "max", cap=cap)
+            assert str(query.value) == message
+        else:
+            gain_distance_matrix(g, o, "max", cap=cap)

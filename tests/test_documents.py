@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import demo_document, demo_graph, random_unit
+from conftest import demo_document, demo_graph, random_connected_graph, random_ordering, random_unit
 from gainlap import (
     GainGraph,
     GraphDocument,
@@ -327,3 +329,70 @@ class TestMatrixCsv:
     def test_ragged(self):
         with pytest.raises(ParseError, match="ragged"):
             csv_to_matrix("1+0i,2+0i\n3+0i")
+
+    @pytest.mark.parametrize("bad", [np.zeros(3, dtype=complex), np.array(1 + 2j)], ids=["1-D", "0-D"])
+    def test_rejects_non_2d_input(self, bad):
+        with pytest.raises(ValidationError, match="expected a 2-D matrix"):
+            matrix_to_csv(bad)
+
+
+# --- emit parity with the cell-by-cell join ------------------------------
+
+
+def _cell_join(M) -> str:
+    """The CSV cell by cell, one format_complex per entry."""
+    return "\n".join(",".join(format_complex(z) for z in row) for row in np.asarray(M, dtype=complex))
+
+
+#: Parts whose printing has a special case: signed zeros, infinities, NaN.
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan)
+
+#: The gain group T4 = {1, i, -1, -i}; -1j has a real part of -0.0.
+T4 = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+@st.composite
+def matrices(draw):
+    """A complex matrix of any shape up to 6 x 6 (empty ones included)
+    whose parts are arbitrary floats, special values, integers, or
+    integer multiples of T4 gains formed as numpy forms them."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    size = rows * cols
+    kind = draw(st.sampled_from(["floats", "special", "integers", "t4"]))
+    if kind == "t4":
+        gains = draw(st.lists(st.sampled_from(T4), min_size=size, max_size=size))
+        hops = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+        return (np.array(gains, dtype=complex) * np.array(hops, dtype=int)).reshape(rows, cols)
+    part = {
+        "floats": st.floats(),
+        "special": st.sampled_from(SPECIAL) | st.floats(),
+        "integers": st.integers(-(2**53), 2**53).map(float),
+    }[kind]
+    M = np.zeros((rows, cols), dtype=complex)
+    M.real = np.array(draw(st.lists(part, min_size=size, max_size=size)), dtype=float).reshape(rows, cols)
+    M.imag = np.array(draw(st.lists(part, min_size=size, max_size=size)), dtype=float).reshape(rows, cols)
+    return M
+
+
+class TestEmitParity:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_same_bytes_as_the_cell_join(self, M):
+        assert matrix_to_csv(M) == _cell_join(M)
+
+    def test_every_special_pair(self):
+        M = np.array([[complex(a, b) for b in SPECIAL] for a in SPECIAL])
+        assert matrix_to_csv(M) == _cell_join(M)
+        assert "nan-nani" in matrix_to_csv(M)  # a NaN imaginary part prints as -nan
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["max", "min"]))
+    def test_gain_distance_matrices(self, n, seed, t4, mode):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, int(rng.integers(0, 6)))
+        if t4:
+            g = GainGraph(n, tuple((u, v, T4[int(rng.integers(4))]) for u, v, _ in g.edges))
+        order = random_ordering(rng, n)
+        for o in (order, order.reverse()):
+            D = gain_distance_matrix(g, o, mode)
+            assert matrix_to_csv(D) == _cell_join(D)

@@ -7,6 +7,7 @@ n-edge spanning subgraph has nonzero Laplacian determinant exactly when
 it is a spanning 1-forest with no balanced cycle.
 """
 
+import cmath
 import itertools
 import math
 
@@ -308,6 +309,24 @@ class TestSearchAgainstBruteForce:
         forests = list(enumerate_spanning_one_forests(wg))
         assert [f.edges for f in forests] == want
         brute = sum(forest_weight(f, wg) for f in forests)
+        assert det_via_forests(wg) == pytest.approx(brute, rel=1e-12, abs=1e-300)
+
+    def test_near_balanced_triangle(self):
+        """Regression: the search and forest_weight form the cycle gain c
+        in different rounding orders.  With c = e^{i phi}, phi = 6.5e-3,
+        1 - Re c cancels to about 2e-5, and with 2 * (1 - Re c) the two
+        sums differed by 5e-12 relative; |1 - c|^2 keeps its digits."""
+        t1, t2, t3, phi = 0.18, 2.92, 5.92, 6.5e-3
+        # Cycle 1 -> 2 -> 3 -> 1 has gain e^{i(t2 - t1)} e^{i(t3 - t2)} e^{-i(t3 - t1 - phi)}.
+        edges = (
+            (1, 2, cmath.exp(1j * (t2 - t1))),
+            (1, 3, cmath.exp(1j * (t3 - t1 - phi))),
+            (2, 3, cmath.exp(1j * (t3 - t2))),
+        )
+        wg = WeightedGainGraph(GainGraph(3, edges), (1.635, 1.819, 0.522))
+        (forest,) = enumerate_spanning_one_forests(wg)
+        brute = forest_weight(forest, wg)
+        assert brute == pytest.approx(1.635 * 1.819 * 0.522 * 2.0 * (1.0 - math.cos(phi)), rel=1e-9)
         assert det_via_forests(wg) == pytest.approx(brute, rel=1e-12, abs=1e-300)
 
 
