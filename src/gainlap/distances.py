@@ -82,7 +82,7 @@ def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
     lex_min = np.zeros((n, n), dtype=complex)
     widest, widest_pair = 1, (1, 1)
     for s in range(1, n + 1):
-        dist, order, _ = _bfs(g, s)
+        dist, order, _ = _bfs(g._neighbors, s)
         if len(order) < n:
             v = dist.index(-1, 1)
             raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
@@ -200,8 +200,8 @@ def enumerate_shortest_paths(
     """
     if cap < 1:
         raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
-    du = _bfs(g, u)[0]
-    dv = _bfs(g, v)[0]
+    du = _bfs(g._neighbors, u)[0]
+    dv = _bfs(g._neighbors, v)[0]
     if du[v] < 0:
         raise Disconnected(f"vertex {v} is unreachable from vertex {u}")
     total = du[v]

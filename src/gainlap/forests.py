@@ -24,14 +24,17 @@ along the way.  The search is refused up front when n exceeds
 ``DEFAULT_VERTEX_LIMIT`` or C(m, n) exceeds the subset budget: the
 budget bounds the number of n-edge subsets, not the work the search
 does, which is far smaller.
+
+A forest's components, and the test of any edge subset, come from one
+:func:`graphs._bfs` over the subset: every component needs exactly one
+non-tree edge, which closes its cycle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import Disconnected, TooLarge, ValidationError
 from .graphs import GainGraph, WeightedGainGraph, _bfs, cycle_gain
@@ -59,68 +62,51 @@ class OneForest:
     components: tuple[OneTree, ...]
 
 
-def _extract_cycle(vertices: set[int], adj: dict[int, list[int]]) -> tuple[int, ...]:
-    """Peel degree-1 vertices; walk the surviving cycle from its
-    smallest vertex toward its smaller neighbor."""
-    deg = {v: len(adj[v]) for v in vertices}
-    queue = deque(v for v in vertices if deg[v] == 1)
-    alive = set(vertices)
-    while queue:
-        v = queue.popleft()
-        alive.discard(v)
-        deg[v] = 0
-        for w in adj[v]:
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    start = min(alive)
-    second = min(w for w in adj[start] if w in alive)
-    seq = [start, second]
-    prev, cur = start, second
-    while True:
-        nxt = next(w for w in adj[cur] if w in alive and w != prev)
-        if nxt == start:
-            break
-        seq.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(seq)
-
-
 def _one_forest_components(
-    n: int, edges: Iterable[tuple[int, int]]
+    n: int, edges: Sequence[tuple[int, int]]
 ) -> tuple[OneTree, ...] | None:
-    """Decompose an edge subset over vertices 1..n into 1-trees, or
-    return None if some component is not unicyclic (isolated vertices
-    count as failing components)."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    """Decompose an edge subset over vertices 1..n into 1-trees, in the
+    order of their smallest vertices, or return None if some component
+    is not unicyclic (isolated vertices count as failing components).
+
+    A cycle is its component's one non-tree edge plus the tree paths
+    from its ends to where they meet, written from its smallest vertex
+    toward its smaller neighbor."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * (n + 1)
+    dist, order, parent = _bfs(adj, *range(1, n + 1))
+    comp = [0] * (n + 1)  # index of each vertex's component
+    members: list[list[int]] = []
+    for b in order:  # each component's vertices in one run, root first
+        if not parent[b]:
+            members.append([])
+        members[-1].append(b)
+        comp[b] = len(members) - 1
+    closing: list[tuple[int, int] | None] = [None] * len(members)
+    for u, v in edges:
+        if parent[u] != v and parent[v] != u:
+            if closing[comp[u]] is not None:
+                return None
+            closing[comp[u]] = (u, v)
+    if None in closing:
+        return None
     comps: list[OneTree] = []
-    for root in range(1, n + 1):
-        if seen[root]:
-            continue
-        seen[root] = True
-        verts = {root}
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b in adj[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    verts.add(b)
-                    queue.append(b)
-        edge_count = sum(len(adj[v]) for v in verts) // 2
-        if edge_count != len(verts):
-            return None
-        comps.append(OneTree(frozenset(verts), _extract_cycle(verts, adj)))
+    for verts, (u, v) in zip(members, closing):
+        up, down = [u], [v]
+        while up[-1] != down[-1]:
+            if dist[up[-1]] >= dist[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        cycle = up + down[-2::-1]
+        i = cycle.index(min(cycle))
+        cycle = cycle[i:] + cycle[:i]
+        if cycle[-1] < cycle[1]:
+            cycle[1:] = cycle[:0:-1]
+        comps.append(OneTree(frozenset(verts), tuple(cycle)))
     return tuple(comps)
-
-
-def _edge_pairs(wg: WeightedGainGraph) -> list[tuple[int, int]]:
-    return [(u, v) for u, v, _ in wg.base.edges]
 
 
 def is_spanning_one_forest(
@@ -129,7 +115,7 @@ def is_spanning_one_forest(
     """Whether the edge subset has exactly n edges and every component
     of the spanned subgraph is a 1-tree."""
     pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-    host = set(_edge_pairs(wg))
+    host = set(wg.base.edge_pairs())
     for p in pairs:
         if p not in host:
             raise ValidationError(f"edge {p} is not an edge of the host graph")
@@ -273,7 +259,7 @@ def enumerate_spanning_one_forests(
         TooLarge: if n exceeds ``vertex_limit`` or the subset count
             C(m, n) exceeds ``budget`` (checked before any work is done).
     """
-    n, pairs = wg.base.n, _edge_pairs(wg)
+    n, pairs = wg.base.n, wg.base.edge_pairs()
     search = _checked_search(wg, budget, vertex_limit)
 
     def generate() -> Iterator[OneForest]:
@@ -305,7 +291,7 @@ def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
     weights; zero when no spanning 1-forest exists."""
-    if len(_bfs(wg.base, 1)[1]) != wg.base.n:
+    if len(_bfs(wg.base._neighbors, 1)[1]) != wg.base.n:
         raise Disconnected("the spanning 1-forest expansion needs a connected graph")
     return sum(weight for _, weight in _checked_search(wg, budget, DEFAULT_VERTEX_LIMIT))
 
@@ -316,7 +302,7 @@ def spanning_subgraph(
     """The subgraph on all n vertices keeping only the given edges,
     with their original gains and weights."""
     keep = {(u, v) if u < v else (v, u) for u, v in edges}
-    host = set(_edge_pairs(wg))
+    host = set(wg.base.edge_pairs())
     missing = keep - host
     if missing:
         raise ValidationError(f"edges {sorted(missing)} are not edges of the host graph")

@@ -313,17 +313,20 @@ def cycle_gain(g: GainGraph, cycle: Sequence[int]) -> complex:
     return path_gain(g, verts + [verts[0]])
 
 
-def _bfs(g: GainGraph, *roots: int) -> tuple[list[int], list[int], list[int]]:
-    """BFS from each root not reached from an earlier one: per vertex the
-    hop distance from its root (-1 if unreached) and the parent that first
-    reached it (0 if none), index 0 unused; and the reached vertices in
-    BFS order."""
-    adj = g._neighbors
-    dist = [-1] * (g.n + 1)
-    parent = [0] * (g.n + 1)
+def _bfs(
+    adj: Sequence[Sequence[int]], *roots: int
+) -> tuple[list[int], list[int], list[int]]:
+    """BFS over ``adj``, the neighbors of each vertex 1..n such as
+    ``GainGraph._neighbors``, from each root not reached from an earlier
+    one: per vertex the hop distance from its root (-1 if unreached) and
+    the parent that first reached it (0 if none), index 0 unused; and
+    the reached vertices in BFS order."""
+    n = len(adj) - 1
+    dist = [-1] * (n + 1)
+    parent = [0] * (n + 1)
     order: list[int] = []
     for root in roots:
-        _check_vertex(root, g.n, "vertex")
+        _check_vertex(root, n, "vertex")
         if dist[root] >= 0:
             continue
         dist[root] = 0
@@ -346,7 +349,7 @@ def is_balanced(g: GainGraph, tol: float = BALANCE_TOL) -> bool:
     non-forest edge against it; a mismatch beyond ``tol`` witnesses an
     unbalanced cycle.
     """
-    _, order, parent = _bfs(g, *range(1, g.n + 1))
+    _, order, parent = _bfs(g._neighbors, *range(1, g.n + 1))
     theta: list[complex] = [1.0 + 0.0j] * (g.n + 1)
     for b in order:
         a = parent[b]

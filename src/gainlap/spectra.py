@@ -51,8 +51,13 @@ def det_direct(M: np.ndarray) -> complex:
 def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
     """Number of eigenvalues of a Hermitian matrix larger in magnitude
     than ``tol``; defaults to n * eps * max(1, max |eigenvalue|), the
-    ``numpy.linalg.matrix_rank`` convention."""
-    vals = np.linalg.eigvalsh(np.asarray(M, dtype=complex))
+    ``numpy.linalg.matrix_rank`` convention.
+
+    Raises:
+        ValidationError: if M is not square.
+        NotHermitian: if max |M - M*| exceeds ``HERMITIAN_TOL``.
+    """
+    vals = hermitian_spectrum(M)
     if tol is None:
         tol = vals.size * np.finfo(float).eps * max(1.0, _top(vals))
     return int(np.sum(np.abs(vals) > tol))

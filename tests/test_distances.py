@@ -159,6 +159,13 @@ class TestEnumerateShortestPaths:
         with pytest.raises(Disconnected):
             enumerate_shortest_paths(g, 1, 3)
 
+    @pytest.mark.parametrize(
+        "u, v, named", [(0, 2, "vertex 0 "), (1, 6, "vertex 6 "), (True, 2, "got True")]
+    )
+    def test_vertices_checked(self, demo, u, v, named):
+        with pytest.raises(ValidationError, match=named):
+            enumerate_shortest_paths(demo, u, v)
+
 
 class TestAuxiliaryGain:
     def test_demo_multi_geodesic_pair(self, demo, std5):
@@ -459,7 +466,7 @@ def _set_walk_table(g, limit):
     lex_min = np.zeros((n, n), dtype=complex)
     widest, widest_pair = 1, (1, 1)
     for s in range(1, n + 1):
-        dist, order, _ = _bfs(g, s)
+        dist, order, _ = _bfs(g._neighbors, s)
         if len(order) < n:
             raise Disconnected(f"vertex {dist.index(-1, 1)} is unreachable from vertex {s}")
         hi, lo = [0j] * (n + 1), [0j] * (n + 1)

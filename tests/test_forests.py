@@ -1,7 +1,7 @@
 """Spanning 1-forest enumeration and the determinant expansion.
 
 det L = sum over spanning 1-forests of (product of edge weights) *
-(product over components of 2(1 - Re(cycle gain))).  Single cycles,
+(product over components of |1 - cycle gain|^2).  Single cycles,
 trees, 1-trees, and unions of 1-trees all have closed forms, and an
 n-edge spanning subgraph has nonzero Laplacian determinant exactly when
 it is a spanning 1-forest with no balanced cycle.
@@ -27,6 +27,7 @@ from gainlap import (
     Disconnected,
     GainGraph,
     TooLarge,
+    OneTree,
     ValidationError,
     WeightedGainGraph,
     cycle_gain,
@@ -167,9 +168,12 @@ class TestEnumerate:
             det_via_forests(wg, budget=budget)
 
 
-def _naive_is_one_forest(n, pairs):
-    """Independent check: each component (isolated vertices included)
-    has exactly as many edges as vertices."""
+def _naive_components(n, pairs):
+    """Independent decomposition: the components of a brute-force
+    union-find in the order of their smallest vertices, each with the
+    one simple cycle that ``all_simple_cycles`` finds in it; None unless
+    every component (isolated vertices included) has as many edges as
+    vertices."""
     comp = {v: v for v in range(1, n + 1)}
 
     def find(x):
@@ -180,13 +184,52 @@ def _naive_is_one_forest(n, pairs):
 
     for u, v in pairs:
         comp[find(u)] = find(v)
-    verts = {}
-    edges = {}
+    groups = {}
     for v in range(1, n + 1):
-        verts[find(v)] = verts.get(find(v), 0) + 1
-    for u, v in pairs:
-        edges[find(u)] = edges.get(find(u), 0) + 1
-    return all(edges.get(root, 0) == count for root, count in verts.items())
+        groups.setdefault(find(v), set()).add(v)
+    for verts in groups.values():
+        if sum(1 for u, _ in pairs if u in verts) != len(verts):
+            return None
+    cycles = all_simple_cycles(GainGraph(n, tuple((u, v, 1) for u, v in sorted(pairs))))
+    trees = []
+    for verts in sorted(groups.values(), key=min):
+        (cycle,) = [c for c in cycles if c[0] in verts]
+        trees.append(OneTree(frozenset(verts), cycle))
+    return tuple(trees)
+
+
+def _naive_is_one_forest(n, pairs):
+    return _naive_components(n, pairs) is not None
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A graph on 3 to 7 vertices with n to 14 edges, at times split in
+    two blocks so that every 1-forest has two components, and six of its
+    n-edge subsets in random order, non-forests included."""
+    n = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    every = list(itertools.combinations(range(1, n + 1), 2))
+    if n >= 6 and draw(st.booleans()):  # two blocks, no edge between them
+        side = rng.permutation(n) < n // 2
+        every = [(u, v) for u, v in every if side[u - 1] == side[v - 1]]
+    m = draw(st.integers(n, min(len(every), 14)))
+    pairs = sorted(every[i] for i in rng.choice(len(every), m, replace=False))
+    subsets = [[pairs[i] for i in rng.permutation(m)[:n]] for _ in range(6)]
+    return n, pairs, subsets
+
+
+class TestComponentsAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_subsets())
+    def test_vertex_sets_and_cycles(self, case):
+        n, pairs, subsets = case
+        wg = unit_weights(GainGraph(n, tuple((u, v, 1) for u, v in pairs)))
+        for subset in subsets:
+            want = _naive_components(n, subset)
+            assert is_spanning_one_forest(wg, subset) == (want is not None)
+        for forest in enumerate_spanning_one_forests(wg):
+            assert forest.components == _naive_components(n, forest.edges)
 
 
 class TestWeightsAndDeterminant:

@@ -34,6 +34,7 @@ from gainlap import (
     is_balanced,
     is_cospectral,
     max_eigenpair_residual,
+    numerical_rank,
     shortest_distances,
     singularity_threshold,
     switching_similarity_check,
@@ -92,6 +93,17 @@ class TestHermitianSpectrum:
     def test_demo_laplacian_residual(self):
         dl = distance_laplacian(demo_graph(), VertexOrdering.standard(5), "max")
         assert max_eigenpair_residual(dl) <= 1e-10 * np.linalg.norm(dl)
+
+    def test_rank_rejects_non_hermitian(self):
+        """Regression: numerical_rank read one triangle only, and gave
+        rank 0 for this matrix of rank 1."""
+        with pytest.raises(NotHermitian):
+            numerical_rank(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rank_rejects_non_square(self):
+        """Regression: a bare numpy LinAlgError, not a GainLapError."""
+        with pytest.raises(ValidationError):
+            numerical_rank(np.ones((2, 3)))
 
 
 class TestCospectrality:
