@@ -21,11 +21,28 @@ distance and the lex-max and lex-min gain of every (source, target)
 pair, and the largest number of distinct geodesic gains of any pair,
 which the path cap bounds.  Path enumeration stays as public API and
 as a test oracle.
+
+When every edge gain is exactly one of the eight signed T4 values
+(1, +-0), (+-0, 1), (-1, +-0) and (+-0, -1) (signed graphs included),
+the same walk runs on small ints: a vertex's gain set is an 8-bit
+state, one bit per element i^k present and one for the sign of the
+zero part of its kept value, and every product, first-wins merge,
+count and lex extreme is a lookup in tables built on the first such
+graph from Python complex products and :func:`_lex_extremes`.  Such
+products are exact, so the table is bit for bit the float walk's: the
+same kept values with their signed zeros, the same ``widest`` and
+``widest_pair``, and the same ``Disconnected`` error.  A T4 set holds
+at most 4 gains; under a lower cap that some pair exceeds, the float
+walk runs and raises its own ``PathExplosion``.  Gains that are T4
+values only up to rounding, such as the ``theta`` form of pi/2, take
+the float walk with their own bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
+from math import copysign
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -74,7 +91,113 @@ def _too_many(cap: int, u: int, v: int) -> PathExplosion:
     return PathExplosion(f"more than {cap} distinct geodesic gains between {u} and {v}")
 
 
+#: Exponent k of each element i^k of T4, looked up by value.  Signed
+#: zeros compare equal, so the sign of the zero part is read apart.
+_T4_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
+
+
+def _t4_code(z: complex) -> int | None:
+    """k + 4 * (zero part is -0.0) for z == i^k, None for any other z."""
+    k = _T4_EXPONENT.get(z)
+    if k is None:
+        return None
+    return k | (copysign(1.0, z.real if k & 1 else z.imag) < 0) << 2
+
+
+@cache
+def _t4_tables() -> tuple[list[list[int]], list[int], list[int], np.ndarray, np.ndarray]:
+    """Lookup tables of the exact T4 walk, built on first use.
+
+    A gain set is an 8-bit state: bit k when i^k is in it, bit k + 4
+    when the zero part of its kept value (the first to arrive) is -0.0.
+    Per state: ``mul[state][code]``, the set times the value of an edge
+    code; ``keep[state]``, the bits a merge may still set, so merging x
+    into acc gives ``acc | (x & keep[acc])``; ``cnt[state]``, its size;
+    and ``hi[state]``, ``lo[state]``, its lex max and min (0j for the
+    empty set).  Only states whose sign bits lie under their element
+    bits occur; the others are left empty.
+    """
+    # The value of each code, and the state of the set holding it alone.
+    value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0),
+             complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0), complex(-0.0, -1.0)]
+    alone = [1 << (c & 3) | (c >> 2) << ((c & 3) + 4) for c in range(8)]
+    prod = [[alone[_t4_code(x * z)] for z in value] for x in value]
+    mul: list[list[int]] = [[]] * 256
+    keep, cnt = [0] * 256, [0] * 256
+    hi, lo = [0j] * 256, [0j] * 256
+    for state in range(256):
+        present = state & 15
+        if state >> 4 & ~present:
+            continue
+        codes = [k | (state >> (k + 4) & 1) << 2 for k in range(4) if present >> k & 1]
+        row = [0] * 8
+        for c in codes:
+            row = [r | p for r, p in zip(row, prod[c])]
+        mul[state] = row
+        keep[state] = 255 ^ (present | present << 4)
+        cnt[state] = len(codes)
+        if codes:
+            hi[state], lo[state] = _lex_extremes([value[c] for c in codes])
+    return mul, keep, cnt, np.array(hi), np.array(lo)
+
+
+def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
+    """Per vertex a, (b, code of the gain a -> b) for each neighbor b;
+    None at the first gain that is not a signed T4 value.  The order of
+    a row is free: each of its edges leads to a different vertex."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for u, v, z in g.edges:
+        code = _t4_code(z)
+        if code is None:
+            return None
+        adj[u].append((v, code))
+        adj[v].append((u, _t4_code(z.conjugate())))
+    return adj
+
+
+def _build_t4_table(g: GainGraph, adj: list[list[tuple[int, int]]]) -> _GeodesicTable:
+    """The geodesic table of a graph whose gains are all signed T4
+    values, walked in the float walk's order on 8-bit gain-set states.
+    A set holds at most 4 gains, so no cap is checked."""
+    mul, keep, cnt, hi, lo = _t4_tables()
+    n = g.n
+    hop = np.zeros((n, n), dtype=int)
+    sets = np.zeros((n, n), dtype=np.uint8)
+    widest, widest_pair = 1, (1, 1)
+    for s in range(1, n + 1):
+        dist, order, _ = _bfs(g._neighbors, s)
+        if len(order) < n:
+            v = dist.index(-1, 1)
+            raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
+        state = [0] * (n + 1)
+        state[s] = 1  # {1 + 0j}
+        for a in order:
+            x = state[a]
+            if cnt[x] > widest:
+                widest, widest_pair = cnt[x], (s, a)
+            row = mul[x]
+            step = dist[a] + 1
+            for b, c in adj[a]:
+                if dist[b] == step:
+                    acc = state[b]
+                    state[b] = acc | (row[c] & keep[acc])
+        state[s] = 0  # the zero diagonal
+        hop[s - 1] = dist[1:]
+        sets[s - 1] = state[1:]
+    lex_max, lex_min = hi[sets], lo[sets]
+    for arr in (hop, lex_max, lex_min):
+        arr.flags.writeable = False
+    return _GeodesicTable(hop, lex_max, lex_min, widest, widest_pair)
+
+
 def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
+    t4 = _t4_adjacency(g)
+    if t4 is not None:
+        table = _build_t4_table(g, t4)
+        if table.widest <= limit:
+            return table
+        # Over a cap below 4: the float walk raises the same PathExplosion,
+        # at the first merge that passes the cap.
     n = g.n
     adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
     hop = np.zeros((n, n), dtype=int)

@@ -44,8 +44,12 @@ _SPECTRUM_TOL = 1e-8
 
 
 def det_direct(M: np.ndarray) -> complex:
-    """Determinant through LU with partial pivoting."""
-    return complex(np.linalg.det(np.asarray(M, dtype=complex)))
+    """Determinant through LU with partial pivoting.
+
+    Raises:
+        ValidationError: if M is not square.
+    """
+    return complex(np.linalg.det(_square(M)))
 
 
 def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
@@ -68,11 +72,17 @@ def _top(spectrum: np.ndarray) -> float:
     return float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
 
 
-def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
-    """M as a complex array, once checked square and Hermitian."""
+def _square(M: np.ndarray) -> np.ndarray:
+    """M as a complex array, once checked square."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
+def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
+    """M as a complex array, once checked square and Hermitian."""
+    M = _square(M)
     res = hermitian_residual(M)
     if res > tol:
         raise NotHermitian(f"max |M - M*| = {res:.3e} exceeds {tol:.3e}")

@@ -9,6 +9,11 @@ after that gate.
 """
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from conftest import (
     random_connected_graph,
     random_ordering,
 )
+import gainlap
 from gainlap import (
     Disconnected,
     GainGraph,
@@ -38,9 +44,11 @@ from gainlap import (
     auxiliary_gain,
     enumerate_shortest_paths,
     gain_distance_matrix,
+    geodesic_gains,
     is_balanced,
     is_compatible,
     is_ordering_independent,
+    parse_graph,
     path_gain,
     shortest_distances,
     transmission_matrix,
@@ -51,6 +59,7 @@ from gainlap.distances import (
     LEX_TIE_BAND,
     _build_table,
     _lex_extremes,
+    _t4_adjacency,
     lex_extremal,
 )
 from gainlap.graphs import _bfs
@@ -551,3 +560,132 @@ class TestGeodesicTableParity:
             assert str(query.value) == message
         else:
             gain_distance_matrix(g, o, "max", cap=cap)
+
+
+# --- the exact T4 walk against the set walk and integer exponents ----------
+
+#: The eight signed T4 values: each i^k with either sign of its zero part.
+SIGNED_T4 = (
+    complex(1.0, 0.0), complex(1.0, -0.0), complex(0.0, 1.0), complex(-0.0, 1.0),
+    complex(-1.0, 0.0), complex(-1.0, -0.0), complex(0.0, -1.0), complex(-0.0, -1.0),
+)
+
+
+@st.composite
+def exact_graphs(draw):
+    """A graph on at most 7 vertices whose stored gains are signed T4
+    values ("t4") or signed ±1 ("signed"), zeros of both signs, or such
+    a graph with one generic gain ("mixed"); sometimes a vertex is cut
+    off, which disconnects it."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, n, draw(st.integers(0, 12)))
+    kind = draw(st.sampled_from(["t4", "signed", "mixed"]))
+    pool = SIGNED_T4 if kind != "signed" else SIGNED_T4[:2] + SIGNED_T4[4:6]
+    gains = [pool[int(rng.integers(len(pool)))] for _ in g.edges]
+    if kind == "mixed" and gains:
+        gains[int(rng.integers(len(gains)))] = cmath.exp(1j * float(rng.uniform(0.1, 1.4)))
+    edges = [(u, v, z) for (u, v, _), z in zip(g.edges, gains)]
+    edges = [edges[i] for i in rng.permutation(len(edges))]  # unsorted rows
+    if n > 1 and draw(st.integers(0, 5)) == 0:
+        edges = [e for e in edges if n not in e[:2]]
+    return GainGraph(n, tuple(edges))
+
+
+def _exponent(g, a, b):
+    """k with gain(a -> b) == i^k, as an exact integer."""
+    return T4.index(g.gain(a, b))
+
+
+def _lex_rank(k):
+    """(real, imag) of i^k in exact integers: the lex order of T4."""
+    return ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+
+
+class TestExactT4Walk:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_graphs(), st.integers(1, 3))
+    @example(GainGraph(4, ((1, 2, SIGNED_T4[1]), (1, 3, SIGNED_T4[7]), (2, 4, SIGNED_T4[5]),
+                           (3, 4, SIGNED_T4[3]))), 1)
+    def test_same_bits_as_the_set_walk(self, g, cap):
+        generic = any(z not in T4 for _, _, z in g.edges)
+        assert (_t4_adjacency(g) is None) == generic
+        try:
+            want = _set_walk_table(g, DEFAULT_PATH_CAP)
+        except Disconnected as exc:
+            with pytest.raises(Disconnected) as got:
+                _build_table(g, DEFAULT_PATH_CAP)
+            assert str(got.value) == str(exc)
+            return
+        got = _build_table(g, DEFAULT_PATH_CAP)
+        for have, expect in zip(got[:3], want[:3]):
+            assert np.array_equal(_bits(have), _bits(expect))
+        assert (got.widest, got.widest_pair) == want[3:]
+        try:
+            _set_walk_table(g, cap)
+        except PathExplosion as exc:
+            with pytest.raises(PathExplosion) as low:
+                _build_table(g, cap)
+            assert str(low.value) == str(exc)
+        else:
+            assert _build_table(g, cap).widest <= cap
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_graphs())
+    def test_group_exponents_match_brute_force(self, g):
+        if any(z not in T4 for _, _, z in g.edges) or len(_bfs(g._neighbors, 1)[1]) < g.n:
+            return  # a generic gain, or disconnected
+        table = _build_table(g, DEFAULT_PATH_CAP)
+        widest = 1
+        for u, v in itertools.permutations(range(1, g.n + 1), 2):
+            paths = enumerate_shortest_paths(g, u, v)
+            exps = {sum(_exponent(g, a, b) for a, b in zip(p, p[1:])) % 4 for p in paths}
+            assert {T4.index(z) for z in geodesic_gains(g, u, v)} == exps
+            widest = max(widest, len(exps))
+            hi, lo = max(exps, key=_lex_rank), min(exps, key=_lex_rank)
+            assert table.hop[u - 1, v - 1] == len(paths[0]) - 1
+            assert table.lex_max[u - 1, v - 1] == T4[hi]
+            assert table.lex_min[u - 1, v - 1] == T4[lo]
+        assert table.widest == widest
+
+    @pytest.mark.parametrize(
+        "gain",
+        [
+            cmath.exp(1j * math.pi / 2),  # the theta form of i: 6.1e-17 + 1j
+            complex(0.0, math.nextafter(1.0, 2.0)),
+            complex(0.0, math.nextafter(1.0, 0.0)),
+            complex(math.nextafter(0.0, 1.0), 1.0),
+        ],
+    )
+    def test_near_t4_gains_keep_their_float_bits(self, gain):
+        """A gain within an ulp of i is not taken for i: the float walk
+        runs, and the table holds the gain's own products."""
+        assert gain != 1j
+        g = GainGraph(4, ((1, 2, gain), (1, 3, 1j), (2, 4, -1.0), (3, 4, -1j)))
+        assert _t4_adjacency(g) is None
+        got = _build_table(g, DEFAULT_PATH_CAP)
+        want = _set_walk_table(g, DEFAULT_PATH_CAP)
+        for have, expect in zip(got[:3], want[:3]):
+            assert np.array_equal(_bits(have), _bits(expect))
+        assert np.array_equal(_bits(got.lex_max[0, 1:2]), _bits(np.array([gain])))
+
+    def test_theta_document_takes_the_float_walk(self):
+        doc = parse_graph('{"n": 2, "edges": [{"u": 1, "v": 2, "gain": {"theta": %r}}]}' % (math.pi / 2))
+        g = doc.gain_graph()
+        assert _t4_adjacency(g) is None
+        z = complex(gain_distance_matrix(g, VertexOrdering.standard(2), "max")[0, 1])
+        assert z == cmath.exp(1j * math.pi / 2) and z.real > 0.0
+
+    def test_import_builds_no_t4_table(self):
+        src = str(Path(gainlap.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import gainlap.cli\n"
+            "from gainlap.distances import _t4_tables\n"
+            "print(_t4_tables.cache_info().currsize)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "0"

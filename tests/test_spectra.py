@@ -27,6 +27,7 @@ from gainlap import (
     associated_complete_graph,
     balance_by_cospectrality,
     balance_by_singularity,
+    det_direct,
     det_via_forests,
     distance_laplacian,
     hermitian_eigensystem,
@@ -104,6 +105,13 @@ class TestHermitianSpectrum:
         """Regression: a bare numpy LinAlgError, not a GainLapError."""
         with pytest.raises(ValidationError):
             numerical_rank(np.ones((2, 3)))
+
+    def test_det_direct_rejects_non_square(self):
+        """Regression: a bare numpy LinAlgError, not a GainLapError."""
+        for M in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValidationError, match="expected a square matrix"):
+                det_direct(M)
+        assert det_direct(np.array([[2.0, 1j], [-1j, 3.0]])) == pytest.approx(5.0)
 
 
 class TestCospectrality:
