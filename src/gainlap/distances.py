@@ -351,11 +351,9 @@ def enumerate_shortest_paths(
     return paths
 
 
-def geodesic_gains(
-    g: GainGraph, u: int, v: int, cap: int = DEFAULT_PATH_CAP
-) -> tuple[complex, ...]:
+def geodesic_gains(g: GainGraph, u: int, v: int) -> tuple[complex, ...]:
     """Gains of all shortest u -> v paths, in enumeration order."""
-    return tuple(path_gain(g, p) for p in enumerate_shortest_paths(g, u, v, cap))
+    return tuple(path_gain(g, p) for p in enumerate_shortest_paths(g, u, v))
 
 
 def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
@@ -382,14 +380,7 @@ def lex_extremal(values: Iterable[complex], mode: Mode) -> complex:
     return hi if mode == "max" else lo
 
 
-def auxiliary_gain(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    u: int,
-    v: int,
-    cap: int = DEFAULT_PATH_CAP,
-) -> complex:
+def auxiliary_gain(g: GainGraph, ordering: VertexOrdering, mode: Mode, u: int, v: int) -> complex:
     """Extremal geodesic gain for the ordered pair (u, v).
 
     The extremum is taken over shortest paths from the ordering-smaller
@@ -402,7 +393,7 @@ def auxiliary_gain(
     if u == v:
         return 0.0 + 0.0j
     a, b = ordering.sort_pair(u, v)
-    table = _capped_table(g, cap)
+    table = _geodesic_table(g)
     ext = table.lex_max if mode == "max" else table.lex_min
     best = complex(ext[a - 1, b - 1])
     return best if (u, v) == (a, b) else best.conjugate()
@@ -441,33 +432,35 @@ def transmission_matrix(g: GainGraph) -> np.ndarray:
     return np.diag(_geodesic_table(g).hop.sum(axis=1).astype(float))
 
 
-def is_compatible(g: GainGraph, ordering: VertexOrdering, tol: float = ENTRY_TOL) -> bool:
-    """Whether the max and min gain distance matrices coincide, i.e.
-    all shortest paths between each vertex pair carry the same gain."""
+def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
+    """Whether the max and min gain distance matrices coincide within
+    ``ENTRY_TOL``, i.e. all shortest paths between each vertex pair
+    carry the same gain."""
     dmax = gain_distance_matrix(g, ordering, "max")
     dmin = gain_distance_matrix(g, ordering, "min")
-    return bool(np.max(np.abs(dmax - dmin)) <= tol) if g.n > 0 else True
+    return bool(np.max(np.abs(dmax - dmin)) <= ENTRY_TOL)
 
 
-def is_ordering_independent(
-    g: GainGraph, ordering: VertexOrdering, tol: float = ENTRY_TOL
-) -> bool:
-    """Whether both gain distance matrices are unchanged when the
-    ordering is reversed."""
-    rev = ordering.reverse()
-    for mode in ("max", "min"):
-        a = gain_distance_matrix(g, ordering, mode)
-        b = gain_distance_matrix(g, rev, mode)
-        if np.max(np.abs(a - b)) > tol:
+def is_ordering_independent(g: GainGraph, ordering: VertexOrdering) -> bool:
+    """Whether both gain distance matrices are unchanged, within
+    ``ENTRY_TOL``, when the ordering is reversed.
+
+    Reversing the ordering swaps the entry of each pair for the
+    conjugate of the reverse pair's entry, so with D = hop * E for E
+    the lex-max or lex-min table the change is |D - D*| under every
+    ordering: the verdict is read off the geodesic table.
+    """
+    _require_ordering(g, ordering)
+    table = _geodesic_table(g)
+    for ext in (table.lex_max, table.lex_min):
+        D = table.hop * ext
+        if np.max(np.abs(D - D.conj().T)) > ENTRY_TOL:
             return False
     return True
 
 
 def associated_complete_graph(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    cap: int = DEFAULT_PATH_CAP,
+    g: GainGraph, ordering: VertexOrdering, mode: Mode
 ) -> WeightedGainGraph:
     """Complete weighted gain graph whose edge {u, v} carries the
     auxiliary gain of (u, v) and weight d(u, v).
@@ -477,7 +470,7 @@ def associated_complete_graph(
     _require_mode(mode)
     if g.n < 2:
         raise ValidationError("the associated complete graph needs n >= 2")
-    aux, hop = auxiliary_gain_matrix(g, ordering, mode, cap)
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
     pairs = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
     edges = tuple((u, v, complex(aux[u - 1, v - 1])) for u, v in pairs)
     weights = tuple(float(hop[u - 1, v - 1]) for u, v in pairs)

@@ -231,15 +231,15 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
 
 
 def _checked_search(
-    wg: WeightedGainGraph, budget: int | None, vertex_limit: int
+    wg: WeightedGainGraph, budget: int | None
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """The search, after the checks that refuse it up front."""
     budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if budget < 1:
         raise ValidationError(f"budget: expected a positive integer, got {budget}")
     n, m = wg.base.n, wg.base.m
-    if n > vertex_limit:
-        raise TooLarge(f"n = {n} exceeds the enumeration limit {vertex_limit}")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise TooLarge(f"n = {n} exceeds the enumeration limit {DEFAULT_VERTEX_LIMIT}")
     if m >= n and math.comb(m, n) > budget:
         raise TooLarge(
             f"C({m}, {n}) = {math.comb(m, n)} subsets exceeds the budget {budget}"
@@ -248,19 +248,17 @@ def _checked_search(
 
 
 def enumerate_spanning_one_forests(
-    wg: WeightedGainGraph,
-    budget: int | None = None,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    wg: WeightedGainGraph, budget: int | None = None
 ) -> Iterator[OneForest]:
     """All spanning 1-forests, in lexicographic order of edge indices.
 
     Raises:
         ValidationError: if ``budget`` is below 1.
-        TooLarge: if n exceeds ``vertex_limit`` or the subset count
+        TooLarge: if n exceeds ``DEFAULT_VERTEX_LIMIT`` or the subset count
             C(m, n) exceeds ``budget`` (checked before any work is done).
     """
     n, pairs = wg.base.n, wg.base.edge_pairs()
-    search = _checked_search(wg, budget, vertex_limit)
+    search = _checked_search(wg, budget)
 
     def generate() -> Iterator[OneForest]:
         for indices, _ in search:
@@ -293,7 +291,7 @@ def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     weights; zero when no spanning 1-forest exists."""
     if len(_bfs(wg.base._neighbors, 1)[1]) != wg.base.n:
         raise Disconnected("the spanning 1-forest expansion needs a connected graph")
-    return sum(weight for _, weight in _checked_search(wg, budget, DEFAULT_VERTEX_LIMIT))
+    return sum(weight for _, weight in _checked_search(wg, budget))
 
 
 def spanning_subgraph(

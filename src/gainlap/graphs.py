@@ -47,14 +47,21 @@ def normalize_gain(z: complex, strict: bool = False) -> complex:
     Raises:
         ZeroGain: if z == 0.
         ValidationError: if z is not a number or not finite, or if
-            strict and | |z| - 1 | > UNIT_TOL.
+            strict and | |z| - 1 | > UNIT_TOL (|z| beyond the float
+            range included).
     """
     if isinstance(z, bool) or not isinstance(z, numbers.Number):
         raise ValidationError(f"expected a number, got {z!r}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValidationError(f"gain {z!r} is not finite")
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:  # |z| is beyond the float range: scale z down first
+        if strict:
+            raise ValidationError(f"gain modulus of {z!r} is beyond the float range") from None
+        z /= max(abs(z.real), abs(z.imag))
+        r = abs(z)
     if r == 0.0:
         raise ZeroGain("a zero gain has no direction on the unit circle")
     if strict and abs(r - 1.0) > UNIT_TOL:
@@ -170,7 +177,8 @@ class WeightedGainGraph:
     """A gain graph together with strictly positive edge weights.
 
     ``weights[i]`` belongs to ``base.edges[i]``.  The weighted gain of an
-    oriented edge is its unit gain times its weight.
+    oriented edge is its unit gain times its weight.  The weights at each
+    vertex must sum to a finite float, its Laplacian's diagonal entry.
     """
 
     base: GainGraph
@@ -185,6 +193,15 @@ class WeightedGainGraph:
         for i, w in enumerate(ws):
             if not w > 0.0:
                 raise ValidationError(f"weights[{i}]: expected a positive weight, got {w!r}")
+        degree = [0.0] * (self.base.n + 1)
+        for (u, v, _), w in zip(self.base.edges, ws):
+            degree[u] += w
+            degree[v] += w
+        for v, d in enumerate(degree):
+            if d == math.inf:
+                raise ValidationError(
+                    f"weights: their sum at vertex {v} is beyond the float range"
+                )
         object.__setattr__(self, "weights", ws)
 
     @cached_property
@@ -341,13 +358,13 @@ def _bfs(
     return dist, order, parent
 
 
-def is_balanced(g: GainGraph, tol: float = BALANCE_TOL) -> bool:
+def is_balanced(g: GainGraph) -> bool:
     """Whether every cycle has gain 1, equivalently whether the gains
     derive from a vertex potential.
 
     Propagates a potential over a BFS spanning forest and checks every
-    non-forest edge against it; a mismatch beyond ``tol`` witnesses an
-    unbalanced cycle.
+    non-forest edge against it; a mismatch beyond ``BALANCE_TOL``
+    witnesses an unbalanced cycle.
     """
     _, order, parent = _bfs(g._neighbors, *range(1, g.n + 1))
     theta: list[complex] = [1.0 + 0.0j] * (g.n + 1)
@@ -358,7 +375,7 @@ def is_balanced(g: GainGraph, tol: float = BALANCE_TOL) -> bool:
     for u, v, z in g.edges:
         if parent[v] == u or parent[u] == v:
             continue
-        if abs(z - theta[u].conjugate() * theta[v]) > tol:
+        if abs(z - theta[u].conjugate() * theta[v]) > BALANCE_TOL:
             return False
     return True
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import (
-    DEFAULT_PATH_CAP,
-    auxiliary_gain_matrix,
-    gain_distance_matrix,
-    transmission_matrix,
-)
+from .distances import auxiliary_gain_matrix, gain_distance_matrix, transmission_matrix
 from .errors import ValidationError
 from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
 
@@ -107,12 +102,7 @@ def hermitian_residual(M: np.ndarray) -> float:
 # --- distance side -------------------------------------------------------
 
 
-def distance_incidence(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    cap: int = DEFAULT_PATH_CAP,
-) -> IncidenceMatrix:
+def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> IncidenceMatrix:
     """Incidence matrix of the associated complete graph.
 
     One column per unordered vertex pair, tail at the ordering-smaller
@@ -120,7 +110,7 @@ def distance_incidence(
     """
     if g.n < 2:
         raise ValidationError("the distance incidence matrix needs n >= 2")
-    aux, hop = auxiliary_gain_matrix(g, ordering, mode, cap)
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
     by_rank = sorted(range(g.n), key=ordering.ranks.__getitem__)
     a, b = np.array(list(itertools.combinations(by_rank, 2))).T
     cols = np.arange(a.size)
@@ -131,24 +121,14 @@ def distance_incidence(
     return IncidenceMatrix(H, tuple(zip((a + 1).tolist(), (b + 1).tolist())))
 
 
-def distance_laplacian(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    cap: int = DEFAULT_PATH_CAP,
-) -> np.ndarray:
+def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
     """Gain distance Laplacian: transmissions on the diagonal minus the
     gain distance matrix."""
-    return transmission_matrix(g) - gain_distance_matrix(g, ordering, mode, cap)
+    return transmission_matrix(g) - gain_distance_matrix(g, ordering, mode)
 
 
-def distance_factorization_residual(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    cap: int = DEFAULT_PATH_CAP,
-) -> float:
+def distance_factorization_residual(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> float:
     """max |DL - DH DH*| for the given mode and ordering."""
-    DH = distance_incidence(g, ordering, mode, cap).matrix
-    DL = distance_laplacian(g, ordering, mode, cap)
+    DH = distance_incidence(g, ordering, mode).matrix
+    DL = distance_laplacian(g, ordering, mode)
     return float(np.max(np.abs(DL - DH @ DH.conj().T)))

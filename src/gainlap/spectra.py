@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (
-    ENTRY_TOL,
     gain_distance_matrix,
     is_compatible,
     is_ordering_independent,
@@ -47,23 +46,22 @@ def det_direct(M: np.ndarray) -> complex:
     """Determinant through LU with partial pivoting.
 
     Raises:
-        ValidationError: if M is not square.
+        ValidationError: if M is not square or not finite.
     """
     return complex(np.linalg.det(_square(M)))
 
 
-def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
+def numerical_rank(M: np.ndarray) -> int:
     """Number of eigenvalues of a Hermitian matrix larger in magnitude
-    than ``tol``; defaults to n * eps * max(1, max |eigenvalue|), the
-    ``numpy.linalg.matrix_rank`` convention.
+    than n * eps * max(1, max |eigenvalue|), the ``numpy.linalg.matrix_rank``
+    convention.
 
     Raises:
-        ValidationError: if M is not square.
+        ValidationError: if M is not square or not finite.
         NotHermitian: if max |M - M*| exceeds ``HERMITIAN_TOL``.
     """
     vals = hermitian_spectrum(M)
-    if tol is None:
-        tol = vals.size * np.finfo(float).eps * max(1.0, _top(vals))
+    tol = vals.size * np.finfo(float).eps * max(1.0, _top(vals))
     return int(np.sum(np.abs(vals) > tol))
 
 
@@ -73,10 +71,12 @@ def _top(spectrum: np.ndarray) -> float:
 
 
 def _square(M: np.ndarray) -> np.ndarray:
-    """M as a complex array, once checked square."""
+    """M as a complex array, once checked square and finite."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValidationError("expected a finite matrix, got a NaN or infinite entry")
     return M
 
 
@@ -93,16 +93,16 @@ def hermitian_spectrum(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
     Raises:
+        ValidationError: if M is not square or not finite.
         NotHermitian: if max |M - M*| exceeds ``tol``.
     """
     return np.linalg.eigvalsh(_hermitian(M, tol))
 
 
-def hermitian_eigensystem(
-    M: np.ndarray, tol: float = HERMITIAN_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-    return np.linalg.eigh(_hermitian(M, tol))
+def hermitian_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)
+    of a matrix within ``HERMITIAN_TOL`` of Hermitian."""
+    return np.linalg.eigh(_hermitian(M, HERMITIAN_TOL))
 
 
 def max_eigenpair_residual(M: np.ndarray) -> float:
@@ -114,21 +114,18 @@ def max_eigenpair_residual(M: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(R, axis=0)))
 
 
-def is_cospectral(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> bool:
+def is_cospectral(A: np.ndarray, B: np.ndarray) -> bool:
     """Whether two Hermitian matrices share their sorted spectra
-    entrywise, within ``tol`` (default _SPECTRUM_TOL * (1 + max |eigenvalue
-    of A|))."""
+    entrywise, within _SPECTRUM_TOL * (1 + max |eigenvalue of A|)."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
     sa = hermitian_spectrum(A)
     sb = hermitian_spectrum(B)
-    if tol is None:
-        tol = _SPECTRUM_TOL * (1.0 + _top(sa))
     if sa.size == 0:
         return True
-    return bool(np.max(np.abs(sa - sb)) <= tol)
+    return bool(np.max(np.abs(sa - sb)) <= _SPECTRUM_TOL * (1.0 + _top(sa)))
 
 
 def _log_singularity_threshold(M: np.ndarray) -> float:
@@ -222,9 +219,10 @@ class CospectralityReport:
 def balance_by_cospectrality(
     g: GainGraph, ordering: VertexOrdering
 ) -> CospectralityReport:
+    # The Laplacians match exactly when the gain distance matrices do:
+    # DLmax - DLmin is -(Dmax - Dmin) bit for bit, the transmissions cancel.
+    match = is_compatible(g, ordering)
     dl_max = distance_laplacian(g, ordering, "max")
-    dl_min = distance_laplacian(g, ordering, "min")
-    match = bool(np.max(np.abs(dl_max - dl_min)) <= ENTRY_TOL) if g.n else True
     # The all-gain-1 copy has gain 1 on every geodesic, so its distance
     # Laplacian (in either mode, under any ordering) is read off the hop
     # distances of g's own geodesic table.
@@ -278,7 +276,7 @@ def switching_similarity_check(
     residual = float(np.max(np.abs(Dx - target)))
     spec_before = hermitian_spectrum(distance_laplacian(g, ordering, "max"))
     spec_after = hermitian_spectrum(distance_laplacian(gx, ordering, "max"))
-    gap = float(np.max(np.abs(spec_before - spec_after))) if spec_before.size else 0.0
+    gap = float(np.max(np.abs(spec_before - spec_after)))
     return SwitchingReport(
         hypothesis_met=True,
         switched_compatible=switched_compatible,

@@ -1,5 +1,7 @@
 """The public surface of the package."""
 
+import inspect
+
 import gainlap
 
 PUBLIC_NAMES = [
@@ -77,3 +79,49 @@ def test_public_names_are_pinned():
     """A new public name is a deliberate edit of this list."""
     assert gainlap.__all__ == PUBLIC_NAMES
     assert all(hasattr(gainlap, name) for name in PUBLIC_NAMES)
+
+
+#: The per-call overrides of public functions: every other tolerance,
+#: cap and limit is read from its module constant.
+OVERRIDES = {
+    "det_via_forests": ["budget"],
+    "enumerate_shortest_paths": ["cap"],
+    "enumerate_spanning_one_forests": ["budget"],
+    "factorization_residual": ["orientation"],
+    "gain_distance_matrix": ["cap"],
+    "hermitian_spectrum": ["tol"],
+    "normalize_gain": ["strict"],
+    "weighted_incidence": ["orientation"],
+}
+
+#: Overrides that no caller set, each now fixed to its constant.
+REMOVED = {
+    "associated_complete_graph": "cap",
+    "auxiliary_gain": "cap",
+    "distance_factorization_residual": "cap",
+    "distance_incidence": "cap",
+    "distance_laplacian": "cap",
+    "geodesic_gains": "cap",
+    "hermitian_eigensystem": "tol",
+    "is_balanced": "tol",
+    "is_compatible": "tol",
+    "is_cospectral": "tol",
+    "is_ordering_independent": "tol",
+    "numerical_rank": "tol",
+    "enumerate_spanning_one_forests": "vertex_limit",
+}
+
+
+def test_only_the_kept_overrides_remain():
+    """A parameter with a default on a public function is an override."""
+    found = {}
+    for name in PUBLIC_NAMES:
+        obj = getattr(gainlap, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            defaulted = [p.name for p in params if p.default is not inspect.Parameter.empty]
+            if defaulted:
+                found[name] = defaulted
+    assert found == OVERRIDES
+    for name, param in REMOVED.items():
+        assert param not in inspect.signature(getattr(gainlap, name)).parameters, name

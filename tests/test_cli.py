@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,35 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "balance", str(path))
         assert (code, out) == (1, "")
         assert "edges[0].gain." in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min"), ("incidence",),
+            ("spectrum", "--target", "lap"), ("det", "--method", "lu"),
+            ("det", "--method", "forests"), ("rank",), ("balance",),
+            ("verify", "--theorem", "1"), ("verify", "--theorem", "6"),
+        ],
+        ids=" ".join,
+    )
+    def test_weight_sum_beyond_the_float_range(self, capsys, tmp_path, argv):
+        """Regression: rank printed 0, det and spectrum nan, verify FAIL
+        with max_residual=nan, each with numpy warnings on stderr."""
+        obj = cycle_document([1, 1, 1j], weights=[1.5e308, 1.5e308, 1.0])
+        path = write_document(tmp_path, obj, name="heavy.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = invoke(capsys, *argv, path)
+        assert (code, out) == (1, "")
+        assert err == "error: weights: their sum at vertex 2 is beyond the float range\n"
+
+    def test_gain_modulus_beyond_the_float_range(self, capsys, tmp_path):
+        """Regression: a traceback from a bare OverflowError."""
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 2, "edges": [{"u": 1, "v": 2, "gain": {"re": 1.5e308, "im": 1.5e308}}]}')
+        code, out, err = invoke(capsys, "balance", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: edges[0].gain: ") and "beyond the float range" in err
 
     def test_missing_theorem_choice(self, capsys, demo_path):
         code, _, err = invoke(capsys, "verify", "--theorem", "4", demo_path)

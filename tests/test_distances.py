@@ -56,6 +56,7 @@ from gainlap import (
 )
 from gainlap.distances import (
     DEFAULT_PATH_CAP,
+    ENTRY_TOL,
     LEX_TIE_BAND,
     _build_table,
     _lex_extremes,
@@ -689,3 +690,74 @@ class TestExactT4Walk:
             capture_output=True, text=True, timeout=60, check=True,
         )
         assert out.stdout.strip() == "0"
+
+
+#: Gains whose geodesic products often tie in real part: exactly, as
+#: conjugate pairs, or within LEX_TIE_BAND, as angles 1e-13 apart.
+TIE_PRONE = (1 + 0j, *(cmath.exp(1j * s * t) for t in (0.6, 0.6 + 1e-13, 1.1) for s in (1, -1)))
+
+#: Gains near 1: their products tie in real part, and entries of D that
+#: differ by a few times 4e-10 lie near ENTRY_TOL, where the hop
+#: distance decides the verdict.
+NEAR_ONE = (1 + 0j, cmath.exp(4e-10j), cmath.exp(-4e-10j))
+
+
+@st.composite
+def ordering_graphs(draw):
+    """A random connected graph on at most 8 vertices with generic, T4,
+    all-gain-1 or tie-prone gains (two kinds), and a generator for its
+    orderings."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, n, draw(st.integers(0, 10)))
+    pick = draw(st.sampled_from([None, T4, (1 + 0j,), TIE_PRONE, NEAR_ONE]))
+    if pick is not None:
+        g = GainGraph(n, tuple((u, v, pick[int(rng.integers(len(pick)))]) for u, v, _ in g.edges))
+    return g, rng
+
+
+def _dense_ordering_independent(g, ordering):
+    """The definition: each gain distance matrix, built under the
+    ordering and under its reverse, is the same within ENTRY_TOL."""
+    rev = ordering.reverse()
+    return all(
+        np.max(np.abs(gain_distance_matrix(g, ordering, m) - gain_distance_matrix(g, rev, m)))
+        <= ENTRY_TOL
+        for m in ("max", "min")
+    )
+
+
+def _three_geodesics(z, t):
+    edges = ((1, 2, z), (1, 3, cmath.exp(1j * t)), (1, 4, cmath.exp(-1j * t)))
+    return GainGraph(5, (*edges, (2, 5, 1), (3, 5, 1), (4, 5, 1))), np.random.default_rng(0)
+
+
+class TestOrderingIndependenceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ordering_graphs())
+    # A 4-cycle whose two geodesics between opposite corners carry
+    # e^{1.2i} and e^{-1.2i}: an exact tie in real part.
+    @example((GainGraph(4, ((1, 2, TIE_PRONE[1]), (1, 4, TIE_PRONE[2]), (2, 3, TIE_PRONE[1]),
+                            (3, 4, TIE_PRONE[1]))), np.random.default_rng(0)))
+    # The same 4-cycle with gains e^{4e-10 i}, e^{4e-10 i}, 1, 1: its
+    # geodesic gains differ by 8e-10 and the entries of D by 1.6e-9.
+    @example((GainGraph(4, ((1, 2, NEAR_ONE[1]), (1, 4, 1), (2, 3, NEAR_ONE[1]), (3, 4, 1))),
+              np.random.default_rng(0)))
+    # Three geodesics from 1 to 5 with gains z, e^{ti} and e^{-ti}: only
+    # the min matrix depends on the ordering for (z, t) = (1, 2.2), only
+    # the max matrix for (-1, 0.9).
+    @example(_three_geodesics(1, 2.2))
+    @example(_three_geodesics(-1, 0.9))
+    def test_matches_the_dense_definition(self, case):
+        """The verdict read off the geodesic table is the dense
+        definition's, and it is the same under every ordering."""
+        g, rng = case
+        orderings = [VertexOrdering.standard(g.n), *(random_ordering(rng, g.n) for _ in range(3))]
+        want = _dense_ordering_independent(g, orderings[0])
+        for o in orderings:
+            assert _dense_ordering_independent(g, o) is want
+            assert is_ordering_independent(g, o) is want
+
+    def test_ordering_checked(self, demo):
+        with pytest.raises(ValidationError, match="ordering covers 4 vertices"):
+            is_ordering_independent(demo, VertexOrdering.standard(4))

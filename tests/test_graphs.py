@@ -77,6 +77,28 @@ class TestNormalizeGain:
         z = normalize_gain(complex(1.0 + 5e-7, 0.0), strict=True)
         assert abs(abs(z) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "z, small",
+        [
+            (complex(1.5e308, 1.5e308), complex(1.0, 1.0)),
+            (complex(1.5e308, -1.5e308), complex(1.0, -1.0)),
+            (complex(-1.7e308, 1e308), complex(-1.7, 1.0)),
+            (complex(-1e308, -1.7e308), complex(-1.0, -1.7)),
+        ],
+    )
+    def test_modulus_beyond_the_float_range(self, z, small):
+        """Regression: abs(z) raised a bare OverflowError.  z is scaled
+        down by its larger part first, so it keeps its direction."""
+        with pytest.raises(OverflowError):
+            abs(z)
+        got = normalize_gain(z)
+        assert abs(abs(got) - 1.0) <= 1e-15
+        assert cmath.phase(got) == pytest.approx(cmath.phase(small), abs=1e-15)
+        assert GainGraph(2, ((1, 2, z),)).edges[0][2] == got
+        assert SwitchingFunction((1, z)).values[1] == got
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            normalize_gain(z, strict=True)
+
 
 class TestGainGraph:
     def test_reversal_is_conjugate(self):
@@ -160,6 +182,15 @@ class TestWeightedGainGraph:
     def test_rejects_misaligned_weights(self):
         with pytest.raises(ValidationError):
             WeightedGainGraph(GainGraph(2, ((1, 2, 1.0),)), (1.0, 2.0))
+
+    def test_rejects_a_vertex_sum_beyond_the_float_range(self):
+        """Regression: each weight is finite but the Laplacian's diagonal
+        entry at vertex 2 is not; rank read 0 and det NaN."""
+        tri = GainGraph(3, ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1j)))
+        with pytest.raises(ValidationError, match=r"^weights: .* vertex 2 "):
+            WeightedGainGraph(tri, (1.5e308, 1.5e308, 1.0))
+        wg = WeightedGainGraph(tri, (8e307, 8e307, 1.0))  # sums stay finite
+        assert wg.weights == (8e307, 8e307, 1.0)
 
 
 class TestVertexOrdering:

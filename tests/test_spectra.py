@@ -33,6 +33,7 @@ from gainlap import (
     hermitian_eigensystem,
     hermitian_spectrum,
     is_balanced,
+    is_compatible,
     is_cospectral,
     max_eigenpair_residual,
     numerical_rank,
@@ -112,6 +113,23 @@ class TestHermitianSpectrum:
             with pytest.raises(ValidationError, match="expected a square matrix"):
                 det_direct(M)
         assert det_direct(np.array([[2.0, 1j], [-1j, 3.0]])) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        """Regression: rank 0 for [[nan]], False from is_cospectral(M, M),
+        a spectrum of NaNs for [[inf, 0], [0, 1]]."""
+        one = np.array([[bad]])
+        two = np.array([[bad, 0.0], [0.0, 1.0]])
+        for call in (
+            lambda: numerical_rank(one),
+            lambda: is_cospectral(one, one),
+            lambda: hermitian_spectrum(two),
+            lambda: hermitian_eigensystem(two),
+            lambda: max_eigenpair_residual(two),
+            lambda: det_direct(two),
+        ):
+            with pytest.raises(ValidationError, match="expected a finite matrix"):
+                call()
 
 
 class TestCospectrality:
@@ -225,6 +243,21 @@ class TestCospectralityVerdict:
         assert report.laplacians_match
         assert report.cospectral_with_underlying
         assert report.balanced and report.matches_potential
+
+    def test_laplacians_match_is_compatibility(self):
+        """DLmax - DLmin is -(Dmax - Dmin), so the report's first leg is
+        is_compatible, under the ordering and under its reverse."""
+        rng = np.random.default_rng(347)
+        t4 = (1, 1j, -1, -1j)
+        for trial in range(24):
+            n = int(rng.integers(3, 8))
+            build = (random_connected_graph, potential_balanced_graph, planted_unbalanced_graph)[trial % 3]
+            g = build(rng, n, int(rng.integers(1, 5)))
+            if trial % 2:
+                g = GainGraph(n, tuple((u, v, t4[int(rng.integers(4))]) for u, v in g.edge_pairs()))
+            ordering = random_ordering(rng, n)
+            for o in (ordering, ordering.reverse()):
+                assert balance_by_cospectrality(g, o).laplacians_match is is_compatible(g, o)
 
     def test_matching_laplacians_do_not_imply_balance(self):
         # an unbalanced 5-cycle has unique geodesics, so both modes give
