@@ -250,6 +250,18 @@ def _cmd_verify(doc: GraphDocument, args: argparse.Namespace) -> int:
 # --- parser --------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` value: a non-negative integer, as numpy's
+    ``default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gainlap", description="gain graph matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "verify", _cmd_verify, "re-derive an identity on the input graph",
         ("--theorem", {"type": int, "choices": VERIFY_CHOICES, "required": True}),
-        ("--seed", {"type": int, "default": 0}),
+        ("--seed", {"type": _seed, "default": 0}),
     )
     return parser
 

@@ -18,24 +18,22 @@ multiplication per edge; it becomes a set only when a second distinct
 gain arrives.  Of gains equal under ``==`` (such as 0.0 and -0.0 parts)
 the first to arrive is kept, as a set keeps it.  The table keeps the hop
 distance and the lex-max and lex-min gain of every (source, target)
-pair, and the largest number of distinct geodesic gains of any pair,
-which the path cap bounds.  Path enumeration stays as public API and
-as a test oracle.
+pair.  A pair with more than ``DEFAULT_PATH_CAP`` distinct geodesic
+gains raises ``PathExplosion``.  Path enumeration stays as public API
+and as a test oracle.
 
 When every edge gain is exactly one of the eight signed T4 values
 (1, +-0), (+-0, 1), (-1, +-0) and (+-0, -1) (signed graphs included),
 the same walk runs on small ints: a vertex's gain set is an 8-bit
 state, one bit per element i^k present and one for the sign of the
 zero part of its kept value, and every product, first-wins merge,
-count and lex extreme is a lookup in tables built on the first such
-graph from Python complex products and :func:`_lex_extremes`.  Such
-products are exact, so the table is bit for bit the float walk's: the
-same kept values with their signed zeros, the same ``widest`` and
-``widest_pair``, and the same ``Disconnected`` error.  A T4 set holds
-at most 4 gains; under a lower cap that some pair exceeds, the float
-walk runs and raises its own ``PathExplosion``.  Gains that are T4
-values only up to rounding, such as the ``theta`` form of pi/2, take
-the float walk with their own bits.
+and lex extreme is a lookup in tables built on the first such graph
+from Python complex products and :func:`_lex_extremes`.  Such products
+are exact, so the table is bit for bit the float walk's: the same kept
+values with their signed zeros and the same ``Disconnected`` error.  A
+T4 set holds at most 4 gains, so this walk never reaches the path cap.
+Gains that are T4 values only up to rounding, such as the ``theta``
+form of pi/2, take the float walk with their own bits.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import Disconnected, PathExplosion, ValidationError
-from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph, _bfs, path_gain
+from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph, _bfs
 
-#: Default cap on the number of distinct geodesic gains of one vertex
-#: pair (and on the number of paths :func:`enumerate_shortest_paths`
-#: lists).
+#: Cap on the number of distinct geodesic gains of one vertex pair, and
+#: the default cap on the number of paths :func:`enumerate_shortest_paths`
+#: lists.
 DEFAULT_PATH_CAP = 1_000_000
 
 #: Real parts within this distance of the extremal one count as tied
@@ -76,15 +74,11 @@ def _require_ordering(g: GainGraph, ordering: VertexOrdering) -> None:
 
 class _GeodesicTable(NamedTuple):
     """Row s, column t: hop distance and lex-extremal geodesic gain from
-    vertex s + 1 to vertex t + 1; the diagonal gains are zero.  ``widest``
-    is the largest number of distinct geodesic gains of one pair, first
-    reached at ``widest_pair``."""
+    vertex s + 1 to vertex t + 1; the diagonal gains are zero."""
 
     hop: np.ndarray
     lex_max: np.ndarray
     lex_min: np.ndarray
-    widest: int
-    widest_pair: tuple[int, int]
 
 
 def _too_many(cap: int, u: int, v: int) -> PathExplosion:
@@ -105,17 +99,17 @@ def _t4_code(z: complex) -> int | None:
 
 
 @cache
-def _t4_tables() -> tuple[list[list[int]], list[int], list[int], np.ndarray, np.ndarray]:
+def _t4_tables() -> tuple[list[list[int]], list[int], np.ndarray, np.ndarray]:
     """Lookup tables of the exact T4 walk, built on first use.
 
     A gain set is an 8-bit state: bit k when i^k is in it, bit k + 4
     when the zero part of its kept value (the first to arrive) is -0.0.
     Per state: ``mul[state][code]``, the set times the value of an edge
     code; ``keep[state]``, the bits a merge may still set, so merging x
-    into acc gives ``acc | (x & keep[acc])``; ``cnt[state]``, its size;
-    and ``hi[state]``, ``lo[state]``, its lex max and min (0j for the
-    empty set).  Only states whose sign bits lie under their element
-    bits occur; the others are left empty.
+    into acc gives ``acc | (x & keep[acc])``; and ``hi[state]``,
+    ``lo[state]``, its lex max and min (0j for the empty set).  Only
+    states whose sign bits lie under their element bits occur; the
+    others are left empty.
     """
     # The value of each code, and the state of the set holding it alone.
     value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0),
@@ -123,7 +117,7 @@ def _t4_tables() -> tuple[list[list[int]], list[int], list[int], np.ndarray, np.
     alone = [1 << (c & 3) | (c >> 2) << ((c & 3) + 4) for c in range(8)]
     prod = [[alone[_t4_code(x * z)] for z in value] for x in value]
     mul: list[list[int]] = [[]] * 256
-    keep, cnt = [0] * 256, [0] * 256
+    keep = [0] * 256
     hi, lo = [0j] * 256, [0j] * 256
     for state in range(256):
         present = state & 15
@@ -135,10 +129,9 @@ def _t4_tables() -> tuple[list[list[int]], list[int], list[int], np.ndarray, np.
             row = [r | p for r, p in zip(row, prod[c])]
         mul[state] = row
         keep[state] = 255 ^ (present | present << 4)
-        cnt[state] = len(codes)
         if codes:
             hi[state], lo[state] = _lex_extremes([value[c] for c in codes])
-    return mul, keep, cnt, np.array(hi), np.array(lo)
+    return mul, keep, np.array(hi), np.array(lo)
 
 
 def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
@@ -159,11 +152,10 @@ def _build_t4_table(g: GainGraph, adj: list[list[tuple[int, int]]]) -> _Geodesic
     """The geodesic table of a graph whose gains are all signed T4
     values, walked in the float walk's order on 8-bit gain-set states.
     A set holds at most 4 gains, so no cap is checked."""
-    mul, keep, cnt, hi, lo = _t4_tables()
+    mul, keep, hi, lo = _t4_tables()
     n = g.n
     hop = np.zeros((n, n), dtype=int)
     sets = np.zeros((n, n), dtype=np.uint8)
-    widest, widest_pair = 1, (1, 1)
     for s in range(1, n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
         if len(order) < n:
@@ -172,10 +164,7 @@ def _build_t4_table(g: GainGraph, adj: list[list[tuple[int, int]]]) -> _Geodesic
         state = [0] * (n + 1)
         state[s] = 1  # {1 + 0j}
         for a in order:
-            x = state[a]
-            if cnt[x] > widest:
-                widest, widest_pair = cnt[x], (s, a)
-            row = mul[x]
+            row = mul[state[a]]
             step = dist[a] + 1
             for b, c in adj[a]:
                 if dist[b] == step:
@@ -187,23 +176,19 @@ def _build_t4_table(g: GainGraph, adj: list[list[tuple[int, int]]]) -> _Geodesic
     lex_max, lex_min = hi[sets], lo[sets]
     for arr in (hop, lex_max, lex_min):
         arr.flags.writeable = False
-    return _GeodesicTable(hop, lex_max, lex_min, widest, widest_pair)
+    return _GeodesicTable(hop, lex_max, lex_min)
 
 
-def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
+def _build_table(g: GainGraph) -> _GeodesicTable:
     t4 = _t4_adjacency(g)
     if t4 is not None:
-        table = _build_t4_table(g, t4)
-        if table.widest <= limit:
-            return table
-        # Over a cap below 4: the float walk raises the same PathExplosion,
-        # at the first merge that passes the cap.
+        return _build_t4_table(g, t4)
+    cap = DEFAULT_PATH_CAP
     n = g.n
     adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
-    widest, widest_pair = 1, (1, 1)
     for s in range(1, n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
         if len(order) < n:
@@ -232,16 +217,14 @@ def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
                                 continue
                             acc = gains[b] = {acc}
                         acc.add(w)
-                        if len(acc) > limit:
-                            raise _too_many(limit, s, b)
+                        if len(acc) > cap:
+                            raise _too_many(cap, s, b)
                 continue
             gains[a] = None  # a set is dropped once pushed on
             if len(ws) == 1:
                 (only,) = ws
                 hi[a] = lo[a] = only
             else:
-                if len(ws) > widest:
-                    widest, widest_pair = len(ws), (s, a)
                 hi[a], lo[a] = _lex_extremes(ws)
             for b, z in adj[a]:
                 if dist[b] == step:
@@ -251,49 +234,29 @@ def _build_table(g: GainGraph, limit: int) -> _GeodesicTable:
                     elif type(acc) is complex:
                         acc = gains[b] = {acc}
                     acc.update([w * z for w in ws])
-                    if len(acc) > limit:
-                        raise _too_many(limit, s, b)
+                    if len(acc) > cap:
+                        raise _too_many(cap, s, b)
         hi[s] = lo[s] = 0j
         hop[s - 1] = dist[1:]
         lex_max[s - 1] = hi[1:]
         lex_min[s - 1] = lo[1:]
     for arr in (hop, lex_max, lex_min):
         arr.flags.writeable = False
-    return _GeodesicTable(hop, lex_max, lex_min, widest, widest_pair)
+    return _GeodesicTable(hop, lex_max, lex_min)
 
 
-def _geodesic_table(g: GainGraph, limit: int = DEFAULT_PATH_CAP) -> _GeodesicTable:
+def _geodesic_table(g: GainGraph) -> _GeodesicTable:
     """The geodesic table of g, built on first use and memoized on the
     graph instance (stored as functools.cached_property stores a value).
 
-    The build holds at most max(limit, DEFAULT_PATH_CAP) distinct gains
-    per pair, and a table is memoized only once built whole, so its
-    ``widest`` is exact and answers every later cap.
-
     Raises:
         Disconnected: if some vertex is unreachable.
-        PathExplosion: if some pair has more distinct geodesic gains
-            than the build holds.
+        PathExplosion: if some pair has more than ``DEFAULT_PATH_CAP``
+            distinct geodesic gains.
     """
     table = vars(g).get("_geodesics")
     if table is None:
-        table = _build_table(g, max(limit, DEFAULT_PATH_CAP))
-        vars(g)["_geodesics"] = table
-    return table
-
-
-def _capped_table(g: GainGraph, cap: int) -> _GeodesicTable:
-    """The geodesic table of g, for a query of its gains under ``cap``.
-
-    Raises:
-        PathExplosion: if some pair has more than ``cap`` distinct
-            geodesic gains.
-    """
-    if cap < 1:
-        raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
-    table = _geodesic_table(g, cap)
-    if table.widest > cap:
-        raise _too_many(cap, *table.widest_pair)
+        table = vars(g)["_geodesics"] = _build_table(g)
     return table
 
 
@@ -330,54 +293,38 @@ def enumerate_shortest_paths(
     total = du[v]
 
     paths: list[tuple[int, ...]] = []
-    stack = [u]
-
-    def descend(a: int) -> None:
+    path = [u]
+    branches = [iter(g.neighbors(u))]  # per path vertex, its untried neighbors
+    while path:
+        a = path[-1]
         if a == v:
             if len(paths) >= cap:
-                raise PathExplosion(
-                    f"more than {cap} shortest paths between {u} and {v}"
-                )
-            paths.append(tuple(stack))
-            return
-        for b in g.neighbors(a):
+                raise PathExplosion(f"more than {cap} shortest paths between {u} and {v}")
+            paths.append(tuple(path))
+        else:
             # b lies on a geodesic continuation iff it keeps the total length.
-            if du[a] + 1 + dv[b] == total:
-                stack.append(b)
-                descend(b)
-                stack.pop()
-
-    descend(u)
+            b = next((b for b in branches[-1] if du[a] + 1 + dv[b] == total), None)
+            if b is not None:
+                path.append(b)
+                branches.append(iter(g.neighbors(b)))
+                continue
+        path.pop()
+        branches.pop()
     return paths
 
 
-def geodesic_gains(g: GainGraph, u: int, v: int) -> tuple[complex, ...]:
-    """Gains of all shortest u -> v paths, in enumeration order."""
-    return tuple(path_gain(g, p) for p in enumerate_shortest_paths(g, u, v))
-
-
 def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
-    """(lex max, lex min) of a nonempty collection; see lex_extremal."""
-    vals = sorted(values, key=attrgetter("real"))
-    top = bisect_left(vals, vals[-1].real - LEX_TIE_BAND, key=attrgetter("real"))
-    bot = bisect_right(vals, vals[0].real + LEX_TIE_BAND, key=attrgetter("real"))
-    imag_real = attrgetter("imag", "real")
-    return max(vals[top:], key=imag_real), min(vals[:bot], key=imag_real)
-
-
-def lex_extremal(values: Iterable[complex], mode: Mode) -> complex:
-    """The lexicographically extremal value, real part first.
+    """(lex max, lex min) of a nonempty collection, real part first.
 
     Two stages keep the result independent of the input order: take
     the extremal real part, then among the values whose real part lies
     within ``LEX_TIE_BAND`` of it the extremal (imaginary, real) pair.
     """
-    _require_mode(mode)
-    vals = list(values)
-    if not vals:
-        raise ValidationError("lex_extremal needs at least one value")
-    hi, lo = _lex_extremes(vals)
-    return hi if mode == "max" else lo
+    vals = sorted(values, key=attrgetter("real"))
+    top = bisect_left(vals, vals[-1].real - LEX_TIE_BAND, key=attrgetter("real"))
+    bot = bisect_right(vals, vals[0].real + LEX_TIE_BAND, key=attrgetter("real"))
+    imag_real = attrgetter("imag", "real")
+    return max(vals[top:], key=imag_real), min(vals[:bot], key=imag_real)
 
 
 def auxiliary_gain(g: GainGraph, ordering: VertexOrdering, mode: Mode, u: int, v: int) -> complex:
@@ -400,30 +347,22 @@ def auxiliary_gain(g: GainGraph, ordering: VertexOrdering, mode: Mode, u: int, v
 
 
 def auxiliary_gain_matrix(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    cap: int = DEFAULT_PATH_CAP,
+    g: GainGraph, ordering: VertexOrdering, mode: Mode
 ) -> tuple[np.ndarray, np.ndarray]:
     """The auxiliary gains of all pairs, (j, k) entry that of (v_j, v_k)
     with a zero diagonal, and the hop distances."""
     _require_mode(mode)
     _require_ordering(g, ordering)
-    table = _capped_table(g, cap)
+    table = _geodesic_table(g)
     ext = table.lex_max if mode == "max" else table.lex_min
     rank = np.array(ordering.ranks)
     return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
 
 
-def gain_distance_matrix(
-    g: GainGraph,
-    ordering: VertexOrdering,
-    mode: Mode,
-    cap: int = DEFAULT_PATH_CAP,
-) -> np.ndarray:
+def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
     """Hermitian matrix whose (j, k) entry is the auxiliary gain of
     (v_j, v_k) times the hop distance; zero diagonal."""
-    aux, hop = auxiliary_gain_matrix(g, ordering, mode, cap)
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
     return aux * hop
 
 

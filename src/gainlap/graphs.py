@@ -177,8 +177,9 @@ class WeightedGainGraph:
     """A gain graph together with strictly positive edge weights.
 
     ``weights[i]`` belongs to ``base.edges[i]``.  The weighted gain of an
-    oriented edge is its unit gain times its weight.  The weights at each
-    vertex must sum to a finite float, its Laplacian's diagonal entry.
+    oriented edge is its unit gain times its weight.  Twice the sum of
+    the weights at each vertex must be a finite float: twice the largest
+    weighted degree bounds every Laplacian eigenvalue.
     """
 
     base: GainGraph
@@ -197,11 +198,11 @@ class WeightedGainGraph:
         for (u, v, _), w in zip(self.base.edges, ws):
             degree[u] += w
             degree[v] += w
-        for v, d in enumerate(degree):
-            if d == math.inf:
-                raise ValidationError(
-                    f"weights: their sum at vertex {v} is beyond the float range"
-                )
+        top = max(range(len(degree)), key=degree.__getitem__)
+        if 2.0 * degree[top] == math.inf:
+            raise ValidationError(
+                f"weights: twice their sum at vertex {top} is beyond the float range"
+            )
         object.__setattr__(self, "weights", ws)
 
     @cached_property

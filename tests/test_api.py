@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "forest_weight",
     "format_complex",
     "gain_distance_matrix",
-    "geodesic_gains",
     "hermitian_eigensystem",
     "hermitian_spectrum",
     "is_balanced",
@@ -88,7 +87,6 @@ OVERRIDES = {
     "enumerate_shortest_paths": ["cap"],
     "enumerate_spanning_one_forests": ["budget"],
     "factorization_residual": ["orientation"],
-    "gain_distance_matrix": ["cap"],
     "hermitian_spectrum": ["tol"],
     "normalize_gain": ["strict"],
     "weighted_incidence": ["orientation"],
@@ -101,7 +99,7 @@ REMOVED = {
     "distance_factorization_residual": "cap",
     "distance_incidence": "cap",
     "distance_laplacian": "cap",
-    "geodesic_gains": "cap",
+    "gain_distance_matrix": "cap",
     "hermitian_eigensystem": "tol",
     "is_balanced": "tol",
     "is_compatible": "tol",

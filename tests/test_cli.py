@@ -50,6 +50,31 @@ def cycle_document(gains, weights=None):
     return obj
 
 
+#: One call of every subcommand.
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
+    "argv",
+    [
+        ("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min"), ("incidence",),
+        ("spectrum", "--target", "lap"), ("det", "--method", "lu"),
+        ("det", "--method", "forests"), ("rank",), ("balance",),
+        ("verify", "--theorem", "1"), ("verify", "--theorem", "6"),
+    ],
+    ids=" ".join,
+)
+
+
+def assert_heavy_weights_refused(capsys, tmp_path, argv, heavy):
+    """A triangle with weights heavy, heavy, 1.0 exits 1 naming vertex 2,
+    with no warning."""
+    obj = cycle_document([1, 1, 1j], weights=[heavy, heavy, 1.0])
+    path = write_document(tmp_path, obj, name="heavy.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = invoke(capsys, *argv, path)
+    assert (code, out) == (1, "")
+    assert err == "error: weights: twice their sum at vertex 2 is beyond the float range\n"
+
+
 class TestMatrixCommands:
     def test_dmatrix_max(self, capsys, demo_path):
         code, out, _ = invoke(capsys, "dmatrix", "--mode", "max", demo_path)
@@ -364,26 +389,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "edges[0].gain." in err and "finite" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min"), ("incidence",),
-            ("spectrum", "--target", "lap"), ("det", "--method", "lu"),
-            ("det", "--method", "forests"), ("rank",), ("balance",),
-            ("verify", "--theorem", "1"), ("verify", "--theorem", "6"),
-        ],
-        ids=" ".join,
-    )
+    @EVERY_SUBCOMMAND
     def test_weight_sum_beyond_the_float_range(self, capsys, tmp_path, argv):
         """Regression: rank printed 0, det and spectrum nan, verify FAIL
         with max_residual=nan, each with numpy warnings on stderr."""
-        obj = cycle_document([1, 1, 1j], weights=[1.5e308, 1.5e308, 1.0])
-        path = write_document(tmp_path, obj, name="heavy.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = invoke(capsys, *argv, path)
+        assert_heavy_weights_refused(capsys, tmp_path, argv, 1.5e308)
+
+    @EVERY_SUBCOMMAND
+    def test_twice_the_weight_sum_beyond_the_float_range(self, capsys, tmp_path, argv):
+        """Regression: the sum at vertex 2 is finite, 1.6e308, but twice
+        it, which bounds the spectrum, is not: rank printed 0, spectrum
+        inf, and verify --theorem 6 failed."""
+        assert_heavy_weights_refused(capsys, tmp_path, argv, 8e307)
+
+    def test_negative_seed(self, capsys, demo_path):
+        """Regression: numpy's ValueError escaped as a traceback."""
+        code, out, err = invoke(capsys, "verify", "--theorem", "1", "--seed", "-1", demo_path)
         assert (code, out) == (1, "")
-        assert err == "error: weights: their sum at vertex 2 is beyond the float range\n"
+        assert err == "error: argument --seed: expected a non-negative integer, got '-1'\n"
 
     def test_gain_modulus_beyond_the_float_range(self, capsys, tmp_path):
         """Regression: a traceback from a bare OverflowError."""
@@ -418,13 +441,10 @@ class TestExitCodes:
         assert code == 0
 
     def test_path_cap_triggers_exit_3(self, capsys, demo_path, monkeypatch):
-        import functools
-
-        import gainlap.cli as cli
-        from gainlap import gain_distance_matrix
+        import gainlap.distances
 
         # demo pair (1, 3) has two distinct geodesic gains
-        monkeypatch.setattr(cli, "gain_distance_matrix", functools.partial(gain_distance_matrix, cap=1))
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
         code, _, err = invoke(capsys, "dmatrix", "--mode", "max", demo_path)
         assert code == 3
         assert "distinct geodesic gains" in err

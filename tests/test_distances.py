@@ -44,7 +44,6 @@ from gainlap import (
     auxiliary_gain,
     enumerate_shortest_paths,
     gain_distance_matrix,
-    geodesic_gains,
     is_balanced,
     is_compatible,
     is_ordering_independent,
@@ -54,6 +53,7 @@ from gainlap import (
     transmission_matrix,
     weighted_laplacian,
 )
+import gainlap.distances
 from gainlap.distances import (
     DEFAULT_PATH_CAP,
     ENTRY_TOL,
@@ -61,7 +61,6 @@ from gainlap.distances import (
     _build_table,
     _lex_extremes,
     _t4_adjacency,
-    lex_extremal,
 )
 from gainlap.graphs import _bfs
 import cmath
@@ -164,6 +163,29 @@ class TestEnumerateShortestPaths:
                 for v in range(u, n + 1):
                     assert sorted(enumerate_shortest_paths(g, u, v)) == brute_shortest_paths(g, u, v)
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_same_paths_in_the_same_order_as_brute_force(self, case, data):
+        """Neighbors are taken in ascending order, so the paths come out
+        sorted, as the oracle lists them.  A chain hung on core vertex c
+        lengthens every path to its far end, up to 3000 hops."""
+        core, _ = case
+        n = core.n
+        c, u, v = (data.draw(st.integers(1, n)) for _ in range(3))
+        chain = (c, *range(n + 1, n + data.draw(st.sampled_from([0, 1, 3000])) + 1))
+        g = GainGraph(len(chain) + n - 1, core.edges + tuple((a, b, 1.0) for a, b in zip(chain, chain[1:])))
+        assert enumerate_shortest_paths(g, u, v) == brute_shortest_paths(core, u, v)
+        to_c = brute_shortest_paths(core, u, c)
+        assert enumerate_shortest_paths(g, u, chain[-1]) == [p + chain[1:] for p in to_c]
+        from_c = brute_shortest_paths(core, c, u)
+        assert enumerate_shortest_paths(g, chain[-1], u) == [chain[:0:-1] + p for p in from_c]
+
+    def test_long_path_graph(self):
+        """Regression: one recursion level per hop raised RecursionError."""
+        n = 3000
+        g = GainGraph(n, tuple((k, k + 1, 1.0) for k in range(1, n)))
+        assert enumerate_shortest_paths(g, 1, n) == [tuple(range(1, n + 1))]
+
     def test_unreachable_rejected(self):
         g = GainGraph(3, ((1, 2, 1.0),))
         with pytest.raises(Disconnected):
@@ -212,6 +234,11 @@ def _exact_lex(gains, mode):
     return (max if mode == "max" else min)(gains, key=lambda z: (z.real, z.imag))
 
 
+def _lex(values, mode):
+    """The two-stage lex extreme of the geodesic table."""
+    return _lex_extremes(values)[0 if mode == "max" else 1]
+
+
 def _naive_gain_distance(g, ordering, mode, select=_exact_lex):
     """The definition followed literally on brute-force geodesics and
     path_gain products, pair by pair.  By default the selection is the
@@ -248,17 +275,12 @@ class TestLexExtremal:
         """Real parts within the tie band of each other chain without
         being transitive; the result must not depend on which value
         comes first."""
-        first = lex_extremal(values, mode)
-        assert all(lex_extremal(p, mode) == first for p in itertools.permutations(values))
+        first = _lex(values, mode)
+        assert all(_lex(p, mode) == first for p in itertools.permutations(values))
 
     def test_non_transitive_band_example(self):
         values = [0.9j, 8e-13, 1.6e-12 - 0.9j]
-        assert lex_extremal(values, "max") == 8e-13
-        assert lex_extremal(values, "min") == 8e-13
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            lex_extremal([], "max")
+        assert _lex_extremes(values) == (8e-13, 8e-13)
 
 
 class TestGainDistanceMatrix:
@@ -267,24 +289,28 @@ class TestGainDistanceMatrix:
     def test_matches_brute_force_oracle(self, case, mode):
         g, order = case
         for o in (order, order.reverse()):
-            want = _naive_gain_distance(g, o, mode, select=lex_extremal)
+            want = _naive_gain_distance(g, o, mode, select=_lex)
             assert np.array_equal(gain_distance_matrix(g, o, mode), want)
 
-    def test_cap_bounds_distinct_gains(self, demo, std5):
-        # demo pair (1, 3) has two geodesics with distinct gains
-        with pytest.raises(PathExplosion):
-            gain_distance_matrix(demo, std5, "max", cap=1)
-        gain_distance_matrix(demo, std5, "max")  # memoizes the table
-        with pytest.raises(PathExplosion):
-            gain_distance_matrix(demo, std5, "max", cap=1)
-        assert np.array_equal(gain_distance_matrix(demo, std5, "max", cap=2), demo_dmax_standard())
+    def test_cap_bounds_distinct_gains(self, demo, std5, monkeypatch):
+        # demo pair (1, 3) has two geodesics with distinct gains; a failed
+        # build memoizes nothing
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
+        for _ in range(2):
+            with pytest.raises(PathExplosion, match="^more than 1 distinct geodesic gains between 1 and 3$"):
+                gain_distance_matrix(demo, std5, "max")
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 2)
+        assert np.array_equal(gain_distance_matrix(demo, std5, "max"), demo_dmax_standard())
 
-    def test_cap_counts_gains_not_paths(self):
-        square = GainGraph(4, ((1, 2, 1j), (2, 3, 1j), (1, 4, -1), (3, 4, 1)))
+    def test_cap_counts_gains_not_paths(self, monkeypatch):
+        # both geodesics from 1 to 3 carry z * w, formed as the same product
+        z, w = cmath.exp(0.3j), cmath.exp(0.4j)
+        square = GainGraph(4, ((1, 2, z), (2, 3, w), (1, 4, w), (3, 4, z.conjugate())))
         o = VertexOrdering.standard(4)
         with pytest.raises(PathExplosion):
             enumerate_shortest_paths(square, 1, 3, cap=1)
-        assert gain_distance_matrix(square, o, "max", cap=1)[0, 2] == -2
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
+        assert gain_distance_matrix(square, o, "max")[0, 2] == 2 * (z * w)
 
     def test_single_edge_gain_i(self):
         g = GainGraph(2, ((1, 2, 1j),))
@@ -465,7 +491,7 @@ class TestAssociatedCompleteGraph:
 # --- the geodesic table against the set-per-vertex walk --------------------
 
 
-def _set_walk_table(g, limit):
+def _set_walk_table(g, limit=DEFAULT_PATH_CAP):
     """The geodesic table by the plain walk: every reached vertex holds
     a set of gains in a dict, even when it has one.  Same values, same
     insertion order, so every kept value must match bit for bit."""
@@ -474,7 +500,6 @@ def _set_walk_table(g, limit):
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
-    widest, widest_pair = 1, (1, 1)
     for s in range(1, n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
         if len(order) < n:
@@ -483,13 +508,7 @@ def _set_walk_table(g, limit):
         gains = {s: {1.0 + 0.0j}}
         for a in order:
             ws = gains.pop(a)
-            if len(ws) == 1:
-                (only,) = ws
-                hi[a] = lo[a] = only
-            else:
-                if len(ws) > widest:
-                    widest, widest_pair = len(ws), (s, a)
-                hi[a], lo[a] = _lex_extremes(ws)
+            hi[a], lo[a] = _lex_extremes(ws)
             for b, z in adj[a]:
                 if dist[b] == dist[a] + 1:
                     acc = gains.setdefault(b, set())
@@ -500,12 +519,49 @@ def _set_walk_table(g, limit):
                         )
         hi[s] = lo[s] = 0j
         hop[s - 1], lex_max[s - 1], lex_min[s - 1] = dist[1:], hi[1:], lo[1:]
-    return hop, lex_max, lex_min, widest, widest_pair
+    return hop, lex_max, lex_min
 
 
 def _bits(a):
     """The raw bits of an array, so that 0.0 and -0.0 differ."""
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def _assert_same_table(g):
+    """_build_table(g) holds the set walk's bits under the path cap, or
+    raises the set walk's error, which is returned."""
+    try:
+        want = _set_walk_table(g, gainlap.distances.DEFAULT_PATH_CAP)
+    except (Disconnected, PathExplosion) as exc:
+        with pytest.raises(type(exc)) as got:
+            _build_table(g)
+        assert str(got.value) == str(exc)
+        return exc
+    got = _build_table(g)
+    for have, expect in zip(got, want):
+        assert np.array_equal(_bits(have), _bits(expect))
+    return None
+
+
+def _assert_same_table_under_cap(g, cap):
+    """Under the path cap lowered to ``cap``: the float walk raises the
+    set walk's PathExplosion, in the build and in the public query,
+    while the T4 walk never reaches a cap and returns the full table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gainlap.distances, "DEFAULT_PATH_CAP", cap)
+        if _t4_adjacency(g) is None:
+            exc = _assert_same_table(g)
+        else:
+            exc = None
+            for have, expect in zip(_build_table(g), _set_walk_table(g)):
+                assert np.array_equal(_bits(have), _bits(expect))
+        o = VertexOrdering.standard(g.n)
+        if exc is None:
+            gain_distance_matrix(g, o, "max")
+        else:
+            with pytest.raises(PathExplosion) as query:
+                gain_distance_matrix(g, o, "max")
+            assert str(query.value) == str(exc)
 
 
 @st.composite
@@ -532,35 +588,8 @@ class TestGeodesicTableParity:
     @settings(max_examples=150, deadline=None)
     @given(table_graphs(), st.integers(1, 3))
     def test_same_bits_as_the_set_walk(self, g, cap):
-        try:
-            want = _set_walk_table(g, DEFAULT_PATH_CAP)
-        except Disconnected as exc:
-            with pytest.raises(Disconnected) as got:
-                _build_table(g, DEFAULT_PATH_CAP)
-            assert str(got.value) == str(exc)
-            return
-        got = _build_table(g, DEFAULT_PATH_CAP)
-        for have, expect in zip(got[:3], want[:3]):
-            assert np.array_equal(_bits(have), _bits(expect))
-        assert (got.widest, got.widest_pair) == want[3:]
-        # A low cap, in the build and in the public query.
-        try:
-            _set_walk_table(g, cap)
-        except PathExplosion as exc:
-            with pytest.raises(PathExplosion) as low:
-                _build_table(g, cap)
-            assert str(low.value) == str(exc)
-        else:
-            assert _build_table(g, cap).widest <= cap
-        o = VertexOrdering.standard(g.n)
-        if want[3] > cap:
-            u, v = want[4]
-            message = f"more than {cap} distinct geodesic gains between {u} and {v}"
-            with pytest.raises(PathExplosion) as query:
-                gain_distance_matrix(g, o, "max", cap=cap)
-            assert str(query.value) == message
-        else:
-            gain_distance_matrix(g, o, "max", cap=cap)
+        if _assert_same_table(g) is None:
+            _assert_same_table_under_cap(g, cap)
 
 
 # --- the exact T4 walk against the set walk and integer exponents ----------
@@ -611,43 +640,23 @@ class TestExactT4Walk:
     def test_same_bits_as_the_set_walk(self, g, cap):
         generic = any(z not in T4 for _, _, z in g.edges)
         assert (_t4_adjacency(g) is None) == generic
-        try:
-            want = _set_walk_table(g, DEFAULT_PATH_CAP)
-        except Disconnected as exc:
-            with pytest.raises(Disconnected) as got:
-                _build_table(g, DEFAULT_PATH_CAP)
-            assert str(got.value) == str(exc)
-            return
-        got = _build_table(g, DEFAULT_PATH_CAP)
-        for have, expect in zip(got[:3], want[:3]):
-            assert np.array_equal(_bits(have), _bits(expect))
-        assert (got.widest, got.widest_pair) == want[3:]
-        try:
-            _set_walk_table(g, cap)
-        except PathExplosion as exc:
-            with pytest.raises(PathExplosion) as low:
-                _build_table(g, cap)
-            assert str(low.value) == str(exc)
-        else:
-            assert _build_table(g, cap).widest <= cap
+        if _assert_same_table(g) is None:
+            _assert_same_table_under_cap(g, cap)
 
     @settings(max_examples=100, deadline=None)
     @given(exact_graphs())
     def test_group_exponents_match_brute_force(self, g):
         if any(z not in T4 for _, _, z in g.edges) or len(_bfs(g._neighbors, 1)[1]) < g.n:
             return  # a generic gain, or disconnected
-        table = _build_table(g, DEFAULT_PATH_CAP)
-        widest = 1
+        table = _build_table(g)
         for u, v in itertools.permutations(range(1, g.n + 1), 2):
             paths = enumerate_shortest_paths(g, u, v)
             exps = {sum(_exponent(g, a, b) for a, b in zip(p, p[1:])) % 4 for p in paths}
-            assert {T4.index(z) for z in geodesic_gains(g, u, v)} == exps
-            widest = max(widest, len(exps))
+            assert {T4.index(path_gain(g, p)) for p in paths} == exps
             hi, lo = max(exps, key=_lex_rank), min(exps, key=_lex_rank)
             assert table.hop[u - 1, v - 1] == len(paths[0]) - 1
             assert table.lex_max[u - 1, v - 1] == T4[hi]
             assert table.lex_min[u - 1, v - 1] == T4[lo]
-        assert table.widest == widest
 
     @pytest.mark.parametrize(
         "gain",
@@ -664,9 +673,9 @@ class TestExactT4Walk:
         assert gain != 1j
         g = GainGraph(4, ((1, 2, gain), (1, 3, 1j), (2, 4, -1.0), (3, 4, -1j)))
         assert _t4_adjacency(g) is None
-        got = _build_table(g, DEFAULT_PATH_CAP)
-        want = _set_walk_table(g, DEFAULT_PATH_CAP)
-        for have, expect in zip(got[:3], want[:3]):
+        got = _build_table(g)
+        want = _set_walk_table(g)
+        for have, expect in zip(got, want):
             assert np.array_equal(_bits(have), _bits(expect))
         assert np.array_equal(_bits(got.lex_max[0, 1:2]), _bits(np.array([gain])))
 

@@ -185,12 +185,15 @@ class TestWeightedGainGraph:
 
     def test_rejects_a_vertex_sum_beyond_the_float_range(self):
         """Regression: each weight is finite but the Laplacian's diagonal
-        entry at vertex 2 is not; rank read 0 and det NaN."""
+        entry at vertex 2 is not; rank read 0 and det NaN.  With weights
+        8e307 that entry is finite, but the spectrum, bounded by twice
+        it, is not: rank read 0 and the top eigenvalue inf."""
         tri = GainGraph(3, ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1j)))
-        with pytest.raises(ValidationError, match=r"^weights: .* vertex 2 "):
-            WeightedGainGraph(tri, (1.5e308, 1.5e308, 1.0))
-        wg = WeightedGainGraph(tri, (8e307, 8e307, 1.0))  # sums stay finite
-        assert wg.weights == (8e307, 8e307, 1.0)
+        for heavy in (1.5e308, 8e307):
+            with pytest.raises(ValidationError, match=r"^weights: .* vertex 2 "):
+                WeightedGainGraph(tri, (heavy, heavy, 1.0))
+        wg = WeightedGainGraph(tri, (4e307, 4e307, 1.0))  # twice the sums stay finite
+        assert wg.weights == (4e307, 4e307, 1.0)
 
 
 class TestVertexOrdering:
