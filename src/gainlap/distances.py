@@ -8,32 +8,31 @@ each auxiliary gain by the hop distance; it is Hermitian with zero
 diagonal by construction.
 
 Every distance object reads one geodesic table per graph, memoized on
-the graph.  It is built by one BFS per source; walking the source's
-shortest-path DAG in BFS order gives each vertex the set of distinct
-gains of its geodesics from the source, each formed left to right as
+the graph.  Its one driver refuses a disconnected graph, then per source
+runs one BFS and has one of two walks return the source's lex-max and
+lex-min rows.  The float walk follows the shortest-path DAG in BFS
+order and gives each vertex the set of distinct gains of its geodesics
+from the source, each formed left to right as
 :func:`~gainlap.graphs.path_gain` forms it, so every kept value is bit
 for bit the gain of one of those geodesics.  A vertex whose geodesics
 so far share one gain holds that bare complex, pushed on by one
 multiplication per edge; it becomes a set only when a second distinct
 gain arrives.  Of gains equal under ``==`` (such as 0.0 and -0.0 parts)
-the first to arrive is kept, as a set keeps it.  The table keeps the hop
-distance and the lex-max and lex-min gain of every (source, target)
-pair.  A pair with more than ``DEFAULT_PATH_CAP`` distinct geodesic
-gains raises ``PathExplosion``.  Path enumeration stays as public API
-and as a test oracle.
+the first to arrive is kept, as a set keeps it.  A pair with more than
+``DEFAULT_PATH_CAP`` distinct geodesic gains raises ``PathExplosion``.
+Path enumeration stays as public API and as a test oracle.
 
 When every edge gain is exactly one of the eight signed T4 values
 (1, +-0), (+-0, 1), (-1, +-0) and (+-0, -1) (signed graphs included),
-the same walk runs on small ints: a vertex's gain set is an 8-bit
-state, one bit per element i^k present and one for the sign of the
-zero part of its kept value, and every product, first-wins merge,
+the T4 walk runs the same walk on small ints: a vertex's gain set is an
+8-bit state, one bit per element i^k present and one for the sign of
+the zero part of its kept value, and every product, first-wins merge,
 and lex extreme is a lookup in tables built on the first such graph
 from Python complex products and :func:`_lex_extremes`.  Such products
-are exact, so the table is bit for bit the float walk's: the same kept
-values with their signed zeros and the same ``Disconnected`` error.  A
-T4 set holds at most 4 gains, so this walk never reaches the path cap.
-Gains that are T4 values only up to rounding, such as the ``theta``
-form of pi/2, take the float walk with their own bits.
+are exact, so its rows are bit for bit the float walk's, signed zeros
+included.  A T4 set holds at most 4 gains, so it never reaches the path
+cap.  Gains that are T4 values only up to rounding, such as the
+``theta`` form of pi/2, take the float walk with their own bits.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import Disconnected, PathExplosion, ValidationError
-from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph, _bfs
+from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
+from .graphs import _bfs, _check_vertex, _require_connected
 
 #: Cap on the number of distinct geodesic gains of one vertex pair, and
 #: the default cap on the number of paths :func:`enumerate_shortest_paths`
@@ -99,17 +99,16 @@ def _t4_code(z: complex) -> int | None:
 
 
 @cache
-def _t4_tables() -> tuple[list[list[int]], list[int], np.ndarray, np.ndarray]:
+def _t4_tables() -> tuple[list[list[int]], list[int], np.ndarray]:
     """Lookup tables of the exact T4 walk, built on first use.
 
     A gain set is an 8-bit state: bit k when i^k is in it, bit k + 4
     when the zero part of its kept value (the first to arrive) is -0.0.
     Per state: ``mul[state][code]``, the set times the value of an edge
     code; ``keep[state]``, the bits a merge may still set, so merging x
-    into acc gives ``acc | (x & keep[acc])``; and ``hi[state]``,
-    ``lo[state]``, its lex max and min (0j for the empty set).  Only
-    states whose sign bits lie under their element bits occur; the
-    others are left empty.
+    into acc gives ``acc | (x & keep[acc])``; and ``ext[:, state]``,
+    its lex max and min (0j for the empty set).  Only states whose sign
+    bits lie under their element bits occur; the others are left empty.
     """
     # The value of each code, and the state of the set holding it alone.
     value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0),
@@ -131,7 +130,7 @@ def _t4_tables() -> tuple[list[list[int]], list[int], np.ndarray, np.ndarray]:
         keep[state] = 255 ^ (present | present << 4)
         if codes:
             hi[state], lo[state] = _lex_extremes([value[c] for c in codes])
-    return mul, keep, np.array(hi), np.array(lo)
+    return mul, keep, np.array([hi, lo])
 
 
 def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
@@ -148,98 +147,87 @@ def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
     return adj
 
 
-def _build_t4_table(g: GainGraph, adj: list[list[tuple[int, int]]]) -> _GeodesicTable:
-    """The geodesic table of a graph whose gains are all signed T4
-    values, walked in the float walk's order on 8-bit gain-set states.
-    A set holds at most 4 gains, so no cap is checked."""
-    mul, keep, hi, lo = _t4_tables()
-    n = g.n
-    hop = np.zeros((n, n), dtype=int)
-    sets = np.zeros((n, n), dtype=np.uint8)
-    for s in range(1, n + 1):
-        dist, order, _ = _bfs(g._neighbors, s)
-        if len(order) < n:
-            v = dist.index(-1, 1)
-            raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
-        state = [0] * (n + 1)
-        state[s] = 1  # {1 + 0j}
-        for a in order:
-            row = mul[state[a]]
-            step = dist[a] + 1
-            for b, c in adj[a]:
+def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> np.ndarray:
+    """The float walk's rows of source s, walked on 8-bit gain-set states."""
+    mul, keep, ext = _t4_tables()
+    state = [0] * len(dist)
+    state[s] = 1  # {1 + 0j}
+    for a in order:
+        row = mul[state[a]]
+        step = dist[a] + 1
+        for b, c in adj[a]:
+            if dist[b] == step:
+                acc = state[b]
+                state[b] = acc | (row[c] & keep[acc])
+    state[s] = 0  # the zero diagonal
+    return ext[:, state[1:]]
+
+
+def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[list, list]:
+    """The lex-max and lex-min rows of source s, from the sets of
+    distinct geodesic gains; ``PathExplosion`` past the path cap."""
+    cap = DEFAULT_PATH_CAP
+    hi, lo = [0j] * len(dist), [0j] * len(dist)
+    # Per vertex: None until reached, then its one geodesic gain as a
+    # bare complex, then a set once a second distinct gain arrives.
+    # BFS order completes a vertex's gains before reading them.
+    gains: list = [None] * len(dist)
+    gains[s] = 1.0 + 0.0j
+    for a in order:
+        ws = gains[a]
+        step = dist[a] + 1
+        if type(ws) is complex:
+            hi[a] = lo[a] = ws
+            for b, z in adj[a]:
                 if dist[b] == step:
-                    acc = state[b]
-                    state[b] = acc | (row[c] & keep[acc])
-        state[s] = 0  # the zero diagonal
-        hop[s - 1] = dist[1:]
-        sets[s - 1] = state[1:]
-    lex_max, lex_min = hi[sets], lo[sets]
-    for arr in (hop, lex_max, lex_min):
-        arr.flags.writeable = False
-    return _GeodesicTable(hop, lex_max, lex_min)
+                    w = ws * z
+                    acc = gains[b]
+                    if acc is None:
+                        gains[b] = w
+                        continue
+                    if type(acc) is complex:
+                        if acc == w:  # keep the first of == gains (signed zeros)
+                            continue
+                        acc = gains[b] = {acc}
+                    acc.add(w)
+                    if len(acc) > cap:
+                        raise _too_many(cap, s, b)
+            continue
+        gains[a] = None  # a set is dropped once pushed on
+        if len(ws) == 1:
+            (only,) = ws
+            hi[a] = lo[a] = only
+        else:
+            hi[a], lo[a] = _lex_extremes(ws)
+        for b, z in adj[a]:
+            if dist[b] == step:
+                acc = gains[b]
+                if acc is None:
+                    acc = gains[b] = set()
+                elif type(acc) is complex:
+                    acc = gains[b] = {acc}
+                acc.update([w * z for w in ws])
+                if len(acc) > cap:
+                    raise _too_many(cap, s, b)
+    hi[s] = lo[s] = 0j
+    return hi[1:], lo[1:]
 
 
 def _build_table(g: GainGraph) -> _GeodesicTable:
-    t4 = _t4_adjacency(g)
-    if t4 is not None:
-        return _build_t4_table(g, t4)
-    cap = DEFAULT_PATH_CAP
+    """The geodesic table of g, by the driver the module docstring describes."""
+    _require_connected(g)
+    adj, walk = _t4_adjacency(g), _t4_walk
+    if adj is None:
+        adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
+        walk = _float_walk
     n = g.n
-    adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
     for s in range(1, n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
-        if len(order) < n:
-            v = dist.index(-1, 1)
-            raise Disconnected(f"vertex {v} is unreachable from vertex {s}")
-        hi, lo = [0j] * (n + 1), [0j] * (n + 1)
-        # Per vertex: None until reached, then its one geodesic gain as a
-        # bare complex, then a set once a second distinct gain arrives.
-        # BFS order completes a vertex's gains before reading them.
-        gains: list = [None] * (n + 1)
-        gains[s] = 1.0 + 0.0j
-        for a in order:
-            ws = gains[a]
-            step = dist[a] + 1
-            if type(ws) is complex:
-                hi[a] = lo[a] = ws
-                for b, z in adj[a]:
-                    if dist[b] == step:
-                        w = ws * z
-                        acc = gains[b]
-                        if acc is None:
-                            gains[b] = w
-                            continue
-                        if type(acc) is complex:
-                            if acc == w:  # keep the first of == gains (signed zeros)
-                                continue
-                            acc = gains[b] = {acc}
-                        acc.add(w)
-                        if len(acc) > cap:
-                            raise _too_many(cap, s, b)
-                continue
-            gains[a] = None  # a set is dropped once pushed on
-            if len(ws) == 1:
-                (only,) = ws
-                hi[a] = lo[a] = only
-            else:
-                hi[a], lo[a] = _lex_extremes(ws)
-            for b, z in adj[a]:
-                if dist[b] == step:
-                    acc = gains[b]
-                    if acc is None:
-                        acc = gains[b] = set()
-                    elif type(acc) is complex:
-                        acc = gains[b] = {acc}
-                    acc.update([w * z for w in ws])
-                    if len(acc) > cap:
-                        raise _too_many(cap, s, b)
-        hi[s] = lo[s] = 0j
         hop[s - 1] = dist[1:]
-        lex_max[s - 1] = hi[1:]
-        lex_min[s - 1] = lo[1:]
+        lex_max[s - 1], lex_min[s - 1] = walk(adj, s, dist, order)
     for arr in (hop, lex_max, lex_min):
         arr.flags.writeable = False
     return _GeodesicTable(hop, lex_max, lex_min)
@@ -286,11 +274,10 @@ def enumerate_shortest_paths(
     """
     if cap < 1:
         raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
-    du = _bfs(g._neighbors, u)[0]
+    _check_vertex(u, g.n, "vertex")
     dv = _bfs(g._neighbors, v)[0]
-    if du[v] < 0:
+    if dv[u] < 0:
         raise Disconnected(f"vertex {v} is unreachable from vertex {u}")
-    total = du[v]
 
     paths: list[tuple[int, ...]] = []
     path = [u]
@@ -302,8 +289,8 @@ def enumerate_shortest_paths(
                 raise PathExplosion(f"more than {cap} shortest paths between {u} and {v}")
             paths.append(tuple(path))
         else:
-            # b lies on a geodesic continuation iff it keeps the total length.
-            b = next((b for b in branches[-1] if du[a] + 1 + dv[b] == total), None)
+            # b continues a geodesic to v iff it is one hop closer to v.
+            b = next((b for b in branches[-1] if dv[b] == dv[a] - 1), None)
             if b is not None:
                 path.append(b)
                 branches.append(iter(g.neighbors(b)))
@@ -406,7 +393,6 @@ def associated_complete_graph(
 
     Its weighted Laplacian equals the gain distance Laplacian of g.
     """
-    _require_mode(mode)
     if g.n < 2:
         raise ValidationError("the associated complete graph needs n >= 2")
     aux, hop = auxiliary_gain_matrix(g, ordering, mode)

@@ -18,7 +18,9 @@ rollback that keeps each component's cycle factor and each vertex's
 gain potential.  A branch is cut as soon as no spanning 1-forest can
 follow from it: an edge would give a component a second cycle, fewer
 edges remain than are still needed, or a vertex no chosen edge covers
-would lose its last incident edge.  Every leaf is a forest, found in the
+would lose its last incident edge.  The last cut is made only on
+backtrack: an edge at an uncovered vertex, a root without a cycle, is
+always included on the way down.  Every leaf is a forest, found in the
 lexicographic order of its edge indices, and its weight is built up
 along the way.  The search is refused up front when n exceeds
 ``DEFAULT_VERTEX_LIMIT`` or C(m, n) exceeds the subset budget: the
@@ -36,8 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import Disconnected, TooLarge, ValidationError
-from .graphs import GainGraph, WeightedGainGraph, _bfs, cycle_gain
+from .errors import TooLarge, ValidationError
+from .graphs import GainGraph, WeightedGainGraph, _bfs, _require_connected, cycle_gain
 
 #: Largest number C(m, n) of n-edge subsets for which the search runs.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -109,16 +111,21 @@ def _one_forest_components(
     return tuple(comps)
 
 
+def _host_pairs(wg: WeightedGainGraph, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges as (u, v) pairs with u < v, once checked to be edges of wg."""
+    pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+    missing = set(pairs).difference(wg.base.edge_pairs())
+    if missing:
+        raise ValidationError(f"edges {sorted(missing)} are not edges of the host graph")
+    return pairs
+
+
 def is_spanning_one_forest(
     wg: WeightedGainGraph, edges: Iterable[tuple[int, int]]
 ) -> bool:
     """Whether the edge subset has exactly n edges and every component
     of the spanned subgraph is a 1-tree."""
-    pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-    host = set(wg.base.edge_pairs())
-    for p in pairs:
-        if p not in host:
-            raise ValidationError(f"edge {p} is not an edge of the host graph")
+    pairs = _host_pairs(wg, edges)
     if len(set(pairs)) != len(pairs):
         raise ValidationError("edge subset contains duplicates")
     n = wg.base.n
@@ -198,11 +205,7 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
                     undo.append((child, root, weight))
                     weight = weight * weights[j]
                     break
-                # Edge j is excluded.
-                if (last[u] == j and degree[u] == 0) or (last[v] == j and degree[v] == 0):
-                    j = stop + 1
-                    break
-                j += 1
+                j += 1  # edge j is excluded
             if j <= stop:  # edge j was included
                 degree[u] += 1
                 degree[v] += 1
@@ -289,8 +292,7 @@ def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
     weights; zero when no spanning 1-forest exists."""
-    if len(_bfs(wg.base._neighbors, 1)[1]) != wg.base.n:
-        raise Disconnected("the spanning 1-forest expansion needs a connected graph")
+    _require_connected(wg.base)
     return sum(weight for _, weight in _checked_search(wg, budget))
 
 
@@ -299,11 +301,7 @@ def spanning_subgraph(
 ) -> WeightedGainGraph:
     """The subgraph on all n vertices keeping only the given edges,
     with their original gains and weights."""
-    keep = {(u, v) if u < v else (v, u) for u, v in edges}
-    host = set(wg.base.edge_pairs())
-    missing = keep - host
-    if missing:
-        raise ValidationError(f"edges {sorted(missing)} are not edges of the host graph")
+    keep = set(_host_pairs(wg, edges))
     sub_edges = []
     sub_weights = []
     for (u, v, z), w in zip(wg.base.edges, wg.weights):

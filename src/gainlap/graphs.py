@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
 
-from .errors import NotACycle, NotAWalk, ValidationError, ZeroGain
+from .errors import Disconnected, NotACycle, NotAWalk, ValidationError, ZeroGain
 
 #: Accepted deviation of |z| from 1 when a gain is validated strictly.
 UNIT_TOL = 1e-6
@@ -142,10 +142,6 @@ class GainGraph:
         _check_vertex(v, self.n, "vertex")
         return self._neighbors[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._gain_of
-
     def gain(self, u: int, v: int) -> complex:
         """Gain of the oriented edge u -> v (conjugate of the stored value
         when queried against the stored orientation)."""
@@ -162,14 +158,9 @@ class GainGraph:
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u, v, _ in self.edges)
 
-    @cached_property
-    def _underlying(self) -> "GainGraph":
-        return GainGraph(self.n, tuple((u, v, 1.0 + 0.0j) for u, v, _ in self.edges))
-
     def underlying(self) -> "GainGraph":
-        """The same graph with every gain replaced by 1.  It is built once
-        and memoized on this instance, so its geodesic table is too."""
-        return self._underlying
+        """The same graph with every gain replaced by 1."""
+        return GainGraph(self.n, tuple((u, v, 1.0 + 0.0j) for u, v, _ in self.edges))
 
 
 @dataclass(frozen=True)
@@ -204,6 +195,7 @@ class WeightedGainGraph:
                 f"weights: twice their sum at vertex {top} is beyond the float range"
             )
         object.__setattr__(self, "weights", ws)
+        vars(self)["_degree"] = degree  # read by laplacians.weighted_degree_matrix
 
     @cached_property
     def _weight_of(self) -> dict[tuple[int, int], float]:
@@ -359,6 +351,13 @@ def _bfs(
     return dist, order, parent
 
 
+def _require_connected(g: GainGraph) -> None:
+    """Raise ``Disconnected`` at the first vertex unreachable from vertex 1."""
+    dist, order, _ = _bfs(g._neighbors, 1)
+    if len(order) < g.n:
+        raise Disconnected(f"vertex {dist.index(-1, 1)} is unreachable from vertex 1")
+
+
 def is_balanced(g: GainGraph) -> bool:
     """Whether every cycle has gain 1, equivalently whether the gains
     derive from a vertex potential.
@@ -381,14 +380,18 @@ def is_balanced(g: GainGraph) -> bool:
     return True
 
 
+def _require_switching(g: GainGraph, xi: SwitchingFunction) -> None:
+    if xi.n != g.n:
+        raise ValidationError(f"switching function covers {xi.n} vertices, graph has {g.n}")
+
+
 def switch(g: GainGraph, xi: SwitchingFunction) -> GainGraph:
     """Apply a switching function: the gain of u -> v becomes
     xi(u)^(-1) * gain(u -> v) * xi(v).
 
     Switching preserves every cycle gain, hence balance.
     """
-    if xi.n != g.n:
-        raise ValidationError(f"switching function covers {xi.n} vertices, graph has {g.n}")
+    _require_switching(g, xi)
     new_edges = tuple(
         (u, v, xi.of(u).conjugate() * z * xi.of(v)) for u, v, z in g.edges
     )

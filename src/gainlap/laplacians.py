@@ -10,7 +10,6 @@ through the incidence of the associated complete graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +39,8 @@ def weighted_adjacency(wg: WeightedGainGraph) -> np.ndarray:
 
 
 def weighted_degree_matrix(wg: WeightedGainGraph) -> np.ndarray:
-    n = wg.base.n
-    deg = np.zeros(n)
-    for (u, v, _), w in zip(wg.base.edges, wg.weights):
-        deg[u - 1] += w
-        deg[v - 1] += w
-    return np.diag(deg)
+    """Diagonal matrix of the weight sums the graph's constructor formed."""
+    return np.diag(wg._degree[1:])
 
 
 def weighted_laplacian(wg: WeightedGainGraph) -> np.ndarray:
@@ -90,7 +85,10 @@ def factorization_residual(
 ) -> float:
     """max |L - H H*|; tiny for every orientation."""
     H = weighted_incidence(wg, orientation).matrix
-    L = weighted_laplacian(wg)
+    return _residual(weighted_laplacian(wg), H)
+
+
+def _residual(L: np.ndarray, H: np.ndarray) -> float:
     return float(np.max(np.abs(L - H @ H.conj().T)))
 
 
@@ -108,11 +106,8 @@ def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> In
     One column per unordered vertex pair, tail at the ordering-smaller
     endpoint, weight d(u, v), columns sorted by (tail rank, head rank).
     """
-    if g.n < 2:
-        raise ValidationError("the distance incidence matrix needs n >= 2")
     aux, hop = auxiliary_gain_matrix(g, ordering, mode)
-    by_rank = sorted(range(g.n), key=ordering.ranks.__getitem__)
-    a, b = np.array(list(itertools.combinations(by_rank, 2))).T
+    a, b = np.argsort(ordering.ranks)[np.stack(np.triu_indices(g.n, 1))]
     cols = np.arange(a.size)
     sw = np.sqrt(hop[a, b].astype(float))
     H = np.zeros((g.n, a.size), dtype=complex)
@@ -130,5 +125,4 @@ def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np
 def distance_factorization_residual(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> float:
     """max |DL - DH DH*| for the given mode and ordering."""
     DH = distance_incidence(g, ordering, mode).matrix
-    DL = distance_laplacian(g, ordering, mode)
-    return float(np.max(np.abs(DL - DH @ DH.conj().T)))
+    return _residual(distance_laplacian(g, ordering, mode), DH)

@@ -24,6 +24,7 @@ from .distances import (
 )
 from .errors import NotHermitian, ValidationError
 from .graphs import GainGraph, SwitchingFunction, VertexOrdering, is_balanced, switch
+from .graphs import _require_switching
 from .laplacians import distance_laplacian, hermitian_residual
 
 #: Largest accepted deviation of a matrix from its conjugate transpose.
@@ -114,18 +115,23 @@ def max_eigenpair_residual(M: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(R, axis=0)))
 
 
-def is_cospectral(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether two Hermitian matrices share their sorted spectra
-    entrywise, within _SPECTRUM_TOL * (1 + max |eigenvalue of A|)."""
+def _spectrum_gap(A: np.ndarray, B: np.ndarray) -> tuple[float, bool]:
+    """max |sorted spectrum of A - that of B| (0 when empty), and whether
+    it is within _SPECTRUM_TOL * (1 + max |eigenvalue of A|)."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
     sa = hermitian_spectrum(A)
     sb = hermitian_spectrum(B)
-    if sa.size == 0:
-        return True
-    return bool(np.max(np.abs(sa - sb)) <= _SPECTRUM_TOL * (1.0 + _top(sa)))
+    gap = float(np.max(np.abs(sa - sb))) if sa.size else 0.0
+    return gap, gap <= _SPECTRUM_TOL * (1.0 + _top(sa))
+
+
+def is_cospectral(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether two Hermitian matrices share their sorted spectra
+    entrywise, within _SPECTRUM_TOL * (1 + max |eigenvalue of A|)."""
+    return _spectrum_gap(A, B)[1]
 
 
 def _log_singularity_threshold(M: np.ndarray) -> float:
@@ -263,8 +269,7 @@ def switching_similarity_check(
     xi(u)^(-1) ... xi(v).  Also checks that compatibility survives the
     switch and that the distance Laplacian spectra agree.
     """
-    if xi.n != g.n:
-        raise ValidationError(f"switching function covers {xi.n} vertices, graph has {g.n}")
+    _require_switching(g, xi)
     if not (is_compatible(g, ordering) and is_ordering_independent(g, ordering)):
         return SwitchingReport(hypothesis_met=False)
     gx = switch(g, xi)
@@ -274,13 +279,11 @@ def switching_similarity_check(
     s = np.array(xi.values, dtype=complex)
     target = D * np.outer(s.conjugate(), s)  # (S^-1 D S)_{uv} = conj(xi_u) D_{uv} xi_v
     residual = float(np.max(np.abs(Dx - target)))
-    spec_before = hermitian_spectrum(distance_laplacian(g, ordering, "max"))
-    spec_after = hermitian_spectrum(distance_laplacian(gx, ordering, "max"))
-    gap = float(np.max(np.abs(spec_before - spec_after)))
+    gap, agree = _spectrum_gap(*(distance_laplacian(h, ordering, "max") for h in (g, gx)))
     return SwitchingReport(
         hypothesis_met=True,
         switched_compatible=switched_compatible,
         similarity_residual=residual,
-        spectra_match=gap <= _SPECTRUM_TOL * (1.0 + _top(spec_before)),
+        spectra_match=agree,
         spectrum_gap=gap,
     )

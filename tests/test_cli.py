@@ -15,11 +15,14 @@ from conftest import (
     write_document,
 )
 from gainlap import (
+    Disconnected,
     ValidationError,
     csv_to_matrix,
+    det_via_forests,
     distance_laplacian,
     hermitian_spectrum,
     parse_graph,
+    shortest_distances,
 )
 from gainlap.cli import run
 from test_documents import PARITY_CASES
@@ -335,6 +338,55 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--theorem", "1", demo_path)
         assert code == 2
         assert out.startswith("FAIL theorem=1 max_residual=5.000e-01")
+
+
+#: The one-vertex graph: a valid document with no vertex pair.
+ONE_VERTEX = {"n": 1, "edges": []}
+
+
+class TestOneVertex:
+    def test_theorem_7_passes(self, capsys, tmp_path):
+        path = write_document(tmp_path, ONE_VERTEX)
+        code, out, err = invoke(capsys, "verify", "--theorem", "7", path)
+        assert (code, out, err) == (0, "PASS theorem=7 max_residual=0.000e+00\n", "")
+
+    def test_distance_incidence_is_the_edgeless_incidence(self, capsys, tmp_path):
+        """The associated complete graph of K_1 has no edge, so its
+        incidence is the n x 0 matrix of the graph itself."""
+        path = write_document(tmp_path, ONE_VERTEX)
+        plain = invoke(capsys, "incidence", path)
+        assert plain[0] == 0
+        assert invoke(capsys, "incidence", "--distance", path) == plain
+
+
+#: A valid document on which vertex 3 is the first vertex that vertex 1
+#: does not reach.
+DISCONNECTED = {
+    "n": 4,
+    "edges": [
+        {"u": 1, "v": 2, "gain": {"theta": 0.5}},
+        {"u": 3, "v": 4, "gain": {"theta": 0.0}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "query, argv",
+    [
+        (lambda doc: shortest_distances(doc.gain_graph()), ("dmatrix", "--mode", "max")),
+        (lambda doc: det_via_forests(doc.weighted_graph()), ("det", "--method", "forests")),
+    ],
+    ids=["distances", "forests"],
+)
+def test_disconnected_graph_refused_with_one_text(capsys, tmp_path, query, argv):
+    """The library and the CLI refuse a disconnected graph with the same
+    words, whichever layer needs it connected."""
+    text = "vertex 3 is unreachable from vertex 1"
+    with pytest.raises(Disconnected) as exc:
+        query(parse_graph(json.dumps(DISCONNECTED)))
+    assert str(exc.value) == text
+    path = write_document(tmp_path, DISCONNECTED)
+    assert invoke(capsys, *argv, path) == (1, "", f"error: {text}\n")
 
 
 class TestExitCodes:
