@@ -50,8 +50,7 @@ from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
 from .graphs import _bfs, _check_vertex, _require_connected
 
 #: Cap on the number of distinct geodesic gains of one vertex pair, and
-#: the default cap on the number of paths :func:`enumerate_shortest_paths`
-#: lists.
+#: on the number of paths :func:`enumerate_shortest_paths` lists.
 DEFAULT_PATH_CAP = 1_000_000
 
 #: Real parts within this distance of the extremal one count as tied
@@ -259,9 +258,7 @@ def shortest_distances(g: GainGraph) -> np.ndarray:
     return _geodesic_table(g).hop.copy()
 
 
-def enumerate_shortest_paths(
-    g: GainGraph, u: int, v: int, cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_shortest_paths(g: GainGraph, u: int, v: int) -> list[tuple[int, ...]]:
     """Every shortest path from u to v as a vertex sequence.
 
     Paths are produced by a depth-first sweep of the shortest-path DAG,
@@ -270,10 +267,9 @@ def enumerate_shortest_paths(
 
     Raises:
         Disconnected: if v is unreachable from u.
-        PathExplosion: if more than ``cap`` paths exist.
+        PathExplosion: if more than ``DEFAULT_PATH_CAP`` paths exist.
     """
-    if cap < 1:
-        raise ValidationError(f"cap: expected a positive integer, got {cap!r}")
+    cap = DEFAULT_PATH_CAP
     _check_vertex(u, g.n, "vertex")
     dv = _bfs(g._neighbors, v)[0]
     if dv[u] < 0:
@@ -314,30 +310,16 @@ def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
     return max(vals[top:], key=imag_real), min(vals[:bot], key=imag_real)
 
 
-def auxiliary_gain(g: GainGraph, ordering: VertexOrdering, mode: Mode, u: int, v: int) -> complex:
-    """Extremal geodesic gain for the ordered pair (u, v).
-
-    The extremum is taken over shortest paths from the ordering-smaller
-    endpoint to the larger one; querying the pair the other way round
-    returns the conjugate.  The diagonal is the complex zero, the one
-    value off the unit circle.
-    """
-    _require_mode(mode)
-    _require_ordering(g, ordering)
-    if u == v:
-        return 0.0 + 0.0j
-    a, b = ordering.sort_pair(u, v)
-    table = _geodesic_table(g)
-    ext = table.lex_max if mode == "max" else table.lex_min
-    best = complex(ext[a - 1, b - 1])
-    return best if (u, v) == (a, b) else best.conjugate()
-
-
 def auxiliary_gain_matrix(
     g: GainGraph, ordering: VertexOrdering, mode: Mode
 ) -> tuple[np.ndarray, np.ndarray]:
     """The auxiliary gains of all pairs, (j, k) entry that of (v_j, v_k)
-    with a zero diagonal, and the hop distances."""
+    with a zero diagonal, and the hop distances.
+
+    The one place an ordering meets the geodesic table: a pair takes the
+    extremal gain from its ordering-smaller endpoint, and the reverse
+    pair its conjugate.
+    """
     _require_mode(mode)
     _require_ordering(g, ordering)
     table = _geodesic_table(g)
@@ -356,6 +338,12 @@ def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> 
 def transmission_matrix(g: GainGraph) -> np.ndarray:
     """Diagonal matrix of transmissions, tr(v) = sum of distances from v."""
     return np.diag(_geodesic_table(g).hop.sum(axis=1).astype(float))
+
+
+def hermitian_residual(M: np.ndarray) -> float:
+    """max |M - M*|."""
+    M = np.asarray(M, dtype=complex)
+    return float(np.max(np.abs(M - M.conj().T)))
 
 
 def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
@@ -378,11 +366,9 @@ def is_ordering_independent(g: GainGraph, ordering: VertexOrdering) -> bool:
     """
     _require_ordering(g, ordering)
     table = _geodesic_table(g)
-    for ext in (table.lex_max, table.lex_min):
-        D = table.hop * ext
-        if np.max(np.abs(D - D.conj().T)) > ENTRY_TOL:
-            return False
-    return True
+    return not any(
+        hermitian_residual(table.hop * ext) > ENTRY_TOL for ext in (table.lex_max, table.lex_min)
+    )
 
 
 def associated_complete_graph(
@@ -393,8 +379,6 @@ def associated_complete_graph(
 
     Its weighted Laplacian equals the gain distance Laplacian of g.
     """
-    if g.n < 2:
-        raise ValidationError("the associated complete graph needs n >= 2")
     aux, hop = auxiliary_gain_matrix(g, ordering, mode)
     pairs = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
     edges = tuple((u, v, complex(aux[u - 1, v - 1])) for u, v in pairs)

@@ -208,9 +208,6 @@ class WeightedGainGraph:
         except KeyError:
             raise NotAWalk(f"({u}, {v}) is not an edge") from None
 
-    def weighted_gain(self, u: int, v: int) -> complex:
-        return self.base.gain(u, v) * self.weight(u, v)
-
 
 def unit_weights(g: GainGraph) -> WeightedGainGraph:
     """Wrap a gain graph with all weights equal to 1."""
@@ -240,19 +237,6 @@ class VertexOrdering:
     @property
     def n(self) -> int:
         return len(self.ranks)
-
-    def rank(self, v: int) -> int:
-        _check_vertex(v, self.n, "vertex")
-        return self.ranks[v - 1]
-
-    def precedes(self, u: int, v: int) -> bool:
-        return self.rank(u) < self.rank(v)
-
-    def sort_pair(self, u: int, v: int) -> tuple[int, int]:
-        """The pair (u, v) arranged so the first element precedes the second."""
-        if u == v:
-            raise ValidationError("sort_pair requires two distinct vertices")
-        return (u, v) if self.precedes(u, v) else (v, u)
 
     def reverse(self) -> "VertexOrdering":
         n = self.n

@@ -92,11 +92,6 @@ def _residual(L: np.ndarray, H: np.ndarray) -> float:
     return float(np.max(np.abs(L - H @ H.conj().T)))
 
 
-def hermitian_residual(M: np.ndarray) -> float:
-    M = np.asarray(M, dtype=complex)
-    return float(np.max(np.abs(M - M.conj().T)))
-
-
 # --- distance side -------------------------------------------------------
 
 

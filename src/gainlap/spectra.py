@@ -17,6 +17,7 @@ import numpy as np
 
 from .distances import (
     gain_distance_matrix,
+    hermitian_residual,
     is_compatible,
     is_ordering_independent,
     shortest_distances,
@@ -25,7 +26,7 @@ from .distances import (
 from .errors import NotHermitian, ValidationError
 from .graphs import GainGraph, SwitchingFunction, VertexOrdering, is_balanced, switch
 from .graphs import _require_switching
-from .laplacians import distance_laplacian, hermitian_residual
+from .laplacians import distance_laplacian
 
 #: Largest accepted deviation of a matrix from its conjugate transpose.
 HERMITIAN_TOL = 1e-12
@@ -81,29 +82,29 @@ def _square(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian(M: np.ndarray) -> np.ndarray:
     """M as a complex array, once checked square and Hermitian."""
     M = _square(M)
     res = hermitian_residual(M)
-    if res > tol:
-        raise NotHermitian(f"max |M - M*| = {res:.3e} exceeds {tol:.3e}")
+    if res > HERMITIAN_TOL:
+        raise NotHermitian(f"max |M - M*| = {res:.3e} exceeds {HERMITIAN_TOL:.3e}")
     return M
 
 
-def hermitian_spectrum(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_spectrum(M: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
     Raises:
         ValidationError: if M is not square or not finite.
-        NotHermitian: if max |M - M*| exceeds ``tol``.
+        NotHermitian: if max |M - M*| exceeds ``HERMITIAN_TOL``.
     """
-    return np.linalg.eigvalsh(_hermitian(M, tol))
+    return np.linalg.eigvalsh(_hermitian(M))
 
 
 def hermitian_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns)
     of a matrix within ``HERMITIAN_TOL`` of Hermitian."""
-    return np.linalg.eigh(_hermitian(M, HERMITIAN_TOL))
+    return np.linalg.eigh(_hermitian(M))
 
 
 def max_eigenpair_residual(M: np.ndarray) -> float:
@@ -141,14 +142,6 @@ def _log_singularity_threshold(M: np.ndarray) -> float:
     return math.log(SINGULAR_TOL) + float(np.sum(np.log(np.maximum(norms, 1.0))))
 
 
-def singularity_threshold(M: np.ndarray) -> float:
-    """SINGULAR_TOL times the product over rows of max(1, row norm); a
-    scale under which a determinant counts as zero.  It is inf where it
-    overflows, so verdicts compare in the log domain instead."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(_log_singularity_threshold(M)))
-
-
 # --- balance verdicts ----------------------------------------------------
 
 
@@ -178,36 +171,21 @@ class SingularityReport:
     log_threshold_min: float
 
 
-def _det_and_log(M: np.ndarray) -> tuple[float, float]:
-    """det M (inf where it overflows) and log |det M| (-inf when M is
-    exactly singular), from one LU."""
-    sign, log_abs = np.linalg.slogdet(M)
-    with np.errstate(over="ignore"):
-        return float((sign * np.exp(log_abs)).real), float(log_abs)
-
-
 def balance_by_singularity(g: GainGraph, ordering: VertexOrdering) -> SingularityReport:
-    dl_max = distance_laplacian(g, ordering, "max")
-    dl_min = distance_laplacian(g, ordering, "min")
-    det_max, log_det_max = _det_and_log(dl_max)
-    det_min, log_det_min = _det_and_log(dl_min)
-    rank_max = numerical_rank(dl_max)
-    rank_min = numerical_rank(dl_min)
-    balanced = rank_max == g.n - 1 and rank_min == g.n - 1
+    fields: dict = {}
+    for mode in ("max", "min"):
+        DL = distance_laplacian(g, ordering, mode)
+        sign, log_det = np.linalg.slogdet(DL)  # log_det is -inf when DL is exactly singular
+        log_threshold = _log_singularity_threshold(DL)
+        with np.errstate(over="ignore"):
+            fields[f"det_{mode}"] = float((sign * np.exp(log_det)).real)
+            fields[f"threshold_{mode}"] = float(np.exp(log_threshold))
+        fields[f"log_det_{mode}"] = float(log_det)
+        fields[f"log_threshold_{mode}"] = log_threshold
+        fields[f"rank_{mode}"] = numerical_rank(DL)
+    balanced = fields["rank_max"] == g.n - 1 and fields["rank_min"] == g.n - 1
     return SingularityReport(
-        n=g.n,
-        det_max=det_max,
-        det_min=det_min,
-        threshold_max=singularity_threshold(dl_max),
-        threshold_min=singularity_threshold(dl_min),
-        rank_max=rank_max,
-        rank_min=rank_min,
-        balanced=balanced,
-        matches_potential=balanced == is_balanced(g),
-        log_det_max=log_det_max,
-        log_det_min=log_det_min,
-        log_threshold_max=_log_singularity_threshold(dl_max),
-        log_threshold_min=_log_singularity_threshold(dl_min),
+        n=g.n, balanced=balanced, matches_potential=balanced == is_balanced(g), **fields
     )
 
 

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "WeightedGainGraph",
     "ZeroGain",
     "associated_complete_graph",
-    "auxiliary_gain",
     "balance_by_cospectrality",
     "balance_by_singularity",
     "csv_to_matrix",
@@ -61,7 +60,6 @@ PUBLIC_NAMES = [
     "parse_graph",
     "path_gain",
     "shortest_distances",
-    "singularity_threshold",
     "spanning_subgraph",
     "switch",
     "switching_similarity_check",
@@ -84,23 +82,23 @@ def test_public_names_are_pinned():
 #: cap and limit is read from its module constant.
 OVERRIDES = {
     "det_via_forests": ["budget"],
-    "enumerate_shortest_paths": ["cap"],
     "enumerate_spanning_one_forests": ["budget"],
     "factorization_residual": ["orientation"],
-    "hermitian_spectrum": ["tol"],
     "normalize_gain": ["strict"],
     "weighted_incidence": ["orientation"],
 }
 
-#: Overrides that no caller set, each now fixed to its constant.
+#: Overrides that no caller outside the tests set, each now fixed to its
+#: constant; a test that needs another value patches the constant.
 REMOVED = {
     "associated_complete_graph": "cap",
-    "auxiliary_gain": "cap",
     "distance_factorization_residual": "cap",
     "distance_incidence": "cap",
     "distance_laplacian": "cap",
+    "enumerate_shortest_paths": "cap",
     "gain_distance_matrix": "cap",
     "hermitian_eigensystem": "tol",
+    "hermitian_spectrum": "tol",
     "is_balanced": "tol",
     "is_compatible": "tol",
     "is_cospectral": "tol",

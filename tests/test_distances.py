@@ -40,8 +40,9 @@ from gainlap import (
     PathExplosion,
     ValidationError,
     VertexOrdering,
+    WeightedGainGraph,
     associated_complete_graph,
-    auxiliary_gain,
+    distance_laplacian,
     enumerate_shortest_paths,
     gain_distance_matrix,
     is_balanced,
@@ -61,6 +62,7 @@ from gainlap.distances import (
     _build_table,
     _lex_extremes,
     _t4_adjacency,
+    auxiliary_gain_matrix,
 )
 from gainlap.graphs import _bfs
 import cmath
@@ -88,8 +90,6 @@ def test_demo_graph_reproduces_golden_matrices(demo, std5):
     assert np.max(np.abs(gain_distance_matrix(demo, std5, "max") - demo_dmax_standard())) == 0.0
     assert np.max(np.abs(gain_distance_matrix(demo, std5.reverse(), "max") - demo_dmax_reversed())) == 0.0
     assert np.max(np.abs(transmission_matrix(demo) - demo_transmissions())) == 0.0
-    from gainlap import distance_laplacian
-
     dl = distance_laplacian(demo, std5, "max")
     assert np.max(np.abs(dl - (demo_transmissions() - demo_dmax_standard()))) == 0.0
 
@@ -150,9 +150,10 @@ class TestEnumerateShortestPaths:
     def test_trivial_pair(self, demo):
         assert enumerate_shortest_paths(demo, 3, 3) == [(3,)]
 
-    def test_cap_exceeded(self, demo):
-        with pytest.raises(PathExplosion):
-            enumerate_shortest_paths(demo, 1, 3, cap=1)
+    def test_cap_exceeded(self, demo, monkeypatch):
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
+        with pytest.raises(PathExplosion, match="^more than 1 shortest paths between 1 and 3$"):
+            enumerate_shortest_paths(demo, 1, 3)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(37)
@@ -200,18 +201,29 @@ class TestEnumerateShortestPaths:
 
 
 class TestAuxiliaryGain:
+    """The auxiliary gains of all pairs, read off ``auxiliary_gain_matrix``
+    and, scaled by the hop distances, off ``gain_distance_matrix``."""
+
     def test_demo_multi_geodesic_pair(self, demo, std5):
-        assert auxiliary_gain(demo, std5, "max", 1, 3) == pytest.approx(Q)
-        assert auxiliary_gain(demo, std5, "min", 1, 3) == pytest.approx(QB)
+        aux_max, hop = auxiliary_gain_matrix(demo, std5, "max")
+        aux_min, _ = auxiliary_gain_matrix(demo, std5, "min")
+        assert aux_max[0, 2] == pytest.approx(Q)
+        assert aux_min[0, 2] == pytest.approx(QB)
         # queried against the ordering: conjugated
-        assert auxiliary_gain(demo, std5, "max", 3, 1) == pytest.approx(QB)
+        assert aux_max[2, 0] == pytest.approx(QB)
+        assert hop[0, 2] == 2
+        D = gain_distance_matrix(demo, std5, "max")
+        assert D[0, 2] == pytest.approx(2 * Q) and D[2, 0] == pytest.approx(2 * QB)
 
     def test_demo_reversed_ordering_flips_selection(self, demo, std5):
         rev = std5.reverse()
-        assert auxiliary_gain(demo, rev, "max", 1, 3) == pytest.approx(QB)
+        assert auxiliary_gain_matrix(demo, rev, "max")[0][0, 2] == pytest.approx(QB)
+        assert gain_distance_matrix(demo, rev, "max")[0, 2] == pytest.approx(2 * QB)
 
     def test_diagonal_is_zero(self, demo, std5):
-        assert auxiliary_gain(demo, std5, "max", 2, 2) == 0
+        for mode in ("max", "min"):
+            assert not auxiliary_gain_matrix(demo, std5, mode)[0].diagonal().any()
+            assert not gain_distance_matrix(demo, std5, mode).diagonal().any()
 
     def test_unit_modulus_off_diagonal(self):
         rng = np.random.default_rng(41)
@@ -219,15 +231,14 @@ class TestAuxiliaryGain:
             n = int(rng.integers(3, 7))
             g = random_connected_graph(rng, n, 2)
             order = random_ordering(rng, n)
-            for u in range(1, n + 1):
-                for v in range(1, n + 1):
-                    if u != v:
-                        z = auxiliary_gain(g, order, "max", u, v)
-                        assert abs(abs(z) - 1.0) < 1e-12
+            aux, _ = auxiliary_gain_matrix(g, order, "max")
+            off = ~np.eye(n, dtype=bool)
+            assert np.all(np.abs(np.abs(aux[off]) - 1.0) < 1e-12)
 
     def test_mode_validated(self, demo, std5):
-        with pytest.raises(ValidationError):
-            auxiliary_gain(demo, std5, "sup", 1, 2)
+        for build in (auxiliary_gain_matrix, gain_distance_matrix):
+            with pytest.raises(ValidationError, match="^mode: "):
+                build(demo, std5, "sup")
 
 
 def _exact_lex(gains, mode):
@@ -247,7 +258,7 @@ def _naive_gain_distance(g, ordering, mode, select=_exact_lex):
     out = np.zeros((n, n), dtype=complex)
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            a, b = ordering.sort_pair(u, v)
+            a, b = (u, v) if ordering.ranks[u - 1] < ordering.ranks[v - 1] else (v, u)
             paths = brute_shortest_paths(g, a, b)
             pick = select([path_gain(g, p) for p in paths], mode)
             d = len(paths[0]) - 1
@@ -307,9 +318,9 @@ class TestGainDistanceMatrix:
         z, w = cmath.exp(0.3j), cmath.exp(0.4j)
         square = GainGraph(4, ((1, 2, z), (2, 3, w), (1, 4, w), (3, 4, z.conjugate())))
         o = VertexOrdering.standard(4)
-        with pytest.raises(PathExplosion):
-            enumerate_shortest_paths(square, 1, 3, cap=1)
         monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
+        with pytest.raises(PathExplosion):
+            enumerate_shortest_paths(square, 1, 3)
         assert gain_distance_matrix(square, o, "max")[0, 2] == 2 * (z * w)
 
     def test_single_edge_gain_i(self):
@@ -455,7 +466,6 @@ class TestAssociatedCompleteGraph:
         assert k.base.m == 10
 
     def test_laplacian_equals_distance_laplacian(self, demo, std5):
-        from gainlap import distance_laplacian
 
         for mode in ("max", "min"):
             k = associated_complete_graph(demo, std5, mode)
@@ -483,9 +493,12 @@ class TestAssociatedCompleteGraph:
             k = associated_complete_graph(g, VertexOrdering.standard(n), "max")
             assert is_balanced(k.base)
 
-    def test_needs_two_vertices(self):
-        with pytest.raises(ValidationError):
-            associated_complete_graph(GainGraph(1, ()), VertexOrdering.standard(1), "max")
+    def test_one_vertex_gives_the_edgeless_graph(self):
+        g, o = GainGraph(1, ()), VertexOrdering.standard(1)
+        for mode in ("max", "min"):
+            k = associated_complete_graph(g, o, mode)
+            assert k == WeightedGainGraph(GainGraph(1, ()), ())
+            assert weighted_laplacian(k).tolist() == distance_laplacian(g, o, mode).tolist() == [[0]]
 
 
 # --- the geodesic table against the set-per-vertex walk --------------------

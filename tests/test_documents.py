@@ -185,7 +185,7 @@ class TestParse:
 
     def test_ordering_accepted(self):
         doc = parse_graph(doc_text(ordering=[3, 1, 2]))
-        assert doc.vertex_ordering().rank(1) == 3
+        assert doc.vertex_ordering().ranks == (3, 1, 2)
 
     def test_default_conversions(self):
         doc = parse_graph(doc_text())

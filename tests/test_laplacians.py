@@ -134,10 +134,10 @@ class TestDistanceIncidence:
 
     def test_columns_sorted_by_rank_pairs(self, demo, std5):
         inc = distance_incidence(demo, std5, "max")
-        ranks = [(std5.rank(a), std5.rank(b)) for a, b in inc.oriented_edges]
+        ranks = [(std5.ranks[a - 1], std5.ranks[b - 1]) for a, b in inc.oriented_edges]
         assert ranks == sorted(ranks)
-        rev = distance_incidence(demo, std5.reverse(), "max")
-        assert all(std5.reverse().precedes(a, b) for a, b in rev.oriented_edges)
+        rev, rev_ranks = distance_incidence(demo, std5.reverse(), "max"), std5.reverse().ranks
+        assert all(rev_ranks[a - 1] < rev_ranks[b - 1] for a, b in rev.oriented_edges)
 
     def test_unit_triangle_matches_classical_complete_incidence(self):
         g = GainGraph(3, ((1, 2, 1), (1, 3, 1), (2, 3, 1)))

@@ -6,6 +6,8 @@ awkward ones where the distance matrices of the two modes coincide yet
 the graph is unbalanced.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,9 +40,10 @@ from gainlap import (
     max_eigenpair_residual,
     numerical_rank,
     shortest_distances,
-    singularity_threshold,
     switching_similarity_check,
 )
+import gainlap.spectra
+from gainlap.spectra import _log_singularity_threshold
 
 
 def single_edge(gain):
@@ -75,11 +78,12 @@ class TestHermitianSpectrum:
         with pytest.raises(ValidationError):
             hermitian_spectrum(np.zeros((2, 3)))
 
-    def test_tolerance_override(self):
+    def test_tolerance_override(self, monkeypatch):
         M = np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]])
         with pytest.raises(NotHermitian):
             hermitian_spectrum(M)
-        assert hermitian_spectrum(M, tol=1e-6) == pytest.approx([0.0, 2.0], abs=1e-8)
+        monkeypatch.setattr(gainlap.spectra, "HERMITIAN_TOL", 1e-6)
+        assert hermitian_spectrum(M) == pytest.approx([0.0, 2.0], abs=1e-8)
 
     def test_eigensystem_residual(self):
         rng = np.random.default_rng(307)
@@ -348,8 +352,8 @@ class TestLargeCycles:
 
 class TestSingularityThreshold:
     def test_identity(self):
-        assert singularity_threshold(np.eye(3)) == pytest.approx(1e-8)
+        assert math.exp(_log_singularity_threshold(np.eye(3))) == pytest.approx(1e-8)
 
     def test_scales_with_rows(self):
         M = np.diag([10.0, 10.0])
-        assert singularity_threshold(M) == pytest.approx(1e-6)
+        assert math.exp(_log_singularity_threshold(M)) == pytest.approx(1e-6)
