@@ -8,6 +8,10 @@ largest residual observed.
 
 Exit codes: 0 success (or PASS), 1 usage or input errors, 2 a verified
 identity failed, 3 an enumeration exceeded its cap or budget.
+
+Each handler imports what it calls when it runs, so ``balance``,
+``det --method forests``, usage errors and documents that do not parse
+or validate run without numpy.
 """
 
 from __future__ import annotations
@@ -15,33 +19,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .distances import gain_distance_matrix
 from .documents import GraphDocument, matrix_to_csv, parse_graph
 from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
-from .forests import _cycle_factor, _one_forest_components, det_via_forests
-from .graphs import GainGraph, SwitchingFunction, cycle_gain, is_balanced
-from .laplacians import (
-    distance_factorization_residual,
-    distance_incidence,
-    distance_laplacian,
-    factorization_residual,
-    weighted_adjacency,
-    weighted_incidence,
-    weighted_laplacian,
-)
-from .spectra import (
-    SIMILARITY_TOL,
-    balance_by_cospectrality,
-    balance_by_singularity,
-    det_direct,
-    hermitian_spectrum,
-    numerical_rank,
-    switching_similarity_check,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .graphs import GainGraph
 
 #: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
 #: and 7), and the relative gap of det L by LU to its closed form on a
@@ -88,12 +74,17 @@ def _ordering(doc: GraphDocument, reverse: bool):
 
 
 def _cmd_distance(doc: GraphDocument, args: argparse.Namespace) -> int:
+    from .distances import gain_distance_matrix
+    from .laplacians import distance_laplacian
+
     build = gain_distance_matrix if args.command == "dmatrix" else distance_laplacian
     print(matrix_to_csv(build(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)))
     return 0
 
 
 def _cmd_incidence(doc: GraphDocument, args: argparse.Namespace) -> int:
+    from .laplacians import distance_incidence, weighted_incidence
+
     if args.distance:
         inc = distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
     else:
@@ -103,6 +94,9 @@ def _cmd_incidence(doc: GraphDocument, args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(doc: GraphDocument, args: argparse.Namespace) -> int:
+    from .laplacians import distance_laplacian, weighted_adjacency, weighted_laplacian
+    from .spectra import hermitian_spectrum
+
     if args.target == "adj":
         M = weighted_adjacency(doc.weighted_graph())
     elif args.target == "lap":
@@ -118,19 +112,29 @@ def _cmd_spectrum(doc: GraphDocument, args: argparse.Namespace) -> int:
 def _cmd_det(doc: GraphDocument, args: argparse.Namespace) -> int:
     wg = doc.weighted_graph()
     if args.method == "lu":
+        from .laplacians import weighted_laplacian
+        from .spectra import det_direct
+
         value = det_direct(weighted_laplacian(wg)).real
     else:
+        from .forests import det_via_forests
+
         value = det_via_forests(wg, budget=_env_budget())
     print(f"{value:.17g}")
     return 0
 
 
 def _cmd_rank(doc: GraphDocument, args: argparse.Namespace) -> int:
+    from .laplacians import weighted_laplacian
+    from .spectra import numerical_rank
+
     print(numerical_rank(weighted_laplacian(doc.weighted_graph())))
     return 0
 
 
 def _cmd_balance(doc: GraphDocument, args: argparse.Namespace) -> int:
+    from .graphs import is_balanced
+
     print("balanced" if is_balanced(doc.gain_graph()) else "unbalanced")
     return 0
 
@@ -143,6 +147,8 @@ _Verdict = tuple[bool, float, "str | None"]
 def _spanning_cycle(g: GainGraph) -> tuple[int, ...]:
     """Vertex sequence of the graph when it is one spanning cycle, from
     vertex 1 toward its smaller neighbor."""
+    from .forests import _one_forest_components
+
     comps = _one_forest_components(g.n, g.edge_pairs()) if g.m == g.n else None
     if comps is None or len(comps) != 1 or len(comps[0].cycle) != g.n:
         raise ValidationError("this check needs a graph that is a single cycle")
@@ -151,6 +157,8 @@ def _spanning_cycle(g: GainGraph) -> tuple[int, ...]:
 
 def _theorem_1(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """L = H H* for the weighted incidence, as stored and re-oriented."""
+    from .laplacians import factorization_residual
+
     wg = doc.weighted_graph()
     flipped = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.base.edges)
     residual = max(factorization_residual(wg), factorization_residual(wg, flipped))
@@ -159,6 +167,11 @@ def _theorem_1(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 
 def _theorem_2(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """det L of a cycle = |1 - cycle gain|^2 times the weights."""
+    from .forests import _cycle_factor
+    from .graphs import cycle_gain
+    from .laplacians import weighted_laplacian
+    from .spectra import det_direct
+
     wg = doc.weighted_graph()
     closed = _cycle_factor(cycle_gain(wg.base, _spanning_cycle(wg.base)))
     for w in wg.weights:
@@ -169,6 +182,10 @@ def _theorem_2(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 
 def _theorem_3(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """det L by LU = the sum over spanning 1-forests."""
+    from .forests import det_via_forests
+    from .laplacians import weighted_laplacian
+    from .spectra import det_direct
+
     wg = doc.weighted_graph()
     by_forests = det_via_forests(wg, budget=_env_budget())
     lu = det_direct(weighted_laplacian(wg)).real
@@ -178,6 +195,10 @@ def _theorem_3(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 
 def _theorem_6(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """L is singular exactly when the graph is balanced."""
+    from .graphs import is_balanced
+    from .laplacians import weighted_laplacian
+    from .spectra import det_direct, numerical_rank
+
     g = doc.gain_graph()
     L = weighted_laplacian(doc.weighted_graph())
     return is_balanced(g) == (numerical_rank(L) < g.n), abs(det_direct(L)), None
@@ -185,6 +206,8 @@ def _theorem_6(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 
 def _theorem_7(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """DL = H H* in both modes, for the ordering and its reverse."""
+    from .laplacians import distance_factorization_residual
+
     g, ordering = doc.gain_graph(), doc.vertex_ordering()
     residual = max(
         distance_factorization_residual(g, o, mode)
@@ -196,6 +219,9 @@ def _theorem_7(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 
 def _theorem_11(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """Both distance Laplacians have rank n-1 when balanced, n otherwise."""
+    from .graphs import is_balanced
+    from .spectra import balance_by_singularity
+
     g = doc.gain_graph()
     rep = balance_by_singularity(g, doc.vertex_ordering())
     if is_balanced(g):
@@ -206,6 +232,11 @@ def _theorem_11(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 def _theorem_12(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """A random switching of a compatible, ordering-independent graph
     keeps it compatible, its distance Laplacian similar and cospectral."""
+    import numpy as np
+
+    from .graphs import SwitchingFunction
+    from .spectra import SIMILARITY_TOL, switching_similarity_check
+
     g = doc.gain_graph()
     xi = SwitchingFunction(tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=g.n))))
     rep = switching_similarity_check(g, doc.vertex_ordering(), xi)
@@ -222,6 +253,8 @@ def _theorem_12(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
 def _theorem_13(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     """DL is cospectral with that of the all-gain-1 copy exactly when
     the graph is balanced."""
+    from .spectra import balance_by_cospectrality
+
     rep = balance_by_cospectrality(doc.gain_graph(), doc.vertex_ordering())
     return rep.matches_potential, 0.0, None
 
@@ -235,6 +268,8 @@ VERIFY_CHOICES = tuple(_THEOREMS)
 
 
 def _verify(doc: GraphDocument, theorem: int, seed: int) -> _Verdict:
+    import numpy as np
+
     return _THEOREMS[theorem](doc, np.random.default_rng(seed))
 
 

@@ -341,9 +341,9 @@ def transmission_matrix(g: GainGraph) -> np.ndarray:
 
 
 def hermitian_residual(M: np.ndarray) -> float:
-    """max |M - M*|."""
+    """max |M - M*|, 0 for an empty matrix."""
     M = np.asarray(M, dtype=complex)
-    return float(np.max(np.abs(M - M.conj().T)))
+    return float(np.max(np.abs(M - M.conj().T), initial=0.0))
 
 
 def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:

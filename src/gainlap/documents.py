@@ -28,9 +28,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import ParseError, ValidationError
 from .graphs import (
@@ -41,6 +39,9 @@ from .graphs import (
     normalize_gain,
     unit_weights,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,8 @@ def matrix_to_csv(M: np.ndarray) -> str:
     Raises:
         ValidationError: if M is not 2-D.
     """
+    import numpy as np
+
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValidationError(f"matrix_to_csv: expected a 2-D matrix, got {M.ndim}-D input")
@@ -216,6 +219,8 @@ def _csv_rows(M: np.ndarray) -> Iterator[str]:
     whole matrix at once, and each row is formatted by one ``%`` over
     all its cells.  As a generator, it frees the parts before the rows
     are joined."""
+    import numpy as np
+
     re = M.real + 0.0  # -0.0 + 0.0 is 0.0
     sign = np.where(M.imag >= 0, "+", "-")
     im = abs(M.imag)
@@ -228,6 +233,8 @@ def _csv_rows(M: np.ndarray) -> Iterator[str]:
 
 
 def csv_to_matrix(text: str) -> np.ndarray:
+    import numpy as np
+
     rows = [line for line in text.strip().splitlines() if line.strip()]
     data = [[parse_complex(cell) for cell in row.split(",")] for row in rows]
     width = {len(r) for r in data}

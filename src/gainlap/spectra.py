@@ -69,7 +69,7 @@ def numerical_rank(M: np.ndarray) -> int:
 
 def _top(spectrum: np.ndarray) -> float:
     """The largest eigenvalue magnitude, 0 for an empty spectrum."""
-    return float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
+    return float(np.max(np.abs(spectrum), initial=0.0))
 
 
 def _square(M: np.ndarray) -> np.ndarray:
@@ -110,10 +110,8 @@ def hermitian_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def max_eigenpair_residual(M: np.ndarray) -> float:
     """max over eigenpairs of ||M x - lambda x||_2."""
     vals, vecs = hermitian_eigensystem(M)
-    if vals.size == 0:
-        return 0.0
     R = np.asarray(M, dtype=complex) @ vecs - vecs * vals
-    return float(np.max(np.linalg.norm(R, axis=0)))
+    return float(np.max(np.linalg.norm(R, axis=0), initial=0.0))
 
 
 def _spectrum_gap(A: np.ndarray, B: np.ndarray) -> tuple[float, bool]:
@@ -125,7 +123,7 @@ def _spectrum_gap(A: np.ndarray, B: np.ndarray) -> tuple[float, bool]:
         raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
     sa = hermitian_spectrum(A)
     sb = hermitian_spectrum(B)
-    gap = float(np.max(np.abs(sa - sb))) if sa.size else 0.0
+    gap = float(np.max(np.abs(sa - sb), initial=0.0))
     return gap, gap <= _SPECTRUM_TOL * (1.0 + _top(sa))
 
 

@@ -1,6 +1,9 @@
 """The public surface of the package."""
 
+import importlib
 import inspect
+
+import pytest
 
 import gainlap
 
@@ -121,3 +124,24 @@ def test_only_the_kept_overrides_remain():
     assert found == OVERRIDES
     for name, param in REMOVED.items():
         assert param not in inspect.signature(getattr(gainlap, name)).parameters, name
+
+
+def test_each_name_is_its_home_modules_object():
+    """The package loads a name on first use; it must hand back the very
+    object its home module defines, not a copy."""
+    for name in PUBLIC_NAMES:
+        home = importlib.import_module(f"gainlap.{gainlap._HOME[name]}")
+        assert getattr(gainlap, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace: dict = {}
+    exec("from gainlap import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert set(PUBLIC_NAMES) <= set(dir(gainlap))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gainlap.no_such_name
+    assert not hasattr(gainlap, "GainLapWarning")

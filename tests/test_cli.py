@@ -1,7 +1,12 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from conftest import (
     demo_transmissions,
     write_document,
 )
+import gainlap
 from gainlap import (
     Disconnected,
     ValidationError,
@@ -292,9 +298,9 @@ class TestVerify:
     )
     def test_each_bounded_row_can_fail(self, capsys, tmp_path, monkeypatch, theorem, name, fake):
         """Each row with a bound exits 2 once the quantity it reads is
-        pushed past that bound."""
-        import gainlap.cli as cli_module
-
+        pushed past that bound.  The rows import each function from its
+        home module when they run, so the home module is patched."""
+        home = importlib.import_module(getattr(gainlap, name).__module__)
         obj = cycle_document(
             [np.exp(0.7j), np.exp(1.9j), np.exp(0.2j), np.exp(4.4j)],
             weights=[0.5, 2.0, 1.25, 0.8],
@@ -302,7 +308,7 @@ class TestVerify:
         path = write_document(tmp_path, obj, name="c4.json")
         code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), path)
         assert (code, out[:4]) == (0, "PASS")
-        monkeypatch.setattr(cli_module, name, fake(getattr(cli_module, name)))
+        monkeypatch.setattr(home, name, fake(getattr(home, name)))
         code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), path)
         assert code == 2
         assert out.startswith(f"FAIL theorem={theorem} max_residual=")
@@ -528,6 +534,53 @@ def test_cycle_document_helper_orientation():
     obj = cycle_document([1j, 1j, -1 + 0j])
     doc_edges = {(e["u"], e["v"]): complex(e["gain"]["re"], e["gain"]["im"]) for e in obj["edges"]}
     assert doc_edges[(1, 3)] == pytest.approx(-1 + 0j)
+
+
+#: Run in a fresh interpreter: whether numpy is loaded after each import,
+#: then the exit code and whether it is loaded after each (budget, argv)
+#: call of ``cli.run``, given as JSON in argv[1].
+_NUMPY_PROBE = """
+import contextlib, io, json, os, sys
+loaded = lambda: "numpy" in sys.modules
+import gainlap
+seen = [loaded()]
+import gainlap.cli
+seen.append(loaded())
+for budget, argv in json.loads(sys.argv[1]):
+    os.environ.pop("GAINLAP_BUDGET", None)
+    if budget:
+        os.environ["GAINLAP_BUDGET"] = budget
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([gainlap.cli.run(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
+    """Importing the package or the CLI loads no numpy, and neither do
+    balance, det --method forests (within or over its budget) and an
+    input error; dmatrix loads it, so the probe can see it."""
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(demo_document())[:40])
+    k4 = [{"u": u, "v": v, "gain": {"theta": 0.5}} for u in range(1, 5) for v in range(u + 1, 5)]
+    k4_path = write_document(tmp_path, {"n": 4, "edges": k4}, name="k4.json")
+    calls = [
+        (None, ["balance", demo_path]),
+        (None, ["det", "--method", "forests", demo_path]),
+        ("1", ["det", "--method", "forests", k4_path]),  # C(6, 4) = 15 subsets
+        (None, ["balance", str(truncated)]),
+        (None, ["dmatrix", "--mode", "max", demo_path]),
+    ]
+    src = str(Path(gainlap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(out.stdout) == [
+        False, False, [0, False], [0, False], [3, False], [1, False], [0, True],
+    ]
 
 
 def test_main_exits(tmp_path, capsys, monkeypatch):

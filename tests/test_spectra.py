@@ -43,6 +43,7 @@ from gainlap import (
     switching_similarity_check,
 )
 import gainlap.spectra
+from gainlap.distances import hermitian_residual
 from gainlap.spectra import _log_singularity_threshold
 
 
@@ -77,6 +78,27 @@ class TestHermitianSpectrum:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             hermitian_spectrum(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda M: hermitian_spectrum(M).shape, (0,)),
+            (lambda M: tuple(a.shape for a in hermitian_eigensystem(M)), ((0,), (0, 0))),
+            (numerical_rank, 0),
+            (max_eigenpair_residual, 0.0),
+            (lambda M: is_cospectral(M, M), True),
+        ],
+        ids=["hermitian_spectrum", "hermitian_eigensystem", "numerical_rank",
+             "max_eigenpair_residual", "is_cospectral"],
+    )
+    def test_empty_matrix(self, call, want):
+        """Regression: max |M - M*| of a 0 x 0 matrix was numpy's max of
+        an empty array, a bare ValueError."""
+        assert call(np.zeros((0, 0))) == want
+
+    def test_hermitian_residual_is_zero_when_empty_and_nan_with_a_nan(self):
+        assert hermitian_residual(np.zeros((0, 0))) == 0.0
+        assert math.isnan(hermitian_residual(np.array([[0.0, np.nan], [0.0, 0.0]])))
 
     def test_tolerance_override(self, monkeypatch):
         M = np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]])
