@@ -25,8 +25,6 @@ from .documents import GraphDocument, matrix_to_csv, parse_graph
 from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .graphs import GainGraph
 
 #: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
@@ -139,7 +137,7 @@ def _cmd_balance(doc: GraphDocument, args: argparse.Namespace) -> int:
     return 0
 
 
-# --- verify: one row per theorem, (document, rng) -> (ok, residual, note) --
+# --- verify: one row per theorem, (document, seed) -> (ok, residual, note) --
 
 _Verdict = tuple[bool, float, "str | None"]
 
@@ -155,17 +153,19 @@ def _spanning_cycle(g: GainGraph) -> tuple[int, ...]:
     return comps[0].cycle
 
 
-def _theorem_1(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_1(doc: GraphDocument, seed: int) -> _Verdict:
     """L = H H* for the weighted incidence, as stored and re-oriented."""
+    import numpy as np
+
     from .laplacians import factorization_residual
 
-    wg = doc.weighted_graph()
+    wg, rng = doc.weighted_graph(), np.random.default_rng(seed)
     flipped = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.base.edges)
     residual = max(factorization_residual(wg), factorization_residual(wg, flipped))
     return residual <= _FACTORIZATION_TOL, residual, None
 
 
-def _theorem_2(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_2(doc: GraphDocument, seed: int) -> _Verdict:
     """det L of a cycle = |1 - cycle gain|^2 times the weights."""
     from .forests import _cycle_factor
     from .graphs import cycle_gain
@@ -180,7 +180,7 @@ def _theorem_2(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     return residual <= _CYCLE_DET_TOL, residual, None
 
 
-def _theorem_3(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_3(doc: GraphDocument, seed: int) -> _Verdict:
     """det L by LU = the sum over spanning 1-forests."""
     from .forests import det_via_forests
     from .laplacians import weighted_laplacian
@@ -193,7 +193,7 @@ def _theorem_3(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     return residual <= _FOREST_DET_TOL, residual, None
 
 
-def _theorem_6(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_6(doc: GraphDocument, seed: int) -> _Verdict:
     """L is singular exactly when the graph is balanced."""
     from .graphs import is_balanced
     from .laplacians import weighted_laplacian
@@ -204,7 +204,7 @@ def _theorem_6(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     return is_balanced(g) == (numerical_rank(L) < g.n), abs(det_direct(L)), None
 
 
-def _theorem_7(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_7(doc: GraphDocument, seed: int) -> _Verdict:
     """DL = H H* in both modes, for the ordering and its reverse."""
     from .laplacians import distance_factorization_residual
 
@@ -217,7 +217,7 @@ def _theorem_7(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     return residual <= _FACTORIZATION_TOL, residual, None
 
 
-def _theorem_11(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_11(doc: GraphDocument, seed: int) -> _Verdict:
     """Both distance Laplacians have rank n-1 when balanced, n otherwise."""
     from .graphs import is_balanced
     from .spectra import balance_by_singularity
@@ -229,7 +229,7 @@ def _theorem_11(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     return rep.rank_max == g.n and rep.rank_min == g.n, 0.0, None
 
 
-def _theorem_12(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_12(doc: GraphDocument, seed: int) -> _Verdict:
     """A random switching of a compatible, ordering-independent graph
     keeps it compatible, its distance Laplacian similar and cospectral."""
     import numpy as np
@@ -237,7 +237,7 @@ def _theorem_12(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     from .graphs import SwitchingFunction
     from .spectra import SIMILARITY_TOL, switching_similarity_check
 
-    g = doc.gain_graph()
+    g, rng = doc.gain_graph(), np.random.default_rng(seed)
     xi = SwitchingFunction(tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=g.n))))
     rep = switching_similarity_check(g, doc.vertex_ordering(), xi)
     if not rep.hypothesis_met:
@@ -250,7 +250,7 @@ def _theorem_12(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
     return ok, max(rep.similarity_residual, rep.spectrum_gap), None
 
 
-def _theorem_13(doc: GraphDocument, rng: np.random.Generator) -> _Verdict:
+def _theorem_13(doc: GraphDocument, seed: int) -> _Verdict:
     """DL is cospectral with that of the all-gain-1 copy exactly when
     the graph is balanced."""
     from .spectra import balance_by_cospectrality
@@ -268,9 +268,7 @@ VERIFY_CHOICES = tuple(_THEOREMS)
 
 
 def _verify(doc: GraphDocument, theorem: int, seed: int) -> _Verdict:
-    import numpy as np
-
-    return _THEOREMS[theorem](doc, np.random.default_rng(seed))
+    return _THEOREMS[theorem](doc, seed)
 
 
 def _cmd_verify(doc: GraphDocument, args: argparse.Namespace) -> int:

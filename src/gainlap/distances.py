@@ -17,9 +17,13 @@ from the source, each formed left to right as
 for bit the gain of one of those geodesics.  A vertex whose geodesics
 so far share one gain holds that bare complex, pushed on by one
 multiplication per edge; it becomes a set only when a second distinct
-gain arrives.  Of gains equal under ``==`` (such as 0.0 and -0.0 parts)
-the first to arrive is kept, as a set keeps it.  A pair with more than
-``DEFAULT_PATH_CAP`` distinct geodesic gains raises ``PathExplosion``.
+gain arrives.  A set is pushed on by mapping the edge gain's product
+into the next vertex's set, in C.  Of gains equal under ``==`` (such as
+0.0 and -0.0 parts) the first to arrive is kept, as a set keeps it.
+The lex extremes of a set come from one sort by real part; the tie band
+of a side is searched only when its next value lies within it.  A pair
+with more than ``DEFAULT_PATH_CAP`` distinct geodesic gains raises
+``PathExplosion``.
 Path enumeration stays as public API and as a test oracle.
 
 When every edge gain is exactly one of the eight signed T4 values
@@ -59,6 +63,9 @@ LEX_TIE_BAND = 1e-12
 
 #: Entrywise tolerance for matrix-equality predicates.
 ENTRY_TOL = 1e-9
+
+_REAL = attrgetter("real")
+_IMAG_REAL = attrgetter("imag", "real")
 
 
 def _require_mode(mode: str) -> None:
@@ -202,10 +209,11 @@ def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[l
             if dist[b] == step:
                 acc = gains[b]
                 if acc is None:
-                    acc = gains[b] = set()
-                elif type(acc) is complex:
-                    acc = gains[b] = {acc}
-                acc.update([w * z for w in ws])
+                    acc = gains[b] = set(map(z.__rmul__, ws))  # each w * z
+                else:
+                    if type(acc) is complex:
+                        acc = gains[b] = {acc}
+                    acc.update(map(z.__rmul__, ws))
                 if len(acc) > cap:
                     raise _too_many(cap, s, b)
     hi[s] = lo[s] = 0j
@@ -302,12 +310,17 @@ def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
     Two stages keep the result independent of the input order: take
     the extremal real part, then among the values whose real part lies
     within ``LEX_TIE_BAND`` of it the extremal (imaginary, real) pair.
+    A side whose next value lies outside the band holds its extreme
+    alone, so its band is searched only on a near-tie.
     """
-    vals = sorted(values, key=attrgetter("real"))
-    top = bisect_left(vals, vals[-1].real - LEX_TIE_BAND, key=attrgetter("real"))
-    bot = bisect_right(vals, vals[0].real + LEX_TIE_BAND, key=attrgetter("real"))
-    imag_real = attrgetter("imag", "real")
-    return max(vals[top:], key=imag_real), min(vals[:bot], key=imag_real)
+    vals = sorted(values, key=_REAL)
+    hi, lo = vals[-1], vals[0]
+    top, bot = hi.real - LEX_TIE_BAND, lo.real + LEX_TIE_BAND
+    if len(vals) > 1 and vals[-2].real >= top:
+        hi = max(vals[bisect_left(vals, top, key=_REAL):], key=_IMAG_REAL)
+    if len(vals) > 1 and vals[1].real <= bot:
+        lo = min(vals[:bisect_right(vals, bot, key=_REAL)], key=_IMAG_REAL)
+    return hi, lo
 
 
 def auxiliary_gain_matrix(

@@ -187,10 +187,13 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(cell: str) -> complex:
-    """Inverse of :func:`format_complex` ('i' suffix, 'a+bi' form)."""
+    """Inverse of :func:`format_complex` ('i' suffix, 'a+bi' form).
+    Only the suffix is read as the unit, so inf and nan parts parse."""
     text = cell.strip()
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
-        return complex(text.replace("i", "j"))
+        return complex(text)
     except ValueError:
         raise ParseError(f"cannot parse complex cell {cell!r}") from None
 

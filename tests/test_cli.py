@@ -583,6 +583,22 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     ]
 
 
+def test_numpy_random_loads_only_where_the_seed_is_read(demo_path):
+    """verify --theorem 7 loads numpy but not numpy.random; theorem 1,
+    which reads its seed, loads it."""
+    probe = _NUMPY_PROBE.replace('"numpy" in sys.modules', '("numpy" in sys.modules, "numpy.random" in sys.modules)')
+    calls = [(None, ["verify", "--theorem", "7", demo_path]),
+             (None, ["verify", "--theorem", "1", "--seed", "3", demo_path])]
+    src = str(Path(gainlap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(out.stdout)[2:] == [[0, [True, False]], [0, [True, True]]]
+
+
 def test_main_exits(tmp_path, capsys, monkeypatch):
     import gainlap.cli as cli_module
 

@@ -267,6 +267,46 @@ def _naive_gain_distance(g, ordering, mode, select=_exact_lex):
     return out
 
 
+def _two_stage_lex(values):
+    """The two-stage rule written out, with no sort and no bisect: the
+    extremal real part, then the extremal (imag, real) pair among the
+    values within LEX_TIE_BAND of it; of equal pairs, the first given."""
+    top = max(z.real for z in values)
+    bottom = min(z.real for z in values)
+
+    def key(z):
+        return z.imag, z.real
+
+    hi = max((z for z in values if z.real >= top - LEX_TIE_BAND), key=key)
+    lo = min((z for z in values if z.real <= bottom + LEX_TIE_BAND), key=key)
+    return hi, lo
+
+
+@st.composite
+def near_tie_lists(draw):
+    """Values, in any order, whose largest real part has a neighbour
+    just inside or just outside LEX_TIE_BAND of it, and likewise, drawn
+    apart, the smallest; sometimes an exact tie joins an extreme, and
+    imaginary parts include both signed zeros."""
+    imag = st.sampled_from([-0.9, 0.0, -0.0, 0.9]) | st.floats(-1, 1)
+
+    def side(edge, inward):
+        cut = edge + inward * LEX_TIE_BAND  # the last real part inside
+        offsets = (
+            [cut, edge + inward * 0.5 * LEX_TIE_BAND]
+            if draw(st.booleans())
+            else [math.nextafter(cut, inward * math.inf), edge + inward * 2 * LEX_TIE_BAND]
+        )
+        reals = [edge, draw(st.sampled_from(offsets))]
+        if draw(st.booleans()):
+            reals.append(edge)
+        return [complex(r, draw(imag)) for r in reals]
+
+    values = side(draw(st.floats(0.5, 1)), -1.0) + side(draw(st.floats(-1, -0.5)), 1.0)
+    values += draw(st.lists(st.builds(complex, st.floats(-0.4, 0.4), imag), max_size=4))
+    return draw(st.permutations(values))
+
+
 class TestLexExtremal:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -292,6 +332,15 @@ class TestLexExtremal:
     def test_non_transitive_band_example(self):
         values = [0.9j, 8e-13, 1.6e-12 - 0.9j]
         assert _lex_extremes(values) == (8e-13, 8e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_lists())
+    def test_matches_the_two_stage_rule(self, values):
+        """The sort with its near-tie shortcut gives the rule's values,
+        bit for bit, whichever branch each side takes."""
+        assert np.array_equal(_bits(np.array(_lex_extremes(values))),
+                              _bits(np.array(_two_stage_lex(values))))
+
 
 
 class TestGainDistanceMatrix:
@@ -603,6 +652,32 @@ class TestGeodesicTableParity:
     def test_same_bits_as_the_set_walk(self, g, cap):
         if _assert_same_table(g) is None:
             _assert_same_table_under_cap(g, cap)
+
+    @pytest.mark.parametrize("shape", ["Q5", "grid5x5", "Q5-balanced"])
+    def test_same_bits_on_large_gain_sets(self, shape):
+        """Sets far larger than the hypothesis graphs reach: Q5 with
+        generic gains (120 distinct gains between antipodes), a 5 x 5
+        grid (70 between corners) and a balanced Q5, whose geodesic
+        gains agree up to rounding, so many products merge as equal."""
+        rng = np.random.default_rng(2024)
+        if shape == "grid5x5":
+            pairs = [(5 * r + c + 1, 5 * r + c + 1 + step) for r in range(5) for c in range(5)
+                     for step in (1, 5) if (c < 4 if step == 1 else r < 4)]
+            far, paths = 25, 70
+        else:
+            pairs = [(x + 1, (x | 1 << b) + 1) for x in range(32) for b in range(5) if not x >> b & 1]
+            far, paths = 32, 120
+        if shape == "Q5-balanced":
+            xi = rng.uniform(0.0, 2.0 * math.pi, size=33)
+            edges = tuple((u, v, cmath.exp(1j * (xi[v] - xi[u]))) for u, v in pairs)
+        else:
+            edges = tuple((u, v, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))) for u, v in pairs)
+        g = GainGraph(far, edges)
+        geodesics = enumerate_shortest_paths(g, 1, far)
+        distinct = len({path_gain(g, p) for p in geodesics})
+        assert len(geodesics) == paths
+        assert distinct == paths if shape != "Q5-balanced" else 1 < distinct < paths
+        assert _assert_same_table(g) is None
 
 
 # --- the exact T4 walk against the set walk and integer exponents ----------

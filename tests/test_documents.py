@@ -307,6 +307,20 @@ class TestComplexCells:
         with pytest.raises(ParseError):
             parse_complex("one+twoi")
 
+    @pytest.mark.parametrize("part", [math.inf, -math.inf])
+    def test_infinite_parts_round_trip(self, part):
+        """Only the trailing 'i' is the unit, so 'inf' parts parse."""
+        M = np.array([[1 + 1j, complex(part, 1.0)], [complex(0.0, part), complex(part, part)]])
+        text = matrix_to_csv(M)
+        assert np.array_equal(csv_to_matrix(text), M)
+        for cell, z in zip(text.replace("\n", ",").split(","), M.ravel()):
+            assert parse_complex(cell) == z == parse_complex(format_complex(z))
+
+    def test_nan_cells_parse(self):
+        back = csv_to_matrix(matrix_to_csv(np.array([[complex(math.nan, 1.0), complex(1.0, math.nan)]])))
+        assert math.isnan(back[0, 0].real) and back[0, 0].imag == 1.0
+        assert back[0, 1].real == 1.0 and math.isnan(back[0, 1].imag)
+
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(409)
         for _ in range(200):
