@@ -18,32 +18,29 @@ for bit the gain of one of those geodesics.  A vertex whose geodesics
 so far share one gain holds that bare complex, pushed on by one
 multiplication per edge; it becomes a set only when a second distinct
 gain arrives.  A set is pushed on by mapping the edge gain's product
-into the next vertex's set, in C.  Of gains equal under ``==`` (such as
-0.0 and -0.0 parts) the first to arrive is kept, as a set keeps it.
-The lex extremes of a set come from one sort by real part; the tie band
-of a side is searched only when its next value lies within it.  A pair
-with more than ``DEFAULT_PATH_CAP`` distinct geodesic gains raises
-``PathExplosion``.
+into the next vertex's set, in C.  The lex extremes of a set come from
+one sort by real part; the tie band of a side is searched only when its
+next value lies within it.  A pair with more than ``DEFAULT_PATH_CAP``
+distinct geodesic gains raises ``PathExplosion``.  The driver then adds
+0.0 to the table, so no zero part is -0.0: the table holds values, the
+same whichever geodesic arrived first.
 Path enumeration stays as public API and as a test oracle.
 
-When every edge gain is exactly one of the eight signed T4 values
-(1, +-0), (+-0, 1), (-1, +-0) and (+-0, -1) (signed graphs included),
-the T4 walk runs the same walk on small ints: a vertex's gain set is an
-8-bit state, one bit per element i^k present and one for the sign of
-the zero part of its kept value, and every product, first-wins merge,
-and lex extreme is a lookup in tables built on the first such graph
-from Python complex products and :func:`_lex_extremes`.  Such products
-are exact, so its rows are bit for bit the float walk's, signed zeros
-included.  A T4 set holds at most 4 gains, so it never reaches the path
-cap.  Gains that are T4 values only up to rounding, such as the
-``theta`` form of pi/2, take the float walk with their own bits.
+When every edge gain equals 1, i, -1 or -i (signed graphs included),
+the T4 walk runs the same walk on 4-bit masks, bit k when i^k is in a
+vertex's gain set: an edge of gain i^k rotates a mask by k, and sets
+merge by ``|``.  The lex extremes of the 16 masks come from
+:func:`_lex_extremes`, on the first such graph.  Such products are
+exact, so its table is bit for bit the float walk's.  A T4 set holds at
+most 4 gains, so it never reaches the path cap.  Gains that are T4
+values only up to rounding, such as the ``theta`` form of pi/2, take
+the float walk with their own bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache
-from math import copysign
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -91,82 +88,51 @@ def _too_many(cap: int, u: int, v: int) -> PathExplosion:
     return PathExplosion(f"more than {cap} distinct geodesic gains between {u} and {v}")
 
 
-#: Exponent k of each element i^k of T4, looked up by value.  Signed
-#: zeros compare equal, so the sign of the zero part is read apart.
+#: Exponent k of each element i^k of T4, looked up by value; signed
+#: zeros compare and hash equal.
 _T4_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
 
 
-def _t4_code(z: complex) -> int | None:
-    """k + 4 * (zero part is -0.0) for z == i^k, None for any other z."""
-    k = _T4_EXPONENT.get(z)
-    if k is None:
-        return None
-    return k | (copysign(1.0, z.real if k & 1 else z.imag) < 0) << 2
-
-
 @cache
-def _t4_tables() -> tuple[list[list[int]], list[int], np.ndarray]:
-    """Lookup tables of the exact T4 walk, built on first use.
-
-    A gain set is an 8-bit state: bit k when i^k is in it, bit k + 4
-    when the zero part of its kept value (the first to arrive) is -0.0.
-    Per state: ``mul[state][code]``, the set times the value of an edge
-    code; ``keep[state]``, the bits a merge may still set, so merging x
-    into acc gives ``acc | (x & keep[acc])``; and ``ext[:, state]``,
-    its lex max and min (0j for the empty set).  Only states whose sign
-    bits lie under their element bits occur; the others are left empty.
-    """
-    # The value of each code, and the state of the set holding it alone.
-    value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0),
-             complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0), complex(-0.0, -1.0)]
-    alone = [1 << (c & 3) | (c >> 2) << ((c & 3) + 4) for c in range(8)]
-    prod = [[alone[_t4_code(x * z)] for z in value] for x in value]
-    mul: list[list[int]] = [[]] * 256
-    keep = [0] * 256
-    hi, lo = [0j] * 256, [0j] * 256
-    for state in range(256):
-        present = state & 15
-        if state >> 4 & ~present:
-            continue
-        codes = [k | (state >> (k + 4) & 1) << 2 for k in range(4) if present >> k & 1]
-        row = [0] * 8
-        for c in codes:
-            row = [r | p for r, p in zip(row, prod[c])]
-        mul[state] = row
-        keep[state] = 255 ^ (present | present << 4)
-        if codes:
-            hi[state], lo[state] = _lex_extremes([value[c] for c in codes])
-    return mul, keep, np.array([hi, lo])
+def _t4_tables() -> tuple[list[list[int]], np.ndarray]:
+    """Lookup tables of the exact T4 walk, built on first use: per
+    4-bit mask, ``rot[mask][k]``, the set times i^k, and ``ext[:, mask]``,
+    its lex max and min (0j for the empty set)."""
+    value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
+    rot = [[(m << k | m >> (4 - k)) & 15 for k in range(4)] for m in range(16)]
+    ext = np.zeros((2, 16), dtype=complex)
+    for m in range(1, 16):
+        ext[:, m] = _lex_extremes([value[k] for k in range(4) if m >> k & 1])
+    return rot, ext
 
 
 def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
-    """Per vertex a, (b, code of the gain a -> b) for each neighbor b;
-    None at the first gain that is not a signed T4 value.  The order of
-    a row is free: each of its edges leads to a different vertex."""
+    """Per vertex a, (b, k) with gain(a -> b) == i^k for each neighbor
+    b; None at the first gain that is not in T4.  The order of a row is
+    free: each of its edges leads to a different vertex."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
     for u, v, z in g.edges:
-        code = _t4_code(z)
-        if code is None:
+        k = _T4_EXPONENT.get(z)
+        if k is None:
             return None
-        adj[u].append((v, code))
-        adj[v].append((u, _t4_code(z.conjugate())))
+        adj[u].append((v, k))
+        adj[v].append((u, -k & 3))
     return adj
 
 
 def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> np.ndarray:
-    """The float walk's rows of source s, walked on 8-bit gain-set states."""
-    mul, keep, ext = _t4_tables()
-    state = [0] * len(dist)
-    state[s] = 1  # {1 + 0j}
+    """The float walk's rows of source s, walked on 4-bit gain-set masks."""
+    rot, ext = _t4_tables()
+    mask = [0] * len(dist)
+    mask[s] = 1  # {1}
     for a in order:
-        row = mul[state[a]]
+        row = rot[mask[a]]
         step = dist[a] + 1
-        for b, c in adj[a]:
+        for b, k in adj[a]:
             if dist[b] == step:
-                acc = state[b]
-                state[b] = acc | (row[c] & keep[acc])
-    state[s] = 0  # the zero diagonal
-    return ext[:, state[1:]]
+                mask[b] |= row[k]
+    mask[s] = 0  # the zero diagonal
+    return ext[:, mask[1:]]
 
 
 def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[list, list]:
@@ -235,6 +201,8 @@ def _build_table(g: GainGraph) -> _GeodesicTable:
         dist, order, _ = _bfs(g._neighbors, s)
         hop[s - 1] = dist[1:]
         lex_max[s - 1], lex_min[s - 1] = walk(adj, s, dist, order)
+    lex_max += 0.0  # -0.0 + 0.0 is 0.0
+    lex_min += 0.0
     for arr in (hop, lex_max, lex_min):
         arr.flags.writeable = False
     return _GeodesicTable(hop, lex_max, lex_min)

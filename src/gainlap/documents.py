@@ -28,6 +28,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import copysign
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ParseError, ValidationError
@@ -179,10 +180,11 @@ def format_complex(z: complex) -> str:
     """Render a complex number as 're+imi' with 17 significant digits.
 
     A zero part prints as 0, never -0 (-0.0 is falsy, so ``or`` swaps
-    in 0.0).
+    in 0.0).  A NaN imaginary part prints the sign of its sign bit, so
+    :func:`parse_complex` gives back its bits.
     """
     re = f"{z.real or 0.0:.17g}"
-    sign = "+" if z.imag >= 0 else "-"
+    sign = "-" if z.imag and copysign(1.0, z.imag) < 0 else "+"
     return f"{re}{sign}{abs(z.imag):.17g}i"
 
 
@@ -202,9 +204,9 @@ def matrix_to_csv(M: np.ndarray) -> str:
     """Comma-separated rows of 'a+bi' cells, one matrix row per line.
 
     The output is byte for byte ``",".join(format_complex(z) for z in
-    row)`` over the rows, ±0.0, ±inf and NaN parts included: a zero real
-    part prints as 0, and the sign of the imaginary part is "+" exactly
-    when it is >= 0, so a NaN one prints as "-nan".
+    row)`` over the rows, ±0.0, ±inf and NaN parts included: a zero
+    part prints as 0, and a nonzero imaginary part prints "-" exactly
+    when its sign bit is set, so a NaN one keeps its sign bit.
 
     Raises:
         ValidationError: if M is not 2-D.
@@ -225,7 +227,7 @@ def _csv_rows(M: np.ndarray) -> Iterator[str]:
     import numpy as np
 
     re = M.real + 0.0  # -0.0 + 0.0 is 0.0
-    sign = np.where(M.imag >= 0, "+", "-")
+    sign = np.where(np.signbit(M.imag) & (M.imag != 0), "-", "+")
     im = abs(M.imag)
     m = M.shape[1]
     row = ",".join(["%.17g%s%.17gi"] * m)
@@ -236,6 +238,9 @@ def _csv_rows(M: np.ndarray) -> Iterator[str]:
 
 
 def csv_to_matrix(text: str) -> np.ndarray:
+    """Inverse of :func:`matrix_to_csv`; text with no nonblank line, as
+    printed for a matrix with no rows or no columns, gives a (0, 0)
+    matrix."""
     import numpy as np
 
     rows = [line for line in text.strip().splitlines() if line.strip()]
@@ -243,4 +248,4 @@ def csv_to_matrix(text: str) -> np.ndarray:
     width = {len(r) for r in data}
     if len(width) > 1:
         raise ParseError("ragged CSV matrix")
-    return np.array(data, dtype=complex)
+    return np.array(data, dtype=complex).reshape(len(data), width.pop() if data else 0)

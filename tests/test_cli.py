@@ -27,6 +27,7 @@ from gainlap import (
     det_via_forests,
     distance_laplacian,
     hermitian_spectrum,
+    matrix_to_csv,
     parse_graph,
     shortest_distances,
 )
@@ -363,6 +364,15 @@ class TestOneVertex:
         plain = invoke(capsys, "incidence", path)
         assert plain[0] == 0
         assert invoke(capsys, "incidence", "--distance", path) == plain
+
+    def test_incidence_output_reads_back(self, capsys, tmp_path):
+        """The 1 x 0 incidence prints as one empty line, which reads
+        back as the (0, 0) matrix, and that prints as "" again."""
+        path = write_document(tmp_path, ONE_VERTEX)
+        code, out, err = invoke(capsys, "incidence", path)
+        assert (code, out, err) == (0, "\n", "")
+        M = csv_to_matrix(out)
+        assert M.shape == (0, 0) and matrix_to_csv(M) == ""
 
 
 #: A valid document on which vertex 3 is the first vertex that vertex 1

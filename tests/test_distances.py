@@ -556,7 +556,8 @@ class TestAssociatedCompleteGraph:
 def _set_walk_table(g, limit=DEFAULT_PATH_CAP):
     """The geodesic table by the plain walk: every reached vertex holds
     a set of gains in a dict, even when it has one.  Same values, same
-    insertion order, so every kept value must match bit for bit."""
+    insertion order, so every kept value must match bit for bit once
+    0.0 is added, which turns each -0.0 part into 0.0."""
     n = g.n
     adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
     hop = np.zeros((n, n), dtype=int)
@@ -581,7 +582,7 @@ def _set_walk_table(g, limit=DEFAULT_PATH_CAP):
                         )
         hi[s] = lo[s] = 0j
         hop[s - 1], lex_max[s - 1], lex_min[s - 1] = dist[1:], hi[1:], lo[1:]
-    return hop, lex_max, lex_min
+    return hop, lex_max + 0.0, lex_min + 0.0
 
 
 def _bits(a):
@@ -787,6 +788,72 @@ class TestExactT4Walk:
             capture_output=True, text=True, timeout=60, check=True,
         )
         assert out.stdout.strip() == "0"
+
+
+# --- one canonical zero: the table holds values, not arrival order --------
+
+
+def _square(up, down):
+    """The square 1-up-4, 1-down-4 with gain i on the up path and -i, as
+    a document writes it, on the down path: i * i is -1+0j and
+    (-i) * (-i) is -1-0j, so the two geodesics from 1 to 4 carry -1
+    with either sign of the zero part."""
+    i, minus_i = complex(0.0, 1.0), complex(0.0, -1.0)
+    return GainGraph(4, ((1, up, i), (up, 4, i), (1, down, minus_i), (down, 4, minus_i)))
+
+
+def _relabel(g, p):
+    """g with vertex v renamed p[v]; each edge stored from its smaller
+    end, so a reversed edge stores the conjugate and reads back the same
+    bits from the old direction."""
+    edges = tuple(
+        (p[u], p[v], z) if p[u] < p[v] else (p[v], p[u], z.conjugate()) for u, v, z in g.edges
+    )
+    return GainGraph(g.n, edges)
+
+
+def _assert_same_up_to_relabelling(g, p):
+    """The table of g, relabelled by p, is bit for bit the table of g."""
+    q = [p[v] - 1 for v in range(1, g.n + 1)]
+    for have, expect in zip(_build_table(_relabel(g, p)), _build_table(g)):
+        assert np.array_equal(_bits(have[np.ix_(q, q)]), _bits(expect))
+
+
+def _assert_no_negative_zero(table):
+    for ext in (table.lex_max, table.lex_min):
+        parts = ext.view(float)
+        assert not np.any((parts == 0.0) & np.signbit(parts))
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph of table_graphs() or exact_graphs() and a relabelling
+    p (p[v] is the new label of v; p[0] unused)."""
+    g = draw(table_graphs() | exact_graphs())
+    p = [0, *draw(st.permutations(range(1, g.n + 1)))]
+    return g, p
+
+
+class TestCanonicalZeros:
+    def test_square_same_bits_with_two_and_three_swapped(self):
+        g = _square(2, 3)
+        assert _t4_adjacency(g) is not None
+        assert _relabel(g, [0, 1, 3, 2, 4]) == _square(3, 2)
+        _assert_same_up_to_relabelling(g, [0, 1, 3, 2, 4])
+        for table in (_build_table(_square(2, 3)), _build_table(_square(3, 2))):
+            for ext in (table.lex_max, table.lex_min):
+                assert np.array_equal(_bits(ext[0, 3:]), _bits(np.array([complex(-1.0, 0.0)])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_graphs())
+    def test_no_zero_part_is_negative_under_any_labelling(self, drawn):
+        g, p = drawn
+        try:
+            table = _build_table(g)
+        except Disconnected:
+            return
+        _assert_no_negative_zero(table)
+        _assert_same_up_to_relabelling(g, p)
 
 
 #: Gains whose geodesic products often tie in real part: exactly, as

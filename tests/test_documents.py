@@ -321,6 +321,18 @@ class TestComplexCells:
         assert math.isnan(back[0, 0].real) and back[0, 0].imag == 1.0
         assert back[0, 1].real == 1.0 and math.isnan(back[0, 1].imag)
 
+    @pytest.mark.parametrize("part", [math.nan, -math.nan])
+    def test_nan_imaginary_part_keeps_its_sign_bit(self, part):
+        """A NaN imaginary part prints the sign of its sign bit, so its
+        sign bit survives the round trip, in both writers."""
+        M = np.array([[complex(1.0, part), complex(part, part)]])
+        text = matrix_to_csv(M)
+        assert text == ",".join(format_complex(z) for z in M[0])
+        assert text.count("-nan") == (math.copysign(1.0, part) < 0) * 2
+        for z, back in zip(M[0], csv_to_matrix(text)[0]):
+            assert math.copysign(1.0, back.imag) == math.copysign(1.0, part)
+            assert math.copysign(1.0, parse_complex(format_complex(z)).imag) == math.copysign(1.0, part)
+
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(409)
         for _ in range(200):
@@ -343,6 +355,12 @@ class TestMatrixCsv:
     def test_ragged(self):
         with pytest.raises(ParseError, match="ragged"):
             csv_to_matrix("1+0i,2+0i\n3+0i")
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\n"])
+    def test_text_with_no_rows_is_the_empty_matrix(self, text):
+        M = csv_to_matrix(text)
+        assert M.shape == (0, 0) and M.dtype == complex
+        assert matrix_to_csv(M) == ""
 
     @pytest.mark.parametrize("bad", [np.zeros(3, dtype=complex), np.array(1 + 2j)], ids=["1-D", "0-D"])
     def test_rejects_non_2d_input(self, bad):
@@ -397,7 +415,11 @@ class TestEmitParity:
     def test_every_special_pair(self):
         M = np.array([[complex(a, b) for b in SPECIAL] for a in SPECIAL])
         assert matrix_to_csv(M) == _cell_join(M)
-        assert "nan-nani" in matrix_to_csv(M)  # a NaN imaginary part prints as -nan
+        # a NaN imaginary part with its sign bit set prints as -nan
+        assert "nan-nani" in matrix_to_csv(M)
+        for a in SPECIAL:  # a non-NaN imaginary part prints "+" exactly when >= 0
+            for b in SPECIAL[:4]:
+                assert format_complex(complex(a, b)).endswith(("+" if b >= 0 else "-") + f"{abs(b):.17g}i")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["max", "min"]))
