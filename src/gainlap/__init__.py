@@ -27,8 +27,8 @@ _HOME = {
         "graphs": """GainGraph SwitchingFunction VertexOrdering WeightedGainGraph cycle_gain
             is_balanced normalize_gain path_gain switch unit_weights""",
         "laplacians": """IncidenceMatrix distance_factorization_residual distance_incidence
-            distance_laplacian factorization_residual weighted_adjacency
-            weighted_degree_matrix weighted_incidence weighted_laplacian""",
+            distance_laplacian factorization_residual weighted_adjacency weighted_incidence
+            weighted_laplacian""",
         "spectra": """CospectralityReport SingularityReport SwitchingReport
             balance_by_cospectrality balance_by_singularity det_direct hermitian_eigensystem
             hermitian_spectrum is_cospectral max_eigenpair_residual numerical_rank

@@ -179,13 +179,13 @@ def emit_graph(doc: GraphDocument) -> str:
 def format_complex(z: complex) -> str:
     """Render a complex number as 're+imi' with 17 significant digits.
 
-    A zero part prints as 0, never -0 (-0.0 is falsy, so ``or`` swaps
-    in 0.0).  A NaN imaginary part prints the sign of its sign bit, so
+    A zero part prints as 0, never -0.  Any other part prints "-"
+    exactly when its sign bit is set, NaN included, so
     :func:`parse_complex` gives back its bits.
     """
-    re = f"{z.real or 0.0:.17g}"
+    neg = "-" if z.real and copysign(1.0, z.real) < 0 else ""
     sign = "-" if z.imag and copysign(1.0, z.imag) < 0 else "+"
-    return f"{re}{sign}{abs(z.imag):.17g}i"
+    return f"{neg}{abs(z.real):.17g}{sign}{abs(z.imag):.17g}i"
 
 
 def parse_complex(cell: str) -> complex:
@@ -205,8 +205,8 @@ def matrix_to_csv(M: np.ndarray) -> str:
 
     The output is byte for byte ``",".join(format_complex(z) for z in
     row)`` over the rows, ±0.0, ±inf and NaN parts included: a zero
-    part prints as 0, and a nonzero imaginary part prints "-" exactly
-    when its sign bit is set, so a NaN one keeps its sign bit.
+    part prints as 0, and any other part prints "-" exactly when its
+    sign bit is set, so a NaN part keeps its sign bit.
 
     Raises:
         ValidationError: if M is not 2-D.
@@ -216,14 +216,16 @@ def matrix_to_csv(M: np.ndarray) -> str:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValidationError(f"matrix_to_csv: expected a 2-D matrix, got {M.ndim}-D input")
+    if (np.isnan(M.real) & np.signbit(M.real)).any():  # %g prints every NaN as nan
+        return "\n".join(",".join(map(format_complex, row)) for row in M.tolist())
     return "\n".join(_csv_rows(M))
 
 
 def _csv_rows(M: np.ndarray) -> Iterator[str]:
-    """The lines of :func:`matrix_to_csv`.  The parts are taken for the
-    whole matrix at once, and each row is formatted by one ``%`` over
-    all its cells.  As a generator, it frees the parts before the rows
-    are joined."""
+    """The lines of :func:`matrix_to_csv` when no real part is a NaN with
+    its sign bit set.  The parts are taken for the whole matrix at once,
+    and each row is formatted by one ``%`` over all its cells.  As a
+    generator, it frees the parts before the rows are joined."""
     import numpy as np
 
     re = M.real + 0.0  # -0.0 + 0.0 is 0.0

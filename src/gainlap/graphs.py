@@ -195,7 +195,7 @@ class WeightedGainGraph:
                 f"weights: twice their sum at vertex {top} is beyond the float range"
             )
         object.__setattr__(self, "weights", ws)
-        vars(self)["_degree"] = degree  # read by laplacians.weighted_degree_matrix
+        vars(self)["_degree"] = degree  # read by laplacians.weighted_laplacian
 
     @cached_property
     def _weight_of(self) -> dict[tuple[int, int], float]:

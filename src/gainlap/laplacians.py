@@ -1,16 +1,18 @@
 """Adjacency, Laplacian, and incidence matrices of weighted gain graphs.
 
-The incidence matrix of an oriented weighted gain graph has one column
-per edge: sqrt(w) at the tail row and -gain(tail -> head)^(-1) * sqrt(w)
-at the head row.  Since gains are unit, the inverse is the conjugate.
-With H* the conjugate transpose, L = H H* holds for every orientation,
-and the same factorization applies to the gain distance Laplacian
-through the incidence of the associated complete graph.
+The incidence matrix H of an oriented weighted gain graph has one column
+per edge: sqrt(w) at the tail row and -conj(gain(tail -> head)) * sqrt(w)
+at the head row, so L = H H* for every orientation (H* the conjugate
+transpose).  The distance objects are those of the associated complete
+graph K(Θ), edge {u, v} of auxiliary gain and weight d(u, v), so
+``_incidence`` assembles H for both sides, from the edge list or from the
+geodesic table, and no K(Θ) is built.  The Laplacians stay dense Deg - A
+(for K(Θ), the transmissions minus D): from the edge arrays, DL took ten
+times as long, and L longer and with other bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,21 @@ class IncidenceMatrix:
     oriented_edges: tuple[tuple[int, int], ...]
 
 
+def _incidence(n: int, tails: np.ndarray, heads: np.ndarray, gains, weights) -> IncidenceMatrix:
+    """The incidence of the edges tails[k] -> heads[k] (0-based), each of
+    gain(tail -> head) gains[k] and weight weights[k], in array order."""
+    cols = np.arange(tails.size)
+    sw = np.sqrt(weights)
+    H = np.zeros((n, cols.size), dtype=complex)
+    H[tails, cols] = sw
+    H[heads, cols] = -np.conj(gains) * sw
+    return IncidenceMatrix(H, tuple(zip((tails + 1).tolist(), (heads + 1).tolist())))
+
+
+def _residual(L: np.ndarray, H: np.ndarray) -> float:
+    return float(np.max(np.abs(L - H @ H.conj().T)))
+
+
 def weighted_adjacency(wg: WeightedGainGraph) -> np.ndarray:
     """Hermitian adjacency matrix with entries gain(u -> v) * w(u, v)."""
     n = wg.base.n
@@ -38,14 +55,9 @@ def weighted_adjacency(wg: WeightedGainGraph) -> np.ndarray:
     return out
 
 
-def weighted_degree_matrix(wg: WeightedGainGraph) -> np.ndarray:
-    """Diagonal matrix of the weight sums the graph's constructor formed."""
-    return np.diag(wg._degree[1:])
-
-
 def weighted_laplacian(wg: WeightedGainGraph) -> np.ndarray:
     """L = Deg - A; Hermitian and positive semidefinite."""
-    return weighted_degree_matrix(wg) - weighted_adjacency(wg)
+    return np.diag(wg._degree[1:]) - weighted_adjacency(wg)
 
 
 def weighted_incidence(
@@ -56,27 +68,26 @@ def weighted_incidence(
 
     Args:
         wg: the weighted gain graph.
-        orientation: optional (tail, head) per edge, aligned with the
-            edge list.  Defaults to the stored u < v orientation.
+        orientation: optional (tail, head) pair of int vertices per edge,
+            aligned with the edge list (else ValidationError).  Defaults
+            to the stored u < v orientation.
     """
-    n, edges = wg.base.n, wg.base.edges
-    if orientation is None:
-        orientation = tuple((u, v) for u, v, _ in edges)
+    edges = wg.base.edges
+    orientation = wg.base.edge_pairs() if orientation is None else orientation
     if len(orientation) != len(edges):
         raise ValidationError(
             f"orientation: expected {len(edges)} entries, got {len(orientation)}"
         )
-    H = np.zeros((n, len(edges)), dtype=complex)
-    for col, ((u, v, z), w, (t, h)) in enumerate(zip(edges, wg.weights, orientation)):
-        if {t, h} != {u, v}:
+    gains = []
+    for col, ((u, v, z), pair) in enumerate(zip(edges, orientation)):
+        t, h = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+        if type(t) is not int or type(h) is not int or {t, h} != {u, v}:
             raise ValidationError(
-                f"orientation[{col}]: ({t}, {h}) does not orient edge ({u}, {v})"
+                f"orientation[{col}]: expected ({u}, {v}) or ({v}, {u}), got {pair!r}"
             )
-        forward = z if (t, h) == (u, v) else z.conjugate()
-        sw = math.sqrt(w)
-        H[t - 1, col] = sw
-        H[h - 1, col] = -forward.conjugate() * sw
-    return IncidenceMatrix(H, tuple(orientation))
+        gains.append(z if t == u else z.conjugate())
+    tails, heads = np.array(orientation, dtype=np.intp).reshape(-1, 2).T - 1
+    return _incidence(wg.base.n, tails, heads, gains, wg.weights)
 
 
 def factorization_residual(
@@ -84,15 +95,7 @@ def factorization_residual(
     orientation: tuple[tuple[int, int], ...] | None = None,
 ) -> float:
     """max |L - H H*|; tiny for every orientation."""
-    H = weighted_incidence(wg, orientation).matrix
-    return _residual(weighted_laplacian(wg), H)
-
-
-def _residual(L: np.ndarray, H: np.ndarray) -> float:
-    return float(np.max(np.abs(L - H @ H.conj().T)))
-
-
-# --- distance side -------------------------------------------------------
+    return _residual(weighted_laplacian(wg), weighted_incidence(wg, orientation).matrix)
 
 
 def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> IncidenceMatrix:
@@ -102,13 +105,8 @@ def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> In
     endpoint, weight d(u, v), columns sorted by (tail rank, head rank).
     """
     aux, hop = auxiliary_gain_matrix(g, ordering, mode)
-    a, b = np.argsort(ordering.ranks)[np.stack(np.triu_indices(g.n, 1))]
-    cols = np.arange(a.size)
-    sw = np.sqrt(hop[a, b].astype(float))
-    H = np.zeros((g.n, a.size), dtype=complex)
-    H[a, cols] = sw
-    H[b, cols] = -aux[a, b].conj() * sw
-    return IncidenceMatrix(H, tuple(zip((a + 1).tolist(), (b + 1).tolist())))
+    tails, heads = np.argsort(ordering.ranks)[np.stack(np.triu_indices(g.n, 1))]
+    return _incidence(g.n, tails, heads, aux[tails, heads], hop[tails, heads].astype(float))
 
 
 def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:

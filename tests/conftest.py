@@ -170,6 +170,24 @@ def random_switching(rng, n: int) -> SwitchingFunction:
     return SwitchingFunction(tuple(random_unit(rng) for _ in range(n)))
 
 
+def unbalanced_geodetic_graphs() -> dict[str, GainGraph]:
+    """Graphs with one geodesic per vertex pair, so compatible and
+    ordering independent under every ordering, with random gains, so
+    unbalanced: the odd cycles C_3 to C_21, the complete graphs K_4 to
+    K_10 and the Petersen graph (outer 5-cycle, spokes, inner pentagram)."""
+    shapes = {f"C{n}": [(i, i % n + 1) for i in range(1, n + 1)] for n in range(3, 22, 2)}
+    for n in range(4, 11):
+        shapes[f"K{n}"] = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    shapes["Petersen"] = [
+        pair for i in range(1, 6) for pair in ((i, i % 5 + 1), (i, i + 5), (i + 5, (i + 1) % 5 + 6))
+    ]
+    rng = np.random.default_rng(12)
+    return {
+        name: GainGraph(max(map(max, pairs)), tuple((*sorted(p), random_unit(rng)) for p in pairs))
+        for name, pairs in shapes.items()
+    }
+
+
 # --- independent brute-force oracles ---------------------------------------
 
 

@@ -69,7 +69,6 @@ PUBLIC_NAMES = [
     "transmission_matrix",
     "unit_weights",
     "weighted_adjacency",
-    "weighted_degree_matrix",
     "weighted_incidence",
     "weighted_laplacian",
 ]

@@ -17,15 +17,19 @@ from conftest import (
     demo_dmin_standard,
     demo_document,
     demo_transmissions,
+    random_ordering,
+    unbalanced_geodetic_graphs,
     write_document,
 )
 import gainlap
 from gainlap import (
     Disconnected,
+    GraphDocument,
     ValidationError,
     csv_to_matrix,
     det_via_forests,
     distance_laplacian,
+    emit_graph,
     hermitian_spectrum,
     matrix_to_csv,
     parse_graph,
@@ -201,6 +205,10 @@ class TestScalarCommands:
         assert out.strip() == "balanced"
 
 
+#: Unbalanced geodetic graphs, on which theorem 12 has something to judge.
+GEODETIC = unbalanced_geodetic_graphs()
+
+
 class TestVerify:
     @pytest.mark.parametrize("theorem", [1, 6, 7, 11, 13])
     def test_pass_on_demo(self, capsys, demo_path, theorem):
@@ -239,6 +247,17 @@ class TestVerify:
             tmp_path, cycle_document([1j, 1j, -1 + 0j]), name="bal.json"
         )
         code, out, _ = invoke(capsys, "verify", "--theorem", "12", path)
+        assert code == 0
+        assert out.startswith("PASS theorem=12")
+        assert "hypothesis" not in out
+
+    @pytest.mark.parametrize("name", GEODETIC)
+    def test_theorem_12_judges_unbalanced_geodetic_graphs(self, capsys, tmp_path, name):
+        g = GEODETIC[name]
+        ordering = random_ordering(np.random.default_rng(g.n), g.n).ranks
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_graph(GraphDocument(g.n, g.edges, ordering=ordering)))
+        code, out, _ = invoke(capsys, "verify", "--theorem", "12", str(path))
         assert code == 0
         assert out.startswith("PASS theorem=12")
         assert "hypothesis" not in out

@@ -42,6 +42,7 @@ from gainlap import (
     VertexOrdering,
     WeightedGainGraph,
     associated_complete_graph,
+    distance_incidence,
     distance_laplacian,
     enumerate_shortest_paths,
     gain_distance_matrix,
@@ -52,6 +53,7 @@ from gainlap import (
     path_gain,
     shortest_distances,
     transmission_matrix,
+    weighted_incidence,
     weighted_laplacian,
 )
 import gainlap.distances
@@ -925,3 +927,34 @@ class TestOrderingIndependenceOracle:
     def test_ordering_checked(self, demo):
         with pytest.raises(ValidationError, match="ordering covers 4 vertices"):
             is_ordering_independent(demo, VertexOrdering.standard(4))
+
+
+# --- the distance objects are the weighted objects of K(Θ), bit for bit ----
+
+
+@st.composite
+def generic_graphs(draw):
+    """A connected graph on at most 11 vertices with random unit gains."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_connected_graph(rng, draw(st.integers(1, 11)), draw(st.integers(0, 15)))
+
+
+class TestCompleteGraphIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_graphs() | generic_graphs(), st.data())
+    def test_same_bits_as_the_weighted_objects_of_k(self, g, data):
+        """DL is the weighted Laplacian of K(Θ), and DH its incidence
+        with each edge oriented from its ordering-smaller end."""
+        if len(_bfs(g._neighbors, 1)[1]) < g.n:
+            return  # disconnected: no distances
+        o = VertexOrdering(tuple(data.draw(st.permutations(range(1, g.n + 1)))))
+        for mode in ("max", "min"):
+            k = associated_complete_graph(g, o, mode)
+            assert weighted_laplacian(k).tobytes() == distance_laplacian(g, o, mode).tobytes()
+            smaller_first = tuple(
+                (u, v) if o.ranks[u - 1] < o.ranks[v - 1] else (v, u) for u, v, _ in k.base.edges
+            )
+            inc, dist = weighted_incidence(k, smaller_first), distance_incidence(g, o, mode)
+            cols = [inc.oriented_edges.index(e) for e in dist.oriented_edges]
+            assert sorted(cols) == list(range(k.base.m))
+            assert inc.matrix[:, cols].tobytes() == dist.matrix.tobytes()

@@ -328,10 +328,21 @@ class TestComplexCells:
         M = np.array([[complex(1.0, part), complex(part, part)]])
         text = matrix_to_csv(M)
         assert text == ",".join(format_complex(z) for z in M[0])
-        assert text.count("-nan") == (math.copysign(1.0, part) < 0) * 2
+        assert text.count("-nani") == (math.copysign(1.0, part) < 0) * 2
         for z, back in zip(M[0], csv_to_matrix(text)[0]):
             assert math.copysign(1.0, back.imag) == math.copysign(1.0, part)
             assert math.copysign(1.0, parse_complex(format_complex(z)).imag) == math.copysign(1.0, part)
+
+    @pytest.mark.parametrize("part", [math.nan, -math.nan])
+    def test_nan_real_part_keeps_its_sign_bit(self, part):
+        """So does a NaN real part, though %g prints every NaN as nan."""
+        M = np.array([[complex(part, 1.0), complex(part, part)]])
+        text = matrix_to_csv(M)
+        assert text == ",".join(format_complex(z) for z in M[0])
+        assert text.startswith("-nan+1i," if math.copysign(1.0, part) < 0 else "nan+1i,")
+        for z, back in zip(M[0], csv_to_matrix(text)[0]):
+            assert math.copysign(1.0, back.real) == math.copysign(1.0, part)
+            assert math.copysign(1.0, parse_complex(format_complex(z)).real) == math.copysign(1.0, part)
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(409)

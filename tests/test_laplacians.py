@@ -24,7 +24,6 @@ from gainlap import (
     transmission_matrix,
     unit_weights,
     weighted_adjacency,
-    weighted_degree_matrix,
     weighted_incidence,
     weighted_laplacian,
 )
@@ -48,7 +47,7 @@ class TestAdjacencyAndLaplacian:
             wg = random_weighted(rng, random_connected_graph(rng, n, int(rng.integers(0, 4))))
             A = weighted_adjacency(wg)
             assert np.max(np.abs(A - A.conj().T)) == 0.0
-            deg = np.diag(weighted_degree_matrix(wg))
+            deg = np.diag(weighted_laplacian(wg)).real
             assert np.allclose(deg, np.abs(A).sum(axis=1), atol=1e-12)
 
 
@@ -85,6 +84,17 @@ class TestIncidence:
         wg = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1))))
         with pytest.raises(ValidationError):
             weighted_incidence(wg, orientation=((1, 2), (1, 3)))
+
+    @pytest.mark.parametrize(
+        "orientation",
+        [((1, 2, 3), (2, 3)), (None, (2, 3)), ((1.0, 2), (3, 2))],
+        ids=["triple", "none", "float-vertex"],
+    )
+    def test_malformed_orientation_entry_named(self, orientation):
+        wg = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1))))
+        for build in (weighted_incidence, factorization_residual):
+            with pytest.raises(ValidationError, match=r"orientation\[0\]"):
+                build(wg, orientation)
 
 
 class TestFactorization:

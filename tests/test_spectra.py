@@ -18,6 +18,7 @@ from conftest import (
     random_connected_graph,
     random_ordering,
     random_switching,
+    unbalanced_geodetic_graphs,
 )
 from gainlap import (
     GainGraph,
@@ -316,6 +317,10 @@ class TestVerdictsAgree:
             assert balance_by_cospectrality(g, ordering).balanced == expected
 
 
+#: Unbalanced geodetic graphs, on which theorem 12 has something to judge.
+GEODETIC = unbalanced_geodetic_graphs()
+
+
 class TestSwitchingSimilarity:
     def test_single_edge_worked_example(self):
         g = single_edge(1j)
@@ -352,6 +357,19 @@ class TestSwitchingSimilarity:
             assert report.switched_compatible
             assert report.similarity_residual <= 1e-10
             assert report.spectra_match
+
+    @pytest.mark.parametrize("name", GEODETIC)
+    def test_unbalanced_geodetic_graphs(self, name):
+        """Theorem 12 judged on unbalanced graphs: every one meets the
+        hypothesis, and the switch conjugates D and keeps DL's spectrum."""
+        g = GEODETIC[name]
+        rng = np.random.default_rng(g.n)
+        ordering = random_ordering(rng, g.n)
+        assert not is_balanced(g)
+        report = switching_similarity_check(g, ordering, random_switching(rng, g.n))
+        assert report.hypothesis_met and report.switched_compatible
+        assert report.similarity_residual <= gainlap.spectra.SIMILARITY_TOL
+        assert report.spectra_match
 
 
 class TestLargeCycles:
