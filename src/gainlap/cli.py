@@ -9,9 +9,12 @@ largest residual observed.
 Exit codes: 0 success (or PASS), 1 usage or input errors, 2 a verified
 identity failed, 3 an enumeration exceeded its cap or budget.
 
-Each handler imports what it calls when it runs, so ``balance``,
-``det --method forests``, usage errors and documents that do not parse
-or validate run without numpy.
+Handlers call the library as ``gainlap.<name>``, so the lazy package
+namespace is the one import-on-demand mechanism: a module loads at the
+first call into it.  ``balance``, ``det --method forests``, usage errors,
+documents that do not parse or validate, and a ``verify`` row that
+refuses its input before it calls a module that does linear algebra
+run without numpy.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
+
+import gainlap
 
 from .documents import GraphDocument, matrix_to_csv, parse_graph
 from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
-
-if TYPE_CHECKING:
-    from .graphs import GainGraph
 
 #: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
 #: and 7), and the relative gap of det L by LU to its closed form on a
@@ -72,37 +74,30 @@ def _ordering(doc: GraphDocument, reverse: bool):
 
 
 def _cmd_distance(doc: GraphDocument, args: argparse.Namespace) -> int:
-    from .distances import gain_distance_matrix
-    from .laplacians import distance_laplacian
-
-    build = gain_distance_matrix if args.command == "dmatrix" else distance_laplacian
+    dmatrix = args.command == "dmatrix"
+    build = gainlap.gain_distance_matrix if dmatrix else gainlap.distance_laplacian
     print(matrix_to_csv(build(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)))
     return 0
 
 
 def _cmd_incidence(doc: GraphDocument, args: argparse.Namespace) -> int:
-    from .laplacians import distance_incidence, weighted_incidence
-
     if args.distance:
-        inc = distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
+        inc = gainlap.distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
     else:
-        inc = weighted_incidence(doc.weighted_graph())
+        inc = gainlap.weighted_incidence(doc.weighted_graph())
     print(matrix_to_csv(inc.matrix))
     return 0
 
 
 def _cmd_spectrum(doc: GraphDocument, args: argparse.Namespace) -> int:
-    from .laplacians import distance_laplacian, weighted_adjacency, weighted_laplacian
-    from .spectra import hermitian_spectrum
-
     if args.target == "adj":
-        M = weighted_adjacency(doc.weighted_graph())
+        M = gainlap.weighted_adjacency(doc.weighted_graph())
     elif args.target == "lap":
-        M = weighted_laplacian(doc.weighted_graph())
+        M = gainlap.weighted_laplacian(doc.weighted_graph())
     else:
         mode = "max" if args.target == "dlmax" else "min"
-        M = distance_laplacian(doc.gain_graph(), _ordering(doc, args.reverse), mode)
-    for value in hermitian_spectrum(M):
+        M = gainlap.distance_laplacian(doc.gain_graph(), _ordering(doc, args.reverse), mode)
+    for value in gainlap.hermitian_spectrum(M):
         print(f"{value:.17g}")
     return 0
 
@@ -110,30 +105,20 @@ def _cmd_spectrum(doc: GraphDocument, args: argparse.Namespace) -> int:
 def _cmd_det(doc: GraphDocument, args: argparse.Namespace) -> int:
     wg = doc.weighted_graph()
     if args.method == "lu":
-        from .laplacians import weighted_laplacian
-        from .spectra import det_direct
-
-        value = det_direct(weighted_laplacian(wg)).real
+        value = gainlap.det_direct(gainlap.weighted_laplacian(wg)).real
     else:
-        from .forests import det_via_forests
-
-        value = det_via_forests(wg, budget=_env_budget())
+        value = gainlap.det_via_forests(wg, budget=_env_budget())
     print(f"{value:.17g}")
     return 0
 
 
 def _cmd_rank(doc: GraphDocument, args: argparse.Namespace) -> int:
-    from .laplacians import weighted_laplacian
-    from .spectra import numerical_rank
-
-    print(numerical_rank(weighted_laplacian(doc.weighted_graph())))
+    print(gainlap.numerical_rank(gainlap.weighted_laplacian(doc.weighted_graph())))
     return 0
 
 
 def _cmd_balance(doc: GraphDocument, args: argparse.Namespace) -> int:
-    from .graphs import is_balanced
-
-    print("balanced" if is_balanced(doc.gain_graph()) else "unbalanced")
+    print("balanced" if gainlap.is_balanced(doc.gain_graph()) else "unbalanced")
     return 0
 
 
@@ -142,7 +127,7 @@ def _cmd_balance(doc: GraphDocument, args: argparse.Namespace) -> int:
 _Verdict = tuple[bool, float, "str | None"]
 
 
-def _spanning_cycle(g: GainGraph) -> tuple[int, ...]:
+def _spanning_cycle(g: gainlap.GainGraph) -> tuple[int, ...]:
     """Vertex sequence of the graph when it is one spanning cycle, from
     vertex 1 toward its smaller neighbor."""
     from .forests import _one_forest_components
@@ -157,60 +142,50 @@ def _theorem_1(doc: GraphDocument, seed: int) -> _Verdict:
     """L = H H* for the weighted incidence, as stored and re-oriented."""
     import numpy as np
 
-    from .laplacians import factorization_residual
-
     wg, rng = doc.weighted_graph(), np.random.default_rng(seed)
     flipped = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in wg.base.edges)
-    residual = max(factorization_residual(wg), factorization_residual(wg, flipped))
+    residual = max(gainlap.factorization_residual(wg), gainlap.factorization_residual(wg, flipped))
     return residual <= _FACTORIZATION_TOL, residual, None
 
 
 def _theorem_2(doc: GraphDocument, seed: int) -> _Verdict:
     """det L of a cycle = |1 - cycle gain|^2 times the weights."""
     from .forests import _cycle_factor
-    from .graphs import cycle_gain
-    from .laplacians import weighted_laplacian
-    from .spectra import det_direct
 
     wg = doc.weighted_graph()
-    closed = _cycle_factor(cycle_gain(wg.base, _spanning_cycle(wg.base)))
+    closed = _cycle_factor(gainlap.cycle_gain(wg.base, _spanning_cycle(wg.base)))
     for w in wg.weights:
         closed *= w
-    residual = abs(det_direct(weighted_laplacian(wg)).real - closed) / max(1.0, abs(closed))
+    lu = gainlap.det_direct(gainlap.weighted_laplacian(wg)).real
+    residual = abs(lu - closed) / max(1.0, abs(closed))
     return residual <= _CYCLE_DET_TOL, residual, None
 
 
 def _theorem_3(doc: GraphDocument, seed: int) -> _Verdict:
     """det L by LU = the sum over spanning 1-forests."""
-    from .forests import det_via_forests
-    from .laplacians import weighted_laplacian
-    from .spectra import det_direct
-
     wg = doc.weighted_graph()
-    by_forests = det_via_forests(wg, budget=_env_budget())
-    lu = det_direct(weighted_laplacian(wg)).real
+    by_forests = gainlap.det_via_forests(wg, budget=_env_budget())
+    lu = gainlap.det_direct(gainlap.weighted_laplacian(wg)).real
     residual = abs(by_forests - lu) / max(1.0, abs(lu))
     return residual <= _FOREST_DET_TOL, residual, None
 
 
 def _theorem_6(doc: GraphDocument, seed: int) -> _Verdict:
-    """L is singular exactly when the graph is balanced."""
-    from .graphs import is_balanced
-    from .laplacians import weighted_laplacian
-    from .spectra import det_direct, numerical_rank
+    """L of a connected graph is singular exactly when it is balanced."""
+    from .graphs import _require_connected
 
     g = doc.gain_graph()
-    L = weighted_laplacian(doc.weighted_graph())
-    return is_balanced(g) == (numerical_rank(L) < g.n), abs(det_direct(L)), None
+    _require_connected(g)
+    L = gainlap.weighted_laplacian(doc.weighted_graph())
+    singular = gainlap.numerical_rank(L) < g.n
+    return gainlap.is_balanced(g) == singular, abs(gainlap.det_direct(L)), None
 
 
 def _theorem_7(doc: GraphDocument, seed: int) -> _Verdict:
     """DL = H H* in both modes, for the ordering and its reverse."""
-    from .laplacians import distance_factorization_residual
-
     g, ordering = doc.gain_graph(), doc.vertex_ordering()
     residual = max(
-        distance_factorization_residual(g, o, mode)
+        gainlap.distance_factorization_residual(g, o, mode)
         for o in (ordering, ordering.reverse())
         for mode in ("max", "min")
     )
@@ -219,12 +194,9 @@ def _theorem_7(doc: GraphDocument, seed: int) -> _Verdict:
 
 def _theorem_11(doc: GraphDocument, seed: int) -> _Verdict:
     """Both distance Laplacians have rank n-1 when balanced, n otherwise."""
-    from .graphs import is_balanced
-    from .spectra import balance_by_singularity
-
     g = doc.gain_graph()
-    rep = balance_by_singularity(g, doc.vertex_ordering())
-    if is_balanced(g):
+    rep = gainlap.balance_by_singularity(g, doc.vertex_ordering())
+    if gainlap.is_balanced(g):
         return rep.balanced, max(abs(rep.det_max), abs(rep.det_min)), None
     return rep.rank_max == g.n and rep.rank_min == g.n, 0.0, None
 
@@ -234,12 +206,11 @@ def _theorem_12(doc: GraphDocument, seed: int) -> _Verdict:
     keeps it compatible, its distance Laplacian similar and cospectral."""
     import numpy as np
 
-    from .graphs import SwitchingFunction
-    from .spectra import SIMILARITY_TOL, switching_similarity_check
+    from .spectra import SIMILARITY_TOL
 
     g, rng = doc.gain_graph(), np.random.default_rng(seed)
-    xi = SwitchingFunction(tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=g.n))))
-    rep = switching_similarity_check(g, doc.vertex_ordering(), xi)
+    xi = gainlap.SwitchingFunction(tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=g.n))))
+    rep = gainlap.switching_similarity_check(g, doc.vertex_ordering(), xi)
     if not rep.hypothesis_met:
         return True, 0.0, "hypothesis not met (not compatible and ordering independent); nothing to judge"
     ok = bool(
@@ -253,9 +224,7 @@ def _theorem_12(doc: GraphDocument, seed: int) -> _Verdict:
 def _theorem_13(doc: GraphDocument, seed: int) -> _Verdict:
     """DL is cospectral with that of the all-gain-1 copy exactly when
     the graph is balanced."""
-    from .spectra import balance_by_cospectrality
-
-    rep = balance_by_cospectrality(doc.gain_graph(), doc.vertex_ordering())
+    rep = gainlap.balance_by_cospectrality(doc.gain_graph(), doc.vertex_ordering())
     return rep.matches_potential, 0.0, None
 
 

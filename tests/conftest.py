@@ -174,12 +174,20 @@ def unbalanced_geodetic_graphs() -> dict[str, GainGraph]:
     """Graphs with one geodesic per vertex pair, so compatible and
     ordering independent under every ordering, with random gains, so
     unbalanced: the odd cycles C_3 to C_21, the complete graphs K_4 to
-    K_10 and the Petersen graph (outer 5-cycle, spokes, inner pentagram)."""
+    K_10, the Petersen graph (outer 5-cycle, spokes, inner pentagram) and
+    the block graphs F_3 and F_5 (k triangles sharing vertex 1) and a
+    K_4-K_3-K_4 chain (cut vertices 4 and 6)."""
     shapes = {f"C{n}": [(i, i % n + 1) for i in range(1, n + 1)] for n in range(3, 22, 2)}
     for n in range(4, 11):
         shapes[f"K{n}"] = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     shapes["Petersen"] = [
         pair for i in range(1, 6) for pair in ((i, i % 5 + 1), (i, i + 5), (i + 5, (i + 1) % 5 + 6))
+    ]
+    for k in (3, 5):
+        shapes[f"F{k}"] = [pair for i in range(2, 2 * k + 1, 2) for pair in ((1, i), (1, i + 1), (i, i + 1))]
+    shapes["K4-K3-K4"] = [
+        (u, v) for block in ((1, 2, 3, 4), (4, 5, 6), (6, 7, 8, 9))
+        for u in block for v in block if u < v
     ]
     rng = np.random.default_rng(12)
     return {

@@ -1,6 +1,5 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
-import importlib
 import json
 import os
 import subprocess
@@ -208,6 +207,16 @@ class TestScalarCommands:
 #: Unbalanced geodetic graphs, on which theorem 12 has something to judge.
 GEODETIC = unbalanced_geodetic_graphs()
 
+#: Two triangles, one with every gain 1 and one with a 0.5 twist: L is
+#: singular, yet the graph is unbalanced.
+TWO_TRIANGLES = {
+    "n": 6,
+    "edges": [
+        {"u": u, "v": v, "gain": {"theta": 0.5 if (u, v) == (4, 6) else 0.0}}
+        for u, v in [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+    ],
+}
+
 
 class TestVerify:
     @pytest.mark.parametrize("theorem", [1, 6, 7, 11, 13])
@@ -251,15 +260,24 @@ class TestVerify:
         assert out.startswith("PASS theorem=12")
         assert "hypothesis" not in out
 
-    @pytest.mark.parametrize("name", GEODETIC)
-    def test_theorem_12_judges_unbalanced_geodetic_graphs(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize(
+        "theorem, name",
+        [
+            pytest.param(theorem, name, id=name if theorem == 12 else f"{theorem}-{name}")
+            for theorem in (11, 12, 13)
+            for name in GEODETIC
+        ],
+    )
+    def test_theorem_12_judges_unbalanced_geodetic_graphs(self, capsys, tmp_path, theorem, name):
+        """Theorems 11 and 13 judge the same unbalanced graphs as theorem
+        12, whose cases keep the graph name alone as their id."""
         g = GEODETIC[name]
         ordering = random_ordering(np.random.default_rng(g.n), g.n).ranks
         path = tmp_path / f"{name}.json"
         path.write_text(emit_graph(GraphDocument(g.n, g.edges, ordering=ordering)))
-        code, out, _ = invoke(capsys, "verify", "--theorem", "12", str(path))
+        code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), str(path))
         assert code == 0
-        assert out.startswith("PASS theorem=12")
+        assert out.startswith(f"PASS theorem={theorem}")
         assert "hypothesis" not in out
 
     def test_seed_changes_nothing_on_pass(self, capsys, demo_path):
@@ -318,9 +336,8 @@ class TestVerify:
     )
     def test_each_bounded_row_can_fail(self, capsys, tmp_path, monkeypatch, theorem, name, fake):
         """Each row with a bound exits 2 once the quantity it reads is
-        pushed past that bound.  The rows import each function from its
-        home module when they run, so the home module is patched."""
-        home = importlib.import_module(getattr(gainlap, name).__module__)
+        pushed past that bound.  The rows read each function from the
+        package namespace when they run, so the namespace is patched."""
         obj = cycle_document(
             [np.exp(0.7j), np.exp(1.9j), np.exp(0.2j), np.exp(4.4j)],
             weights=[0.5, 2.0, 1.25, 0.8],
@@ -328,7 +345,7 @@ class TestVerify:
         path = write_document(tmp_path, obj, name="c4.json")
         code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), path)
         assert (code, out[:4]) == (0, "PASS")
-        monkeypatch.setattr(home, name, fake(getattr(home, name)))
+        monkeypatch.setattr(gainlap, name, fake(getattr(gainlap, name)))
         code, out, _ = invoke(capsys, "verify", "--theorem", str(theorem), path)
         assert code == 2
         assert out.startswith(f"FAIL theorem={theorem} max_residual=")
@@ -347,6 +364,14 @@ class TestVerify:
         code, out, err = invoke(capsys, "verify", "--theorem", "2", path)
         assert (code, out) == (1, "")
         assert "single cycle" in err
+
+    def test_theorem_6_refuses_a_disconnected_graph(self, capsys, tmp_path):
+        """Regression: L of the two triangles is singular while the graph
+        is unbalanced, so the connected-graph statement printed FAIL and
+        exited 2."""
+        path = write_document(tmp_path, TWO_TRIANGLES, name="two.json")
+        code, out, err = invoke(capsys, "verify", "--theorem", "6", path)
+        assert (code, out, err) == (1, "", "error: vertex 4 is unreachable from vertex 1\n")
 
     def test_spanning_cycle_walks_from_1_toward_its_smaller_neighbor(self):
         from gainlap import GainGraph
@@ -587,17 +612,23 @@ print(json.dumps(seen))
 
 def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     """Importing the package or the CLI loads no numpy, and neither do
-    balance, det --method forests (within or over its budget) and an
-    input error; dmatrix loads it, so the probe can see it."""
+    balance, det --method forests (within or over its budget), an input
+    error and a verify row that refuses its input; dmatrix loads it, so
+    the probe can see it."""
     truncated = tmp_path / "truncated.json"
     truncated.write_text(json.dumps(demo_document())[:40])
     k4 = [{"u": u, "v": v, "gain": {"theta": 0.5}} for u in range(1, 5) for v in range(u + 1, 5)]
     k4_path = write_document(tmp_path, {"n": 4, "edges": k4}, name="k4.json")
+    c11_path = write_document(tmp_path, cycle_document([1j] * 11), name="c11.json")
+    two_path = write_document(tmp_path, TWO_TRIANGLES, name="two.json")
     calls = [
         (None, ["balance", demo_path]),
         (None, ["det", "--method", "forests", demo_path]),
         ("1", ["det", "--method", "forests", k4_path]),  # C(6, 4) = 15 subsets
         (None, ["balance", str(truncated)]),
+        (None, ["verify", "--theorem", "2", demo_path]),  # not a cycle
+        (None, ["verify", "--theorem", "3", c11_path]),  # past the enumeration limit
+        (None, ["verify", "--theorem", "6", two_path]),  # disconnected
         (None, ["dmatrix", "--mode", "max", demo_path]),
     ]
     src = str(Path(gainlap.__file__).resolve().parents[1])
@@ -608,7 +639,8 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(out.stdout) == [
-        False, False, [0, False], [0, False], [3, False], [1, False], [0, True],
+        False, False, [0, False], [0, False], [3, False], [1, False],
+        [1, False], [3, False], [1, False], [0, True],
     ]
 
 
