@@ -27,7 +27,8 @@ class PathExplosion(GainLapError):
 
 
 class TooLarge(GainLapError):
-    """A combinatorial enumeration exceeded the configured budget."""
+    """A combinatorial enumeration or a dense matrix exceeded the
+    configured budget."""
 
 
 class NotHermitian(GainLapError):

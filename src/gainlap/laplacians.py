@@ -5,10 +5,12 @@ per edge: sqrt(w) at the tail row and -conj(gain(tail -> head)) * sqrt(w)
 at the head row, so L = H H* for every orientation (H* the conjugate
 transpose).  The distance objects are those of the associated complete
 graph K(Θ), edge {u, v} of auxiliary gain and weight d(u, v), so
-``_incidence`` assembles H for both sides, from the edge list or from the
-geodesic table, and no K(Θ) is built.  The Laplacians stay dense Deg - A
-(for K(Θ), the transmissions minus D): from the edge arrays, DL took ten
-times as long, and L longer and with other bits.
+``_columns`` forms the columns of H for both sides, from the edge list or
+the geodesic table, and no K(Θ) is built.  The public incidences densify
+them; ``_residual`` sums H H* from the two nonzeros of each column, in
+O(n² + m) time and memory.  The Laplacians stay dense Deg - A (for K(Θ),
+the transmissions minus D): from the edge arrays, DL took ten times as
+long, and L longer and with other bits.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import auxiliary_gain_matrix, gain_distance_matrix, transmission_matrix
-from .errors import ValidationError
+from .errors import TooLarge, ValidationError
 from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
+
+#: Most bytes (n * m * 16) a dense incidence matrix may take, else TooLarge.
+_INCIDENCE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -30,19 +35,33 @@ class IncidenceMatrix:
     oriented_edges: tuple[tuple[int, int], ...]
 
 
-def _incidence(n: int, tails: np.ndarray, heads: np.ndarray, gains, weights) -> IncidenceMatrix:
-    """The incidence of the edges tails[k] -> heads[k] (0-based), each of
-    gain(tail -> head) gains[k] and weight weights[k], in array order."""
-    cols = np.arange(tails.size)
+def _columns(tails: np.ndarray, heads: np.ndarray, gains, weights) -> tuple:
+    """(tails, heads, tail entries, head entries) of the edges tails[k] ->
+    heads[k] (0-based), of gain(tail -> head) gains[k], weight weights[k]."""
     sw = np.sqrt(weights)
-    H = np.zeros((n, cols.size), dtype=complex)
-    H[tails, cols] = sw
-    H[heads, cols] = -np.conj(gains) * sw
+    return tails, heads, sw, -np.conj(gains) * sw
+
+
+def _incidence(n: int, columns: tuple) -> IncidenceMatrix:
+    tails, heads, at_tail, at_head = columns
+    if n * tails.size * 16 > _INCIDENCE_BYTES:
+        raise TooLarge(f"a dense {n} x {tails.size} incidence takes over {_INCIDENCE_BYTES} bytes")
+    H, cols = np.zeros((n, tails.size), dtype=complex), np.arange(tails.size)
+    H[tails, cols] = at_tail
+    H[heads, cols] = at_head
     return IncidenceMatrix(H, tuple(zip((tails + 1).tolist(), (heads + 1).tolist())))
 
 
-def _residual(L: np.ndarray, H: np.ndarray) -> float:
-    return float(np.max(np.abs(L - H @ H.conj().T)))
+def _residual(columns: tuple, L: np.ndarray) -> float:
+    """max |L - H H*|, H H* summed from the columns, a at the tail and b at the head:
+    a conj(b) at (tail, head), its conjugate at (head, tail), a² + |b|² on the diagonal."""
+    tails, heads, a, b = columns
+    n, R, off = len(L), L.astype(complex), a * np.conj(b)
+    R[tails, heads] -= off  # a simple graph: no pair repeats
+    R[heads, tails] -= np.conj(off)
+    diag = np.bincount(tails, a * a, n) + np.bincount(heads, (b * b.conj()).real, n)
+    R.flat[:: n + 1] -= diag
+    return float(np.max(np.abs(R)))
 
 
 def weighted_adjacency(wg: WeightedGainGraph) -> np.ndarray:
@@ -60,24 +79,12 @@ def weighted_laplacian(wg: WeightedGainGraph) -> np.ndarray:
     return np.diag(wg._degree[1:]) - weighted_adjacency(wg)
 
 
-def weighted_incidence(
-    wg: WeightedGainGraph,
-    orientation: tuple[tuple[int, int], ...] | None = None,
-) -> IncidenceMatrix:
-    """Incidence matrix with one column per edge, in edge-list order.
-
-    Args:
-        wg: the weighted gain graph.
-        orientation: optional (tail, head) pair of int vertices per edge,
-            aligned with the edge list (else ValidationError).  Defaults
-            to the stored u < v orientation.
-    """
+def _edge_columns(wg: WeightedGainGraph, orientation) -> tuple:
+    """The columns of the edges, oriented as ``weighted_incidence`` says."""
     edges = wg.base.edges
     orientation = wg.base.edge_pairs() if orientation is None else orientation
     if len(orientation) != len(edges):
-        raise ValidationError(
-            f"orientation: expected {len(edges)} entries, got {len(orientation)}"
-        )
+        raise ValidationError(f"orientation: expected {len(edges)} entries, got {len(orientation)}")
     gains = []
     for col, ((u, v, z), pair) in enumerate(zip(edges, orientation)):
         t, h = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
@@ -87,7 +94,23 @@ def weighted_incidence(
             )
         gains.append(z if t == u else z.conjugate())
     tails, heads = np.array(orientation, dtype=np.intp).reshape(-1, 2).T - 1
-    return _incidence(wg.base.n, tails, heads, gains, wg.weights)
+    return _columns(tails, heads, gains, wg.weights)
+
+
+def weighted_incidence(
+    wg: WeightedGainGraph,
+    orientation: tuple[tuple[int, int], ...] | None = None,
+) -> IncidenceMatrix:
+    """Incidence matrix with one column per edge, in edge-list order;
+    ``TooLarge`` past ``_INCIDENCE_BYTES``.
+
+    Args:
+        wg: the weighted gain graph.
+        orientation: optional (tail, head) pair of int vertices per edge,
+            aligned with the edge list (else ValidationError).  Defaults
+            to the stored u < v orientation.
+    """
+    return _incidence(wg.base.n, _edge_columns(wg, orientation))
 
 
 def factorization_residual(
@@ -95,18 +118,21 @@ def factorization_residual(
     orientation: tuple[tuple[int, int], ...] | None = None,
 ) -> float:
     """max |L - H H*|; tiny for every orientation."""
-    return _residual(weighted_laplacian(wg), weighted_incidence(wg, orientation).matrix)
+    return _residual(_edge_columns(wg, orientation), weighted_laplacian(wg))
+
+
+def _pair_columns(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> tuple:
+    """The columns of K(Θ): one per vertex pair, tail at the ordering-smaller
+    end, weight d(u, v), sorted by (tail rank, head rank)."""
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
+    tails, heads = np.argsort(ordering.ranks)[np.array(np.nonzero(~np.tri(g.n, dtype=bool)))]
+    return _columns(tails, heads, aux[tails, heads], hop[tails, heads].astype(float))
 
 
 def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> IncidenceMatrix:
-    """Incidence matrix of the associated complete graph.
-
-    One column per unordered vertex pair, tail at the ordering-smaller
-    endpoint, weight d(u, v), columns sorted by (tail rank, head rank).
-    """
-    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
-    tails, heads = np.argsort(ordering.ranks)[np.stack(np.triu_indices(g.n, 1))]
-    return _incidence(g.n, tails, heads, aux[tails, heads], hop[tails, heads].astype(float))
+    """Incidence matrix of the associated complete graph, columns as
+    ``_pair_columns`` gives them; ``TooLarge`` past ``_INCIDENCE_BYTES``."""
+    return _incidence(g.n, _pair_columns(g, ordering, mode))
 
 
 def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
@@ -117,5 +143,4 @@ def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np
 
 def distance_factorization_residual(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> float:
     """max |DL - DH DH*| for the given mode and ordering."""
-    DH = distance_incidence(g, ordering, mode).matrix
-    return _residual(distance_laplacian(g, ordering, mode), DH)
+    return _residual(_pair_columns(g, ordering, mode), distance_laplacian(g, ordering, mode))

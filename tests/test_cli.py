@@ -450,6 +450,15 @@ def test_disconnected_graph_refused_with_one_text(capsys, tmp_path, query, argv)
 
 
 class TestExitCodes:
+    def test_dense_incidence_past_its_budget_exits_3(self, capsys, demo_path, monkeypatch):
+        import gainlap.laplacians
+
+        monkeypatch.setattr(gainlap.laplacians, "_INCIDENCE_BYTES", 5 * 10 * 16 - 1)
+        assert invoke(capsys, "incidence", demo_path)[0] == 0  # 5 x 5
+        code, out, err = invoke(capsys, "incidence", "--distance", demo_path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: a dense 5 x 10 incidence")
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "dmatrix", "--mode", "max", "/nonexistent.json")
         assert code == 1
@@ -629,6 +638,10 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
         (None, ["verify", "--theorem", "2", demo_path]),  # not a cycle
         (None, ["verify", "--theorem", "3", c11_path]),  # past the enumeration limit
         (None, ["verify", "--theorem", "6", two_path]),  # disconnected
+        (None, ["verify", "--theorem", "7", two_path]),
+        (None, ["verify", "--theorem", "11", two_path]),
+        (None, ["verify", "--theorem", "12", two_path]),
+        (None, ["verify", "--theorem", "13", two_path]),
         (None, ["dmatrix", "--mode", "max", demo_path]),
     ]
     src = str(Path(gainlap.__file__).resolve().parents[1])
@@ -640,7 +653,8 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     )
     assert json.loads(out.stdout) == [
         False, False, [0, False], [0, False], [3, False], [1, False],
-        [1, False], [3, False], [1, False], [0, True],
+        [1, False], [3, False], [1, False], [1, False], [1, False], [1, False], [1, False],
+        [0, True],
     ]
 
 

@@ -6,13 +6,17 @@ conjugate transpose.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_ordering, random_weighted
 from gainlap import (
     GainGraph,
+    TooLarge,
     ValidationError,
     VertexOrdering,
     WeightedGainGraph,
@@ -27,6 +31,9 @@ from gainlap import (
     weighted_incidence,
     weighted_laplacian,
 )
+from gainlap import laplacians
+
+EPS = np.finfo(float).eps
 
 
 class TestAdjacencyAndLaplacian:
@@ -191,3 +198,87 @@ class TestDistanceFactorization:
             for o in (ordering, ordering.reverse()):
                 for mode in ("max", "min"):
                     assert distance_factorization_residual(g, o, mode) <= 1e-12
+
+
+# --- the residuals sum H H* from the columns of H, never densifying it -----
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on at most 11 vertices, with random unit gains
+    or gains in {±1, ±i}."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, draw(st.integers(1, 11)), draw(st.integers(0, 15)))
+    if draw(st.booleans()):
+        g = GainGraph(g.n, tuple((u, v, 1j ** int(rng.integers(4))) for u, v, _ in g.edges))
+    return g, rng
+
+
+def _dense_gap(columns, H) -> float:
+    """max |H H*(from the columns) - H @ H*(dense)|."""
+    return laplacians._residual(columns, H @ H.conj().T)
+
+
+class TestResidualFromColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_weighted_side_matches_the_dense_product(self, case):
+        """Weights spread over eight decades, a random orientation: the
+        summed H H* equals the dense product within a few eps max|L|."""
+        g, rng = case
+        wg = WeightedGainGraph(g, tuple(float(w) for w in np.exp(rng.uniform(-9.0, 9.0, g.m))))
+        orientation = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v, _ in g.edges)
+        H = weighted_incidence(wg, orientation).matrix
+        bound = 4 * EPS * np.max(np.abs(weighted_laplacian(wg)))
+        assert _dense_gap(laplacians._edge_columns(wg, orientation), H) <= bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_distance_side_matches_the_dense_product(self, case):
+        g, rng = case
+        ordering = random_ordering(rng, g.n)
+        for o in (ordering, ordering.reverse()):
+            for mode in ("max", "min"):
+                H = distance_incidence(g, o, mode).matrix
+                bound = 4 * EPS * np.max(np.abs(distance_laplacian(g, o, mode)))
+                assert _dense_gap(laplacians._pair_columns(g, o, mode), H) <= bound
+
+    def test_theorem_7_on_c300_stays_small(self):
+        """Regression: the dense 300 x 44850 DH and its product peaked at
+        434 MB (tracemalloc); summed from the columns, the residual needs
+        O(n² + m) memory."""
+        rng = np.random.default_rng(300)
+        gains = np.exp(2j * np.pi * rng.random(300))
+        path = tuple((k, k + 1, complex(z)) for k, z in zip(range(1, 300), gains))
+        g = GainGraph(300, path + ((1, 300, complex(gains[-1])),))
+        tracemalloc.start()
+        try:
+            residual = distance_factorization_residual(g, VertexOrdering.standard(300), "max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-10
+        assert peak < 32 * 2**20
+
+
+class TestIncidenceBudget:
+    def test_dense_incidences_past_the_budget_are_refused(self, demo, std5, monkeypatch):
+        """The demo's incidences are 5 x 5 and, for K(Θ), 5 x 10: each is
+        built at exactly its size in bytes and refused one byte below."""
+        wg = unit_weights(demo)
+        for build, size in ((lambda: weighted_incidence(wg), 5 * 5 * 16),
+                            (lambda: distance_incidence(demo, std5, "max"), 5 * 10 * 16)):
+            monkeypatch.setattr(laplacians, "_INCIDENCE_BYTES", size)
+            assert build().matrix.nbytes == size
+            monkeypatch.setattr(laplacians, "_INCIDENCE_BYTES", size - 1)
+            with pytest.raises(TooLarge, match=f"over {size - 1} bytes"):
+                build()
+
+    def test_residuals_need_no_dense_incidence(self, demo, std5, monkeypatch):
+        monkeypatch.setattr(laplacians, "_INCIDENCE_BYTES", 0)
+        assert factorization_residual(unit_weights(demo)) <= 1e-12
+        assert distance_factorization_residual(demo, std5, "min") <= 1e-12
+
+    def test_k100_fits_the_default_budget(self):
+        """No benchmark document has more than 100 vertices."""
+        assert 100 * (100 * 99 // 2) * 16 <= laplacians._INCIDENCE_BYTES
