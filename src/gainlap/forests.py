@@ -20,9 +20,12 @@ follow from it: an edge would give a component a second cycle, fewer
 edges remain than are still needed, or a vertex no chosen edge covers
 would lose its last incident edge.  The last cut is made only on
 backtrack: an edge at an uncovered vertex, a root without a cycle, is
-always included on the way down.  Every leaf is a forest, found in the
-lexicographic order of its edge indices, and its weight is built up
-along the way.  The search is refused up front when n exceeds
+always included on the way down.  With n - 1 edges chosen exactly one
+component is a tree (none has more edges than vertices, and all have one
+fewer in sum), so each further edge that adds no second cycle completes
+a forest and is summed in place, not entered.  Forests come in the
+lexicographic order of their edge indices, each weight built up along
+the way.  The search is refused up front when n exceeds
 ``DEFAULT_VERTEX_LIMIT`` or C(m, n) exceeds the subset budget: the
 budget bounds the number of n-edge subsets, not the work the search
 does, which is far smaller.
@@ -143,10 +146,11 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
     union is undone by resetting one parent.  A root holds its
     component's cycle factor (:func:`_cycle_factor`), or None while the
     component is a tree; a vertex holds its potential, the gain of the
-    tree path to its parent.  With no second cycle anywhere, n edges
-    leave every component with as many edges as vertices, so each leaf
-    at depth n is a spanning 1-forest.  The loop is flat and ``find`` is
-    inlined, so the search runs in one frame whatever its depth.
+    tree path to its parent.  At depth n - 1 an edge that passes the
+    cycle checks is yielded with the forest it completes and the scan
+    goes on, so no leaf is entered or rolled back.  The loop is flat and
+    ``find`` is inlined, so the search runs in one frame whatever its
+    depth.
     """
     n, m = wg.base.n, wg.base.m
     ends = [(u, v) for u, v, _ in wg.base.edges]
@@ -167,32 +171,37 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
     weight = 1.0
     j = 0
     while True:
-        if len(chosen) == n:
-            yield tuple(chosen), weight
-        else:
-            stop = m - n + len(chosen)  # the last index that leaves enough edges
-            while j <= stop:
-                u, v = ends[j]
-                ru, gu = u, 1.0 + 0.0j
-                while parent[ru] != ru:
-                    gu *= pot[ru]
-                    ru = parent[ru]
-                rv, gv = v, 1.0 + 0.0j
-                while parent[rv] != rv:
-                    gv *= pot[rv]
-                    rv = parent[rv]
-                # gu, gv: gains of the tree paths from u and v to their roots.
-                if ru == rv:
-                    if cycle[ru] is None:
-                        # The cycle u -> v, then back to u, has gain
-                        # c = z gv conj(gu); as |gu| = 1, its factor
-                        # |1 - c|^2 is |gu - z gv|^2, formed without c.
-                        factor = abs(gu - gains[j] * gv)
-                        factor = cycle[ru] = factor * factor
+        leaf = len(chosen) == n - 1  # any edge that passes completes a forest
+        stop = m - n + len(chosen)  # the last index that leaves enough edges
+        while j <= stop:
+            u, v = ends[j]
+            ru, gu = u, 1.0 + 0.0j
+            while parent[ru] != ru:
+                gu *= pot[ru]
+                ru = parent[ru]
+            rv, gv = v, 1.0 + 0.0j
+            while parent[rv] != rv:
+                gv *= pot[rv]
+                rv = parent[rv]
+            # gu, gv: gains of the tree paths from u and v to their roots.
+            if ru == rv:
+                if cycle[ru] is None:
+                    # The cycle u -> v, then back to u, has gain
+                    # c = z gv conj(gu); as |gu| = 1, its factor
+                    # |1 - c|^2 is |gu - z gv|^2, formed without c.
+                    factor = abs(gu - gains[j] * gv)
+                    factor = factor * factor
+                    if leaf:
+                        yield (*chosen, j), weight * weights[j] * factor
+                    else:
+                        cycle[ru] = factor
                         undo.append((ru, -1, weight))
                         weight = weight * weights[j] * factor
                         break
-                elif cycle[ru] is None or cycle[rv] is None:
+            elif cycle[ru] is None or cycle[rv] is None:
+                if leaf:
+                    yield (*chosen, j), weight * weights[j]
+                else:
                     z = gains[j]
                     if size[ru] < size[rv]:
                         child, root, pot[ru] = ru, rv, gu.conjugate() * z * gv
@@ -205,13 +214,13 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
                     undo.append((child, root, weight))
                     weight = weight * weights[j]
                     break
-                j += 1  # edge j is excluded
-            if j <= stop:  # edge j was included
-                degree[u] += 1
-                degree[v] += 1
-                chosen.append(j)
-                j += 1
-                continue
+            j += 1  # edge j is excluded, or summed in place at a leaf
+        if j <= stop:  # edge j was included
+            degree[u] += 1
+            degree[v] += 1
+            chosen.append(j)
+            j += 1
+            continue
         # Backtrack: undo the latest inclusion, then take its exclusion branch.
         while True:
             if not chosen:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import auxiliary_gain_matrix, gain_distance_matrix, transmission_matrix
+from .distances import auxiliary_gain_matrix
 from .errors import TooLarge, ValidationError
 from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
 
@@ -42,10 +42,15 @@ def _columns(tails: np.ndarray, heads: np.ndarray, gains, weights) -> tuple:
     return tails, heads, sw, -np.conj(gains) * sw
 
 
+def _require_dense(n: int, m: int) -> None:
+    """TooLarge unless a dense n x m incidence fits in ``_INCIDENCE_BYTES``;
+    checked before any column is formed."""
+    if n * m * 16 > _INCIDENCE_BYTES:
+        raise TooLarge(f"a dense {n} x {m} incidence takes over {_INCIDENCE_BYTES} bytes")
+
+
 def _incidence(n: int, columns: tuple) -> IncidenceMatrix:
     tails, heads, at_tail, at_head = columns
-    if n * tails.size * 16 > _INCIDENCE_BYTES:
-        raise TooLarge(f"a dense {n} x {tails.size} incidence takes over {_INCIDENCE_BYTES} bytes")
     H, cols = np.zeros((n, tails.size), dtype=complex), np.arange(tails.size)
     H[tails, cols] = at_tail
     H[heads, cols] = at_head
@@ -110,6 +115,7 @@ def weighted_incidence(
             aligned with the edge list (else ValidationError).  Defaults
             to the stored u < v orientation.
     """
+    _require_dense(wg.base.n, wg.base.m)
     return _incidence(wg.base.n, _edge_columns(wg, orientation))
 
 
@@ -121,26 +127,35 @@ def factorization_residual(
     return _residual(_edge_columns(wg, orientation), weighted_laplacian(wg))
 
 
-def _pair_columns(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> tuple:
-    """The columns of K(Θ): one per vertex pair, tail at the ordering-smaller
-    end, weight d(u, v), sorted by (tail rank, head rank)."""
-    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
-    tails, heads = np.argsort(ordering.ranks)[np.array(np.nonzero(~np.tri(g.n, dtype=bool)))]
+def _pair_columns(ordering: VertexOrdering, aux: np.ndarray, hop: np.ndarray) -> tuple:
+    """The columns of K(Θ) from ``auxiliary_gain_matrix``'s (aux, hop): one per
+    vertex pair, tail at the ordering-smaller end, weight d(u, v), sorted by
+    (tail rank, head rank)."""
+    tails, heads = np.argsort(ordering.ranks)[np.array(np.nonzero(~np.tri(len(hop), dtype=bool)))]
     return _columns(tails, heads, aux[tails, heads], hop[tails, heads].astype(float))
 
 
 def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> IncidenceMatrix:
     """Incidence matrix of the associated complete graph, columns as
-    ``_pair_columns`` gives them; ``TooLarge`` past ``_INCIDENCE_BYTES``."""
-    return _incidence(g.n, _pair_columns(g, ordering, mode))
+    ``_pair_columns`` gives them; ``TooLarge`` past ``_INCIDENCE_BYTES``,
+    before the geodesic table is built."""
+    _require_dense(g.n, g.n * (g.n - 1) // 2)
+    return _incidence(g.n, _pair_columns(ordering, *auxiliary_gain_matrix(g, ordering, mode)))
+
+
+def _distance_laplacian(aux: np.ndarray, hop: np.ndarray) -> np.ndarray:
+    """Transmissions on the diagonal minus D = aux * hop."""
+    return np.diag(hop.sum(axis=1).astype(float)) - aux * hop
 
 
 def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
     """Gain distance Laplacian: transmissions on the diagonal minus the
     gain distance matrix."""
-    return transmission_matrix(g) - gain_distance_matrix(g, ordering, mode)
+    return _distance_laplacian(*auxiliary_gain_matrix(g, ordering, mode))
 
 
 def distance_factorization_residual(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> float:
-    """max |DL - DH DH*| for the given mode and ordering."""
-    return _residual(_pair_columns(g, ordering, mode), distance_laplacian(g, ordering, mode))
+    """max |DL - DH DH*| for the given mode and ordering, from one
+    ``auxiliary_gain_matrix``."""
+    aux, hop = auxiliary_gain_matrix(g, ordering, mode)
+    return _residual(_pair_columns(ordering, aux, hop), _distance_laplacian(aux, hop))

@@ -8,8 +8,10 @@ it is a spanning 1-forest with no balanced cycle.
 """
 
 import cmath
+import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from gainlap import (
     weighted_incidence,
     weighted_laplacian,
 )
+from gainlap import forests
 
 #: The gain group T4 = {1, i, -1, -i}: cycle gains are exact, and many
 #: cycles are balanced.
@@ -397,3 +400,93 @@ class TestMarginals:
             assert np.max(np.abs(enumerated - formula)) <= 1e-9
             assert enumerated.sum() == pytest.approx(n, rel=1e-12)
             assert formula.sum() == pytest.approx(n, rel=1e-9)
+
+
+@st.composite
+def weighted_any_graphs(draw):
+    """A weighted graph on 1 to 7 vertices with any set of at most 12
+    edges, so that trees (m < n) and disconnected graphs come up, with
+    generic or T4 gains, its edges listed in a random order."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    every = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = [every[i] for i in rng.permutation(len(every))[: draw(st.integers(0, min(len(every), 12)))]]
+    t4 = draw(st.booleans())
+    edges = tuple((u, v, T4[int(rng.integers(4))] if t4 else random_unit(rng)) for u, v in pairs)
+    return random_weighted(rng, GainGraph(n, edges))
+
+
+class TestLastEdgeSummedInPlace:
+    """The search sums a forest's last edge where it scans it; the forests,
+    their order and the determinant's bits are those of entering it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(weighted_any_graphs())
+    def test_same_forests_same_order_on_any_graph(self, wg):
+        n, pairs = wg.base.n, wg.base.edge_pairs()
+        want = [s for s in itertools.combinations(pairs, n) if _naive_is_one_forest(n, s)]
+        forests_found = list(enumerate_spanning_one_forests(wg))
+        assert [f.edges for f in forests_found] == want
+        brute = sum(forest_weight(f, wg) for f in forests_found)
+        total = sum(weight for _, weight in forests._one_forest_search(wg))
+        assert total == pytest.approx(brute, rel=1e-12, abs=1e-300)
+        reach = {1}
+        for _ in range(n):
+            reach |= {x for e in pairs if reach.intersection(e) for x in e}
+        if len(reach) < n:
+            with pytest.raises(Disconnected):
+                det_via_forests(wg)
+        else:
+            assert repr(det_via_forests(wg)) == repr(total)
+
+
+#: Unit gains with rational parts, so no gain depends on a libm call.
+PYTHAGOREAN = ((3 + 4j) / 5, (5 + 12j) / 13, (8 + 15j) / 17, (7 + 24j) / 25, (20 + 21j) / 29, (12 + 35j) / 37)
+K4_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+CUBE_PAIRS = ((1, 2), (1, 3), (1, 5), (2, 4), (2, 6), (3, 4), (3, 7), (4, 8), (5, 6), (5, 7), (6, 8), (7, 8))
+# A wheel on hub 1 and rim 2-4-5-6-2 ... with a pendant vertex 7, edges out of order.
+WHEEL_PAIRS = ((2, 3), (1, 4), (3, 4), (1, 2), (4, 5), (1, 6), (2, 6), (5, 6), (1, 3), (1, 5), (6, 7))
+
+
+def _golden(n, pairs, gains, weights):
+    edges = tuple((u, v, z) for (u, v), z in zip(pairs, gains))
+    return WeightedGainGraph(GainGraph(n, edges), tuple(weights))
+
+
+#: name: (graph, forest count, sha256 prefix of the (indices, float.hex(weight))
+#: lines of the search, float.hex of det_via_forests under a left-to-right sum).
+GOLDEN = {
+    "K4 generic": (
+        _golden(4, K4_PAIRS, PYTHAGOREAN, (0.5, 1.25, 2.0, 0.75, 1.5, 1.0)),
+        15, "0559b82167d58239", "0x1.b91209b969d63p+4",
+    ),
+    "K4 T4": (
+        _golden(4, K4_PAIRS, (1j, 1, -1j, -1, 1j, 1), (1.5, 0.5, 1.0, 2.0, 0.75, 1.25)),
+        15, "64387a1f2c32390d", "0x1.2680000000001p+5",
+    ),
+    "cube T4": (
+        _golden(8, CUBE_PAIRS, (T4[k] for k in (0, 1, 3, 2, 1, 0, 0, 3, 1, 2, 0, 1)), (0.5 + k / 8 for k in range(12))),
+        411, "d0a3fc14680c5895", "0x1.3f3673ca00000p+11",
+    ),
+    "wheel generic": (
+        _golden(7, WHEEL_PAIRS, (PYTHAGOREAN[k % 6] if k % 3 else PYTHAGOREAN[k % 6].conjugate() for k in range(11)),
+                (2.0 - k / 8 for k in range(11))),
+        170, "1d3824e4a4716c92", "0x1.568a687477190p+11",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_forest_weights_and_determinant_bits(name):
+    """Every forest weight and the determinant keep the bits they had
+    when each forest was entered as a search node.  Python 3.12's sum
+    compensates its rounding, so there the determinant is pinned through
+    the pinned weights rather than by its own hex."""
+    wg, count, digest, det_hex = GOLDEN[name]
+    found = list(forests._one_forest_search(wg))
+    lines = "".join(f"{indices} {float.hex(weight)}\n" for indices, weight in found)
+    assert (len(found), hashlib.sha256(lines.encode()).hexdigest()[:16]) == (count, digest)
+    det = det_via_forests(wg)
+    assert float.hex(det) == float.hex(sum(weight for _, weight in found))
+    if sys.version_info < (3, 12):
+        assert float.hex(det) == det_hex

@@ -31,7 +31,7 @@ from gainlap import (
     weighted_incidence,
     weighted_laplacian,
 )
-from gainlap import laplacians
+from gainlap import distances, laplacians
 
 EPS = np.finfo(float).eps
 
@@ -199,6 +199,45 @@ class TestDistanceFactorization:
                 for mode in ("max", "min"):
                     assert distance_factorization_residual(g, o, mode) <= 1e-12
 
+    def test_one_auxiliary_gain_matrix_per_residual(self, monkeypatch):
+        """Regression: the residual formed the auxiliary gains twice, for
+        the columns and again through distance_laplacian."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = distances.auxiliary_gain_matrix
+        monkeypatch.setattr(distances, "auxiliary_gain_matrix", counted)
+        monkeypatch.setattr(laplacians, "auxiliary_gain_matrix", counted)
+        rng = np.random.default_rng(131)
+        g = random_connected_graph(rng, 7, 4)
+        ordering = random_ordering(rng, 7)
+        for o in (ordering, ordering.reverse()):
+            for mode in ("max", "min"):
+                calls.clear()
+                distance_factorization_residual(g, o, mode)
+                assert len(calls) == 1
+
+    def test_same_bits_as_transmissions_minus_d(self):
+        """DL and the residual keep the bits of transmission_matrix minus
+        gain_distance_matrix, for generic and T4 gains."""
+        rng = np.random.default_rng(137)
+        for k in range(24):
+            n = int(rng.integers(1, 9))
+            g = random_connected_graph(rng, n, int(rng.integers(0, 5)))
+            if k % 2:
+                g = GainGraph(n, tuple((u, v, 1j ** int(rng.integers(4))) for u, v, _ in g.edges))
+            ordering = random_ordering(rng, n)
+            for o in (ordering, ordering.reverse()):
+                for mode in ("max", "min"):
+                    DL = transmission_matrix(g) - gain_distance_matrix(g, o, mode)
+                    assert distance_laplacian(g, o, mode).tobytes() == DL.tobytes()
+                    columns = laplacians._pair_columns(o, *distances.auxiliary_gain_matrix(g, o, mode))
+                    want = laplacians._residual(columns, DL)
+                    assert float.hex(distance_factorization_residual(g, o, mode)) == float.hex(want)
+
 
 # --- the residuals sum H H* from the columns of H, never densifying it -----
 
@@ -212,6 +251,14 @@ def connected_graphs(draw):
     if draw(st.booleans()):
         g = GainGraph(g.n, tuple((u, v, 1j ** int(rng.integers(4))) for u, v, _ in g.edges))
     return g, rng
+
+
+def random_c300() -> GainGraph:
+    """The 300-cycle with random unit gains."""
+    rng = np.random.default_rng(300)
+    gains = np.exp(2j * np.pi * rng.random(300))
+    path = tuple((k, k + 1, complex(z)) for k, z in zip(range(1, 300), gains))
+    return GainGraph(300, path + ((1, 300, complex(gains[-1])),))
 
 
 def _dense_gap(columns, H) -> float:
@@ -241,16 +288,13 @@ class TestResidualFromColumns:
             for mode in ("max", "min"):
                 H = distance_incidence(g, o, mode).matrix
                 bound = 4 * EPS * np.max(np.abs(distance_laplacian(g, o, mode)))
-                assert _dense_gap(laplacians._pair_columns(g, o, mode), H) <= bound
+                assert _dense_gap(laplacians._pair_columns(o, *distances.auxiliary_gain_matrix(g, o, mode)), H) <= bound
 
     def test_theorem_7_on_c300_stays_small(self):
         """Regression: the dense 300 x 44850 DH and its product peaked at
         434 MB (tracemalloc); summed from the columns, the residual needs
         O(n² + m) memory."""
-        rng = np.random.default_rng(300)
-        gains = np.exp(2j * np.pi * rng.random(300))
-        path = tuple((k, k + 1, complex(z)) for k, z in zip(range(1, 300), gains))
-        g = GainGraph(300, path + ((1, 300, complex(gains[-1])),))
+        g = random_c300()
         tracemalloc.start()
         try:
             residual = distance_factorization_residual(g, VertexOrdering.standard(300), "max")
@@ -278,6 +322,14 @@ class TestIncidenceBudget:
         monkeypatch.setattr(laplacians, "_INCIDENCE_BYTES", 0)
         assert factorization_residual(unit_weights(demo)) <= 1e-12
         assert distance_factorization_residual(demo, std5, "min") <= 1e-12
+
+    def test_distance_incidence_refused_before_the_geodesic_table(self):
+        """Regression: C_300's 300 x 44850 incidence (215 MB) was refused
+        only after its geodesic table had been built and memoized."""
+        g = random_c300()
+        with pytest.raises(TooLarge, match="a dense 300 x 44850 incidence"):
+            distance_incidence(g, VertexOrdering.standard(300), "max")
+        assert "_geodesics" not in vars(g)
 
     def test_k100_fits_the_default_budget(self):
         """No benchmark document has more than 100 vertices."""
