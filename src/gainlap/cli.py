@@ -7,8 +7,8 @@ identities on the given graph and reports PASS or FAIL with the
 largest residual observed.
 
 Exit codes: 0 success (or PASS), 1 usage or input errors, 2 a verified
-identity failed, 3 an enumeration or a dense incidence exceeded its cap
-or budget.
+identity failed, 3 an exceeded cap or budget: a ``TooLarge``, of which
+``PathExplosion`` is one.  The error's type alone picks 1 or 3.
 
 Handlers call the library as ``gainlap.<name>``, so the lazy package
 namespace is the one import-on-demand mechanism: a module loads at the
@@ -28,7 +28,7 @@ from typing import Sequence
 import gainlap
 
 from .documents import GraphDocument, matrix_to_csv, parse_graph
-from .errors import GainLapError, ParseError, PathExplosion, TooLarge, ValidationError
+from .errors import GainLapError, ParseError, TooLarge, ValidationError
 from .graphs import _require_connected
 
 #: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
@@ -39,13 +39,9 @@ _CYCLE_DET_TOL = 1e-9
 _FOREST_DET_TOL = 1e-7
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit(2)
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 def _read_document(path: str) -> GraphDocument:
@@ -232,8 +228,6 @@ _THEOREMS = {
     7: _theorem_7, 11: _theorem_11, 12: _theorem_12, 13: _theorem_13,
 }
 
-VERIFY_CHOICES = tuple(_THEOREMS)
-
 #: The theorems stated for connected graphs: ``_verify`` refuses any
 #: other (exit 1) before the row runs, so the refusal loads no numpy.
 _CONNECTED_ONLY = frozenset({3, 6, 7, 11, 12, 13})
@@ -307,29 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("balance", _cmd_balance, "print 'balanced' or 'unbalanced'")
     add(
         "verify", _cmd_verify, "re-derive an identity on the input graph",
-        ("--theorem", {"type": int, "choices": VERIFY_CHOICES, "required": True}),
+        ("--theorem", {"type": int, "choices": tuple(_THEOREMS), "required": True}),
         ("--seed", {"type": _seed, "default": 0}),
     )
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(_read_document(args.file), args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(_read_document(args.file), args)
-    except (PathExplosion, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GainLapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, TooLarge) else 1
 
 
 def main() -> None:

@@ -166,11 +166,7 @@ def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[l
                         raise _too_many(cap, s, b)
             continue
         gains[a] = None  # a set is dropped once pushed on
-        if len(ws) == 1:
-            (only,) = ws
-            hi[a] = lo[a] = only
-        else:
-            hi[a], lo[a] = _lex_extremes(ws)
+        hi[a], lo[a] = _lex_extremes(ws)
         for b, z in adj[a]:
             if dist[b] == step:
                 acc = gains[b]

@@ -21,14 +21,14 @@ class Disconnected(GainLapError):
     """An operation requiring connectivity met an unreachable vertex pair."""
 
 
-class PathExplosion(GainLapError):
+class TooLarge(GainLapError):
+    """A combinatorial enumeration, a dense matrix or a path count
+    exceeded its configured limit; the CLI exits 3 on any of them."""
+
+
+class PathExplosion(TooLarge):
     """A vertex pair has more distinct geodesic gains (or, when listed,
     more shortest paths) than the configured cap."""
-
-
-class TooLarge(GainLapError):
-    """A combinatorial enumeration or a dense matrix exceeded the
-    configured budget."""
 
 
 class NotHermitian(GainLapError):

@@ -70,9 +70,11 @@ class OneForest:
 def _one_forest_components(
     n: int, edges: Sequence[tuple[int, int]]
 ) -> tuple[OneTree, ...] | None:
-    """Decompose an edge subset over vertices 1..n into 1-trees, in the
-    order of their smallest vertices, or return None if some component
-    is not unicyclic (isolated vertices count as failing components).
+    """Decompose an n-edge subset over vertices 1..n into 1-trees, in
+    the order of their smallest vertices, or return None if some
+    component is not unicyclic.  Every caller passes exactly n edges, so
+    a component without a closing edge forces another to have two, and
+    the scan returns None at that second one.
 
     A cycle is its component's one non-tree edge plus the tree paths
     from its ends to where they meet, written from its smallest vertex
@@ -95,8 +97,6 @@ def _one_forest_components(
             if closing[comp[u]] is not None:
                 return None
             closing[comp[u]] = (u, v)
-    if None in closing:
-        return None
     comps: list[OneTree] = []
     for verts, (u, v) in zip(members, closing):
         up, down = [u], [v]
@@ -300,9 +300,9 @@ def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
 
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
-    weights; zero when no spanning 1-forest exists."""
+    weights, a float; 0.0 when no spanning 1-forest exists."""
     _require_connected(wg.base)
-    return sum(weight for _, weight in _checked_search(wg, budget))
+    return float(sum(weight for _, weight in _checked_search(wg, budget)))
 
 
 def spanning_subgraph(

@@ -106,25 +106,24 @@ class GainGraph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"n: expected a positive integer, got {self.n!r}")
-        seen: set[tuple[int, int]] = set()
+        # Each edge in both orientations, the reverse one with the conjugate gain.
+        gain_of: dict[tuple[int, int], complex] = {}
         canon: list[Edge] = []
         for i, (u, v, z) in enumerate(self.edges):
             _check_vertex(u, self.n, f"edges[{i}].u")
             _check_vertex(v, self.n, f"edges[{i}].v")
             if not u < v:
                 raise ValidationError(f"edges[{i}]: requires u < v, got ({u}, {v})")
-            if (u, v) in seen:
+            if (u, v) in gain_of:
                 raise ValidationError(f"edges[{i}]: duplicate edge ({u}, {v})")
-            seen.add((u, v))
             try:
-                canon.append((u, v, normalize_gain(z)))
+                z = normalize_gain(z)
             except (ValidationError, ZeroGain) as exc:
                 raise type(exc)(f"edges[{i}].gain: {exc}") from None
+            canon.append((u, v, z))
+            gain_of[u, v], gain_of[v, u] = z, z.conjugate()
         object.__setattr__(self, "edges", tuple(canon))
-
-    @cached_property
-    def _gain_of(self) -> dict[tuple[int, int], complex]:
-        return {(u, v): z for u, v, z in self.edges}
+        vars(self)["_gain_of"] = gain_of  # read by gain
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -143,17 +142,12 @@ class GainGraph:
         return self._neighbors[v]
 
     def gain(self, u: int, v: int) -> complex:
-        """Gain of the oriented edge u -> v (conjugate of the stored value
-        when queried against the stored orientation)."""
-        if u < v:
-            z = self._gain_of.get((u, v))
-            if z is not None:
-                return z
-        elif v < u:
-            z = self._gain_of.get((v, u))
-            if z is not None:
-                return z.conjugate()
-        raise NotAWalk(f"({u}, {v}) is not an edge")
+        """Gain of the oriented edge u -> v: the stored gain, or its
+        conjugate against the stored orientation, in one lookup."""
+        try:
+            return self._gain_of[u, v]
+        except KeyError:
+            raise NotAWalk(f"({u}, {v}) is not an edge") from None
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u, v, _ in self.edges)

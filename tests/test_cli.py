@@ -23,8 +23,16 @@ from conftest import (
 import gainlap
 from gainlap import (
     Disconnected,
+    GainLapError,
     GraphDocument,
+    NotACycle,
+    NotAWalk,
+    NotHermitian,
+    ParseError,
+    PathExplosion,
+    TooLarge,
     ValidationError,
+    ZeroGain,
     csv_to_matrix,
     det_via_forests,
     distance_laplacian,
@@ -33,6 +41,7 @@ from gainlap import (
     matrix_to_csv,
     parse_graph,
     shortest_distances,
+    weighted_laplacian,
 )
 from gainlap.cli import run
 from test_documents import PARITY_CASES
@@ -171,6 +180,25 @@ class TestScalarCommands:
         code, out, _ = invoke(capsys, "spectrum", "--target", "adj", path)
         assert code == 0
         assert [float(x) for x in out.split()] == pytest.approx([-3.0, 3.0])
+
+    def test_spectrum_laplacian(self, capsys, tmp_path):
+        obj = cycle_document([1 + 0j, 1j, 1 + 0j, -1j], weights=[1.0, 2.0, 0.5, 3.0])
+        path = write_document(tmp_path, obj, name="c4.json")
+        code, out, _ = invoke(capsys, "spectrum", "--target", "lap", path)
+        assert code == 0
+        L = weighted_laplacian(parse_graph(json.dumps(obj)).weighted_graph())
+        assert out.splitlines() == [f"{x:.17g}" for x in hermitian_spectrum(L)]
+
+    def test_det_forests_of_the_triangle(self, capsys, tmp_path):
+        """The triangle with cycle gain e^{i} prints 2(1 - cos 1) to the
+        last digit."""
+        edges = [
+            {"u": 1, "v": 2, "gain": {"theta": 0.0}},
+            {"u": 2, "v": 3, "gain": {"theta": 0.0}},
+            {"u": 1, "v": 3, "gain": {"theta": 1.0}},
+        ]
+        path = write_document(tmp_path, {"n": 3, "edges": edges}, name="triangle.json")
+        assert invoke(capsys, "det", "--method", "forests", path) == (0, "0.91939538826372058\n", "")
 
     def test_det_both_methods_agree(self, capsys, tmp_path):
         path = write_document(tmp_path, cycle_document([1 + 0j, 1 + 0j, 1j]), name="c3.json")
@@ -529,6 +557,11 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: argument --seed: expected a non-negative integer, got '-1'\n"
 
+    def test_seed_not_an_integer(self, capsys, demo_path):
+        code, out, err = invoke(capsys, "verify", "--theorem", "1", "--seed", "abc", demo_path)
+        assert (code, out) == (1, "")
+        assert err == "error: argument --seed: expected a non-negative integer, got 'abc'\n"
+
     def test_gain_modulus_beyond_the_float_range(self, capsys, tmp_path):
         """Regression: a traceback from a bare OverflowError."""
         path = tmp_path / "huge.json"
@@ -545,6 +578,25 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "dmatrix" in out
+
+    @pytest.mark.parametrize(
+        "error, want",
+        [
+            (ParseError, 1), (ValidationError, 1), (Disconnected, 1), (NotACycle, 1),
+            (NotAWalk, 1), (ZeroGain, 1), (NotHermitian, 1), (TooLarge, 3), (PathExplosion, 3),
+        ],
+        ids=lambda x: x.__name__ if isinstance(x, type) else str(x),
+    )
+    def test_each_error_type_picks_its_exit_code(self, capsys, demo_path, monkeypatch, error, want):
+        import gainlap.cli
+
+        def handler(doc, args):
+            raise error("boom")
+
+        monkeypatch.setattr(gainlap.cli, "_cmd_balance", handler)
+        assert invoke(capsys, "balance", demo_path) == (want, "", "error: boom\n")
+        assert issubclass(PathExplosion, TooLarge) and issubclass(error, GainLapError)
+        assert invoke(capsys, "--help")[0] == 0
 
     def test_budget_env_triggers_exit_3(self, capsys, tmp_path, monkeypatch):
         edges = [

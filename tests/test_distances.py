@@ -374,6 +374,22 @@ class TestGainDistanceMatrix:
             enumerate_shortest_paths(square, 1, 3)
         assert gain_distance_matrix(square, o, "max")[0, 2] == 2 * (z * w)
 
+    def test_cap_met_where_a_set_is_pushed_on(self, monkeypatch):
+        """From vertex 1, vertex 5 holds one gain and vertex 6, the far
+        corner of the square 1-3-6-4, two; both reach vertex 7, 5 first,
+        so the third gain at 7 arrives from the set."""
+        g = GainGraph(7, tuple(
+            (u, v, cmath.exp(1j * (0.1 + k)))
+            for k, (u, v) in enumerate(((1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 6), (5, 7), (6, 7)))
+        ))
+        o = VertexOrdering.standard(7)
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 2)
+        with pytest.raises(PathExplosion, match="^more than 2 distinct geodesic gains between 1 and 7$"):
+            gain_distance_matrix(g, o, "max")
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 3)
+        assert np.array_equal(_bits(gain_distance_matrix(g, o, "max")),
+                              _bits(_naive_gain_distance(g, o, "max", select=_lex)))
+
     def test_single_edge_gain_i(self):
         g = GainGraph(2, ((1, 2, 1j),))
         o = VertexOrdering.standard(2)

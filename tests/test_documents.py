@@ -145,6 +145,15 @@ class TestParse:
         with pytest.raises(ValidationError, match=r"edges\[0\]\.gain"):
             parse_graph(text)
 
+    @pytest.mark.parametrize(
+        "edges, field",
+        [([1], r"edges\[0\]"), ([{"u": 1, "v": 2, "gain": 1.0}], r"edges\[0\]\.gain")],
+        ids=["edge", "gain"],
+    )
+    def test_not_an_object(self, edges, field):
+        with pytest.raises(ValidationError, match=rf"^{field}: expected an object, got "):
+            parse_graph(json.dumps({"n": 2, "edges": edges}))
+
     def test_weights_wrong_length(self):
         with pytest.raises(ValidationError, match="weights"):
             parse_graph(doc_text(weights=[1.0]))
@@ -183,6 +192,11 @@ class TestParse:
         with pytest.raises(ValidationError, match="ordering"):
             parse_graph(doc_text(ordering=[1, 1, 2]))
 
+    def test_ordering_of_too_few_vertices(self):
+        """A permutation of 1..n-1 ranks too few vertices."""
+        with pytest.raises(ValidationError, match=r"^ordering: expected 3 ranks, got \[2, 1\]$"):
+            parse_graph(doc_text(ordering=[2, 1]))
+
     def test_ordering_accepted(self):
         doc = parse_graph(doc_text(ordering=[3, 1, 2]))
         assert doc.vertex_ordering().ranks == (3, 1, 2)
@@ -191,6 +205,22 @@ class TestParse:
         doc = parse_graph(doc_text())
         assert doc.weighted_graph().weights == (1.0, 1.0)
         assert doc.vertex_ordering() == VertexOrdering.standard(3)
+
+
+def test_document_built_directly_builds_its_graph_once(monkeypatch):
+    import gainlap.documents
+
+    built = []
+
+    def counting(*args):
+        built.append(GainGraph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gainlap.documents, "GainGraph", counting)
+    doc = GraphDocument(3, ((1, 2, 1 + 0j), (2, 3, 1j)))
+    g = doc.gain_graph()
+    assert doc.gain_graph() is g and doc.weighted_graph().base is g
+    assert built == [g] and g == GainGraph(3, ((1, 2, 1 + 0j), (2, 3, 1j)))
 
 
 def _doc_graph() -> GainGraph:

@@ -96,6 +96,11 @@ class TestIsSpanningOneForest:
         with pytest.raises(ValidationError):
             is_spanning_one_forest(triangle_i(), [(1, 2), (2, 3), (2, 4)])
 
+    @pytest.mark.parametrize("edges", [[(1, 2), (2, 3), (1, 2)], [(1, 2), (2, 3), (2, 1)]])
+    def test_repeated_edge_rejected(self, edges):
+        with pytest.raises(ValidationError, match="duplicates"):
+            is_spanning_one_forest(triangle_i(), edges)
+
 
 class TestEnumerate:
     def test_cycle_has_exactly_one(self):
@@ -275,6 +280,20 @@ class TestWeightsAndDeterminant:
             lu = det_direct(weighted_laplacian(wg)).real
             assert lu == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "wg",
+        [
+            WeightedGainGraph(GainGraph(1, ()), ()),
+            unit_weights(GainGraph(4, ((1, 2, 1j), (2, 3, 1), (2, 4, -1j)))),
+        ],
+        ids=["one-vertex", "tree"],
+    )
+    def test_no_forest_sums_to_a_float_zero(self, wg):
+        """Regression: the empty sum was the int 0."""
+        det = det_via_forests(wg)
+        assert type(det) is float and det == 0.0
+        assert float.hex(det) == "0x0.0p+0"
+
     def test_disconnected_rejected(self):
         g = GainGraph(4, ((1, 2, 1), (3, 4, 1)))
         with pytest.raises(Disconnected):
@@ -437,7 +456,7 @@ class TestLastEdgeSummedInPlace:
             with pytest.raises(Disconnected):
                 det_via_forests(wg)
         else:
-            assert repr(det_via_forests(wg)) == repr(total)
+            assert repr(det_via_forests(wg)) == repr(float(total))
 
 
 #: Unit gains with rational parts, so no gain depends on a libm call.

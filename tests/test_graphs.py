@@ -141,6 +141,21 @@ class TestGainGraph:
         with pytest.raises(NotAWalk):
             g.gain(1, 3)
 
+    def test_every_ordered_pair(self):
+        """The stored gain along an edge, its conjugate against it, and
+        NotAWalk naming the pair otherwise, u == v included."""
+        g = demo_graph()
+        stored = {(u, v): z for u, v, z in g.edges}
+        for a in range(1, g.n + 1):
+            for b in range(1, g.n + 1):
+                if (a, b) in stored:
+                    assert g.gain(a, b) == stored[a, b]
+                elif (b, a) in stored:
+                    assert g.gain(a, b) == stored[b, a].conjugate()
+                else:
+                    with pytest.raises(NotAWalk, match=rf"^\({a}, {b}\) is not an edge$"):
+                        g.gain(a, b)
+
     def test_underlying_drops_gains(self):
         g = demo_graph()
         u = g.underlying()
@@ -156,6 +171,12 @@ class TestWeightedGainGraph:
     def test_weight_lookup_is_orientation_free(self):
         wg = WeightedGainGraph(GainGraph(2, ((1, 2, 1j),)), (2.5,))
         assert wg.weight(1, 2) == wg.weight(2, 1) == 2.5
+
+    def test_weight_of_a_non_edge(self):
+        wg = WeightedGainGraph(GainGraph(3, ((1, 2, 1j),)), (2.5,))
+        for u, v in ((1, 3), (3, 1), (2, 2)):
+            with pytest.raises(NotAWalk, match=rf"^\({u}, {v}\) is not an edge$"):
+                wg.weight(u, v)
 
     @pytest.mark.parametrize("w", [float("inf"), float("nan")])
     def test_rejects_non_finite_weight(self, w):

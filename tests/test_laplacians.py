@@ -104,6 +104,15 @@ class TestIncidence:
                 build(wg, orientation)
 
 
+    @pytest.mark.parametrize("orientation", [((1, 2),), ((1, 2), (2, 3), (1, 3))])
+    def test_orientation_of_the_wrong_length(self, orientation):
+        wg = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1))))
+        want = f"^orientation: expected 2 entries, got {len(orientation)}$"
+        for build in (weighted_incidence, factorization_residual):
+            with pytest.raises(ValidationError, match=want):
+                build(wg, orientation)
+
+
 class TestFactorization:
     def test_residual_tiny_default_orientation(self):
         rng = np.random.default_rng(103)
