@@ -14,16 +14,14 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "distances": """DEFAULT_PATH_CAP associated_complete_graph enumerate_shortest_paths
-            gain_distance_matrix is_compatible is_ordering_independent shortest_distances
-            transmission_matrix""",
+        "distances": """DEFAULT_PATH_CAP associated_complete_graph gain_distance_matrix
+            is_compatible is_ordering_independent shortest_distances transmission_matrix""",
         "documents": """GraphDocument csv_to_matrix emit_graph format_complex matrix_to_csv
             parse_complex parse_graph""",
         "errors": """Disconnected GainLapError NotACycle NotAWalk NotHermitian ParseError
             PathExplosion TooLarge ValidationError ZeroGain""",
         "forests": """DEFAULT_SUBSET_BUDGET OneForest OneTree det_via_forests
-            enumerate_spanning_one_forests forest_weight is_spanning_one_forest
-            spanning_subgraph""",
+            enumerate_spanning_one_forests is_spanning_one_forest spanning_subgraph""",
         "graphs": """GainGraph SwitchingFunction VertexOrdering WeightedGainGraph cycle_gain
             is_balanced normalize_gain path_gain switch unit_weights""",
         "laplacians": """IncidenceMatrix distance_factorization_residual distance_incidence

@@ -58,9 +58,12 @@ def _env_budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise ValidationError(f"GAINLAP_BUDGET: expected an integer, got {raw!r}") from None
+        budget = 0
+    if budget < 1:
+        raise ValidationError(f"GAINLAP_BUDGET: expected a positive integer, got {raw!r}")
+    return budget
 
 
 def _ordering(doc: GraphDocument, reverse: bool):
@@ -319,6 +322,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # One BLAS thread unless the environment sets another count, before
+    # numpy first loads and reads it: the eigensolvers then sum in one
+    # order and print the same bytes on any machine.  ``run`` leaves the
+    # environment of in-process callers alone.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     sys.exit(run())
 
 

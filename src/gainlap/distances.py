@@ -1,4 +1,4 @@
-"""Hop distances, geodesic enumeration, and gain distance matrices.
+"""Hop distances, geodesic gains, and gain distance matrices.
 
 For an ordered vertex pair the auxiliary gain is the lexicographically
 extremal (real part first, then imaginary part) gain over all shortest
@@ -24,7 +24,6 @@ next value lies within it.  A pair with more than ``DEFAULT_PATH_CAP``
 distinct geodesic gains raises ``PathExplosion``.  The driver then adds
 0.0 to the table, so no zero part is -0.0: the table holds values, the
 same whichever geodesic arrived first.
-Path enumeration stays as public API and as a test oracle.
 
 When every edge gain equals 1, i, -1 or -i (signed graphs included),
 the T4 walk runs the same walk on 4-bit masks, bit k when i^k is in a
@@ -46,12 +45,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import Disconnected, PathExplosion, ValidationError
+from .errors import PathExplosion, ValidationError
 from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
-from .graphs import _bfs, _check_vertex, _require_connected
+from .graphs import _bfs, _require_connected
 
-#: Cap on the number of distinct geodesic gains of one vertex pair, and
-#: on the number of paths :func:`enumerate_shortest_paths` lists.
+#: Cap on the number of distinct geodesic gains of one vertex pair in
+#: the geodesic table.
 DEFAULT_PATH_CAP = 1_000_000
 
 #: Real parts within this distance of the extremal one count as tied
@@ -228,44 +227,6 @@ def shortest_distances(g: GainGraph) -> np.ndarray:
             distinct geodesic gains.
     """
     return _geodesic_table(g).hop.copy()
-
-
-def enumerate_shortest_paths(g: GainGraph, u: int, v: int) -> list[tuple[int, ...]]:
-    """Every shortest path from u to v as a vertex sequence.
-
-    Paths are produced by a depth-first sweep of the shortest-path DAG,
-    so the output order is deterministic (neighbors in ascending index
-    order).  The trivial pair u == v yields the single path (u,).
-
-    Raises:
-        Disconnected: if v is unreachable from u.
-        PathExplosion: if more than ``DEFAULT_PATH_CAP`` paths exist.
-    """
-    cap = DEFAULT_PATH_CAP
-    _check_vertex(u, g.n, "vertex")
-    dv = _bfs(g._neighbors, v)[0]
-    if dv[u] < 0:
-        raise Disconnected(f"vertex {v} is unreachable from vertex {u}")
-
-    paths: list[tuple[int, ...]] = []
-    path = [u]
-    branches = [iter(g.neighbors(u))]  # per path vertex, its untried neighbors
-    while path:
-        a = path[-1]
-        if a == v:
-            if len(paths) >= cap:
-                raise PathExplosion(f"more than {cap} shortest paths between {u} and {v}")
-            paths.append(tuple(path))
-        else:
-            # b continues a geodesic to v iff it is one hop closer to v.
-            b = next((b for b in branches[-1] if dv[b] == dv[a] - 1), None)
-            if b is not None:
-                path.append(b)
-                branches.append(iter(g.neighbors(b)))
-                continue
-        path.pop()
-        branches.pop()
-    return paths
 
 
 def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge, ValidationError
-from .graphs import GainGraph, WeightedGainGraph, _bfs, _require_connected, cycle_gain
+from .graphs import GainGraph, WeightedGainGraph, _bfs, _require_connected
 
 #: Largest number C(m, n) of n-edge subsets for which the search runs.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -285,17 +285,6 @@ def _cycle_factor(c: complex) -> float:
     its digits to the cancellation of 1 - Re c near c = 1; always >= 0."""
     x, y = 1.0 - c.real, c.imag
     return x * x + y * y
-
-
-def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
-    """Product of the forest's edge weights times, per component, the
-    cycle factor |1 - c|^2 of its cycle gain c; always >= 0."""
-    acc = 1.0
-    for u, v in forest.edges:
-        acc *= wg.weight(u, v)
-    for tree in forest.components:
-        acc *= _cycle_factor(cycle_gain(wg.base, tree.cycle))
-    return acc
 
 
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:

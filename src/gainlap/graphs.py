@@ -137,10 +137,6 @@ class GainGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        _check_vertex(v, self.n, "vertex")
-        return self._neighbors[v]
-
     def gain(self, u: int, v: int) -> complex:
         """Gain of the oriented edge u -> v: the stored gain, or its
         conjugate against the stored orientation, in one lookup."""
@@ -151,10 +147,6 @@ class GainGraph:
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u, v, _ in self.edges)
-
-    def underlying(self) -> "GainGraph":
-        """The same graph with every gain replaced by 1."""
-        return GainGraph(self.n, tuple((u, v, 1.0 + 0.0j) for u, v, _ in self.edges))
 
 
 @dataclass(frozen=True)
@@ -190,17 +182,6 @@ class WeightedGainGraph:
             )
         object.__setattr__(self, "weights", ws)
         vars(self)["_degree"] = degree  # read by laplacians.weighted_laplacian
-
-    @cached_property
-    def _weight_of(self) -> dict[tuple[int, int], float]:
-        return {(u, v): w for (u, v, _), w in zip(self.base.edges, self.weights)}
-
-    def weight(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._weight_of[key]
-        except KeyError:
-            raise NotAWalk(f"({u}, {v}) is not an edge") from None
 
 
 def unit_weights(g: GainGraph) -> WeightedGainGraph:
@@ -245,10 +226,6 @@ class SwitchingFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(normalize_gain(z) for z in self.values))
-
-    @classmethod
-    def identity(cls, n: int) -> "SwitchingFunction":
-        return cls((1.0 + 0.0j,) * n)
 
     @property
     def n(self) -> int:

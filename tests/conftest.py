@@ -17,7 +17,14 @@ import math
 import numpy as np
 import pytest
 
-from gainlap import GainGraph, SwitchingFunction, VertexOrdering, WeightedGainGraph
+from gainlap import (
+    GainGraph,
+    OneForest,
+    SwitchingFunction,
+    VertexOrdering,
+    WeightedGainGraph,
+    cycle_gain,
+)
 
 #: Primitive eighth root of unity, e^{i pi / 4}.
 Q = cmath.exp(1j * cmath.pi / 4)
@@ -199,9 +206,20 @@ def unbalanced_geodetic_graphs() -> dict[str, GainGraph]:
 # --- independent brute-force oracles ---------------------------------------
 
 
+def _sorted_adjacency(g: GainGraph) -> list[list[int]]:
+    """Per vertex 1..n its neighbors in ascending order, read off
+    ``g.edges`` rather than the graph's own adjacency under test."""
+    adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
 def brute_shortest_paths(g: GainGraph, u: int, v: int) -> list[tuple[int, ...]]:
     """All shortest u -> v paths by exhaustive simple-path search;
     independent of the BFS/DAG machinery under test."""
+    adj = _sorted_adjacency(g)
     best: list[tuple[int, ...]] = []
     best_len: list[int | None] = [None]
 
@@ -217,7 +235,7 @@ def brute_shortest_paths(g: GainGraph, u: int, v: int) -> list[tuple[int, ...]]:
             return
         if best_len[0] is not None and len(path) - 1 >= best_len[0]:
             return
-        for b in g.neighbors(a):
+        for b in adj[a]:
             if b not in seen:
                 path.append(b)
                 seen.add(b)
@@ -232,11 +250,12 @@ def brute_shortest_paths(g: GainGraph, u: int, v: int) -> list[tuple[int, ...]]:
 def all_simple_cycles(g: GainGraph) -> list[tuple[int, ...]]:
     """Every simple cycle once, as a vertex sequence starting at its
     smallest vertex, in its canonical direction."""
+    adj = _sorted_adjacency(g)
     cycles: list[tuple[int, ...]] = []
 
     def extend(path: list[int], seen: set[int]) -> None:
         a = path[-1]
-        for b in g.neighbors(a):
+        for b in adj[a]:
             if b == path[0] and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(tuple(path))
@@ -250,3 +269,19 @@ def all_simple_cycles(g: GainGraph) -> list[tuple[int, ...]]:
     for s in range(1, g.n + 1):
         extend([s], {s})
     return cycles
+
+
+def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:
+    """Product of the forest's edge weights, in forest order, times per
+    component the cycle factor |1 - c|^2 of its cycle gain c, formed as
+    x*x + y*y with x = 1 - Re c, y = Im c; the brute-force reference for
+    the weights the forest search sums."""
+    weight = dict(zip(wg.base.edge_pairs(), wg.weights))
+    acc = 1.0
+    for pair in forest.edges:
+        acc *= weight[pair]
+    for tree in forest.components:
+        c = cycle_gain(wg.base, tree.cycle)
+        x, y = 1.0 - c.real, c.imag
+        acc *= x * x + y * y
+    return acc

@@ -42,10 +42,8 @@ PUBLIC_NAMES = [
     "distance_incidence",
     "distance_laplacian",
     "emit_graph",
-    "enumerate_shortest_paths",
     "enumerate_spanning_one_forests",
     "factorization_residual",
-    "forest_weight",
     "format_complex",
     "gain_distance_matrix",
     "hermitian_eigensystem",
@@ -97,7 +95,6 @@ REMOVED = {
     "distance_factorization_residual": "cap",
     "distance_incidence": "cap",
     "distance_laplacian": "cap",
-    "enumerate_shortest_paths": "cap",
     "gain_distance_matrix": "cap",
     "hermitian_eigensystem": "tol",
     "hermitian_spectrum": "tol",
@@ -138,6 +135,28 @@ def test_star_import_and_dir_list_every_name():
     exec("from gainlap import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
     assert set(PUBLIC_NAMES) <= set(dir(gainlap))
+
+
+#: Public names that nothing in the library, the benchmark or the CLI
+#: called.  The tests list shortest paths with
+#: ``conftest.brute_shortest_paths`` and weigh forests with
+#: ``conftest.forest_weight``.
+GONE = ["enumerate_shortest_paths", "forest_weight"]
+
+
+@pytest.mark.parametrize("name", GONE)
+def test_removed_names_are_gone(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(gainlap, name)
+    assert name not in dir(gainlap) and name not in gainlap.__all__
+
+
+def test_removed_methods_are_gone():
+    """GainGraph.neighbors and .underlying, WeightedGainGraph.weight and
+    SwitchingFunction.identity had only test readers."""
+    for cls in (gainlap.GainGraph, gainlap.WeightedGainGraph, gainlap.SwitchingFunction):
+        for name in ("neighbors", "underlying", "weight", "identity"):
+            assert not hasattr(cls, name), (cls.__name__, name)
 
 
 def test_unknown_name_raises_attribute_error():

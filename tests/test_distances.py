@@ -44,7 +44,6 @@ from gainlap import (
     associated_complete_graph,
     distance_incidence,
     distance_laplacian,
-    enumerate_shortest_paths,
     gain_distance_matrix,
     is_balanced,
     is_compatible,
@@ -140,66 +139,6 @@ class TestShortestDistances:
         d = shortest_distances(demo)
         d[0, 1] = 99
         assert shortest_distances(demo)[0, 1] == 1
-
-
-class TestEnumerateShortestPaths:
-    def test_demo_pair_with_two_geodesics(self, demo):
-        assert enumerate_shortest_paths(demo, 1, 3) == [(1, 2, 3), (1, 4, 3)]
-
-    def test_adjacent_pair(self, demo):
-        assert enumerate_shortest_paths(demo, 1, 2) == [(1, 2)]
-
-    def test_trivial_pair(self, demo):
-        assert enumerate_shortest_paths(demo, 3, 3) == [(3,)]
-
-    def test_cap_exceeded(self, demo, monkeypatch):
-        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
-        with pytest.raises(PathExplosion, match="^more than 1 shortest paths between 1 and 3$"):
-            enumerate_shortest_paths(demo, 1, 3)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(37)
-        for _ in range(25):
-            n = int(rng.integers(3, 8))
-            g = random_connected_graph(rng, n, int(rng.integers(0, 5)))
-            for u in range(1, n + 1):
-                for v in range(u, n + 1):
-                    assert sorted(enumerate_shortest_paths(g, u, v)) == brute_shortest_paths(g, u, v)
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_graphs(), st.data())
-    def test_same_paths_in_the_same_order_as_brute_force(self, case, data):
-        """Neighbors are taken in ascending order, so the paths come out
-        sorted, as the oracle lists them.  A chain hung on core vertex c
-        lengthens every path to its far end, up to 3000 hops."""
-        core, _ = case
-        n = core.n
-        c, u, v = (data.draw(st.integers(1, n)) for _ in range(3))
-        chain = (c, *range(n + 1, n + data.draw(st.sampled_from([0, 1, 3000])) + 1))
-        g = GainGraph(len(chain) + n - 1, core.edges + tuple((a, b, 1.0) for a, b in zip(chain, chain[1:])))
-        assert enumerate_shortest_paths(g, u, v) == brute_shortest_paths(core, u, v)
-        to_c = brute_shortest_paths(core, u, c)
-        assert enumerate_shortest_paths(g, u, chain[-1]) == [p + chain[1:] for p in to_c]
-        from_c = brute_shortest_paths(core, c, u)
-        assert enumerate_shortest_paths(g, chain[-1], u) == [chain[:0:-1] + p for p in from_c]
-
-    def test_long_path_graph(self):
-        """Regression: one recursion level per hop raised RecursionError."""
-        n = 3000
-        g = GainGraph(n, tuple((k, k + 1, 1.0) for k in range(1, n)))
-        assert enumerate_shortest_paths(g, 1, n) == [tuple(range(1, n + 1))]
-
-    def test_unreachable_rejected(self):
-        g = GainGraph(3, ((1, 2, 1.0),))
-        with pytest.raises(Disconnected):
-            enumerate_shortest_paths(g, 1, 3)
-
-    @pytest.mark.parametrize(
-        "u, v, named", [(0, 2, "vertex 0 "), (1, 6, "vertex 6 "), (True, 2, "got True")]
-    )
-    def test_vertices_checked(self, demo, u, v, named):
-        with pytest.raises(ValidationError, match=named):
-            enumerate_shortest_paths(demo, u, v)
 
 
 class TestAuxiliaryGain:
@@ -370,8 +309,7 @@ class TestGainDistanceMatrix:
         square = GainGraph(4, ((1, 2, z), (2, 3, w), (1, 4, w), (3, 4, z.conjugate())))
         o = VertexOrdering.standard(4)
         monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
-        with pytest.raises(PathExplosion):
-            enumerate_shortest_paths(square, 1, 3)
+        assert len(brute_shortest_paths(square, 1, 3)) == 2
         assert gain_distance_matrix(square, o, "max")[0, 2] == 2 * (z * w)
 
     def test_cap_met_where_a_set_is_pushed_on(self, monkeypatch):
@@ -529,7 +467,7 @@ class TestAssociatedCompleteGraph:
     def test_demo_pair_gain_and_weight(self, demo, std5):
         k = associated_complete_graph(demo, std5, "max")
         assert k.base.gain(3, 5) == pytest.approx(1.0)
-        assert k.weight(3, 5) == 3.0
+        assert dict(zip(k.base.edge_pairs(), k.weights))[3, 5] == 3.0
         assert k.base.m == 10
 
     def test_laplacian_equals_distance_laplacian(self, demo, std5):
@@ -542,15 +480,13 @@ class TestAssociatedCompleteGraph:
 
     def test_all_gain_one_graph_maps_to_classical_distances(self):
         rng = np.random.default_rng(71)
-        g = random_connected_graph(rng, 6, 3).underlying()
+        g = random_connected_graph(rng, 6, 3)
+        g = GainGraph(g.n, tuple((u, v, 1.0) for u, v in g.edge_pairs()))
         k = associated_complete_graph(g, VertexOrdering.standard(6), "max")
         dist = shortest_distances(g)
         assert all(z == 1 for _, _, z in k.base.edges)
-        assert all(
-            k.weight(u, v) == dist[u - 1, v - 1]
-            for u in range(1, 7)
-            for v in range(u + 1, 7)
-        )
+        assert all(w == dist[u - 1, v - 1] for (u, v), w in zip(k.base.edge_pairs(), k.weights))
+        assert k.base.m == 15
 
     def test_balance_transfers_for_balanced_input(self):
         rng = np.random.default_rng(73)
@@ -692,7 +628,7 @@ class TestGeodesicTableParity:
         else:
             edges = tuple((u, v, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))) for u, v in pairs)
         g = GainGraph(far, edges)
-        geodesics = enumerate_shortest_paths(g, 1, far)
+        geodesics = brute_shortest_paths(g, 1, far)
         distinct = len({path_gain(g, p) for p in geodesics})
         assert len(geodesics) == paths
         assert distinct == paths if shape != "Q5-balanced" else 1 < distinct < paths
@@ -757,7 +693,7 @@ class TestExactT4Walk:
             return  # a generic gain, or disconnected
         table = _build_table(g)
         for u, v in itertools.permutations(range(1, g.n + 1), 2):
-            paths = enumerate_shortest_paths(g, u, v)
+            paths = brute_shortest_paths(g, u, v)
             exps = {sum(_exponent(g, a, b) for a, b in zip(p, p[1:])) % 4 for p in paths}
             assert {T4.index(path_gain(g, p)) for p in paths} == exps
             hi, lo = max(exps, key=_lex_rank), min(exps, key=_lex_rank)

@@ -186,7 +186,8 @@ class TestParse:
     def test_weights_accepted(self):
         doc = parse_graph(doc_text(weights=[1.5, 2.5]))
         assert doc.weights == (1.5, 2.5)
-        assert doc.weighted_graph().weight(2, 3) == 2.5
+        wg = doc.weighted_graph()
+        assert (wg.base.edge_pairs(), wg.weights) == (((1, 2), (2, 3)), (1.5, 2.5))
 
     def test_ordering_not_permutation(self):
         with pytest.raises(ValidationError, match="ordering"):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_simple_cycles,
+    forest_weight,
     random_connected_graph,
     random_unit,
     random_weighted,
@@ -36,7 +37,6 @@ from gainlap import (
     det_direct,
     det_via_forests,
     enumerate_spanning_one_forests,
-    forest_weight,
     is_spanning_one_forest,
     numerical_rank,
     spanning_subgraph,

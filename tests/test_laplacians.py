@@ -187,7 +187,8 @@ class TestDistanceLaplacian:
 
     def test_rows_sum_to_zero_when_all_gains_one(self):
         rng = np.random.default_rng(113)
-        g = random_connected_graph(rng, 7, 4).underlying()
+        g = random_connected_graph(rng, 7, 4)
+        g = GainGraph(g.n, tuple((u, v, 1.0) for u, v in g.edge_pairs()))
         dl = distance_laplacian(g, VertexOrdering.standard(7), "max")
         assert np.max(np.abs(dl.sum(axis=1))) <= 1e-12
 

@@ -334,7 +334,7 @@ class TestSwitchingSimilarity:
 
     def test_hypothesis_fails_on_demo(self):
         report = switching_similarity_check(
-            demo_graph(), VertexOrdering.standard(5), SwitchingFunction.identity(5)
+            demo_graph(), VertexOrdering.standard(5), SwitchingFunction((1.0,) * 5)
         )
         assert not report.hypothesis_met
         assert report.similarity_residual is None
@@ -343,7 +343,7 @@ class TestSwitchingSimilarity:
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             switching_similarity_check(
-                single_edge(1), VertexOrdering.standard(2), SwitchingFunction.identity(3)
+                single_edge(1), VertexOrdering.standard(2), SwitchingFunction((1.0,) * 3)
             )
 
     def test_balanced_corpus(self):
