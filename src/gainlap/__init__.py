@@ -24,9 +24,8 @@ _HOME = {
             enumerate_spanning_one_forests is_spanning_one_forest spanning_subgraph""",
         "graphs": """GainGraph SwitchingFunction VertexOrdering WeightedGainGraph cycle_gain
             is_balanced normalize_gain path_gain switch unit_weights""",
-        "laplacians": """IncidenceMatrix distance_factorization_residual distance_incidence
-            distance_laplacian factorization_residual weighted_adjacency weighted_incidence
-            weighted_laplacian""",
+        "laplacians": """distance_factorization_residual distance_incidence distance_laplacian
+            factorization_residual weighted_adjacency weighted_incidence weighted_laplacian""",
         "spectra": """CospectralityReport SingularityReport SwitchingReport
             balance_by_cospectrality balance_by_singularity det_direct hermitian_eigensystem
             hermitian_spectrum is_cospectral max_eigenpair_residual numerical_rank

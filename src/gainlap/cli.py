@@ -83,10 +83,10 @@ def _cmd_distance(doc: GraphDocument, args: argparse.Namespace) -> int:
 
 def _cmd_incidence(doc: GraphDocument, args: argparse.Namespace) -> int:
     if args.distance:
-        inc = gainlap.distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
+        H = gainlap.distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
     else:
-        inc = gainlap.weighted_incidence(doc.weighted_graph())
-    print(matrix_to_csv(inc.matrix))
+        H = gainlap.weighted_incidence(doc.weighted_graph())
+    print(matrix_to_csv(H))
     return 0
 
 
@@ -231,9 +231,9 @@ _THEOREMS = {
     7: _theorem_7, 11: _theorem_11, 12: _theorem_12, 13: _theorem_13,
 }
 
-#: The theorems stated for connected graphs: ``_verify`` refuses any
-#: other (exit 1) before the row runs, so the refusal loads no numpy.
-_CONNECTED_ONLY = frozenset({3, 6, 7, 11, 12, 13})
+#: The theorems stated for connected graphs (theorem 3 holds on any):
+#: ``_verify`` refuses others (exit 1) before the row runs, loading no numpy.
+_CONNECTED_ONLY = frozenset({6, 7, 11, 12, 13})
 
 
 def _verify(doc: GraphDocument, theorem: int, seed: int) -> _Verdict:

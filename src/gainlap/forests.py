@@ -25,10 +25,13 @@ component is a tree (none has more edges than vertices, and all have one
 fewer in sum), so each further edge that adds no second cycle completes
 a forest and is summed in place, not entered.  Forests come in the
 lexicographic order of their edge indices, each weight built up along
-the way.  The search is refused up front when n exceeds
-``DEFAULT_VERTEX_LIMIT`` or C(m, n) exceeds the subset budget: the
-budget bounds the number of n-edge subsets, not the work the search
-does, which is far smaller.
+the way.  It visits at most n * C(m, n) states, a state being the edges
+decided so far with fewer than n chosen: each extends to one n-edge
+subset by choosing the edges that follow, and at most n, one per number
+chosen, extend to the same subset.  A state costs two O(log n) finds;
+past the budget the search is refused up front.  No connected graph is
+needed: L is block diagonal over the components, and a spanning 1-forest
+is one of each, so a graph with a tree component has none and det L = 0.
 
 A forest's components, and the test of any edge subset, come from one
 :func:`graphs._bfs` over the subset: every component needs exactly one
@@ -37,18 +40,14 @@ non-tree edge, which closes its cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge, ValidationError
-from .graphs import GainGraph, WeightedGainGraph, _bfs, _require_connected
+from .graphs import GainGraph, WeightedGainGraph, _bfs
 
-#: Largest number C(m, n) of n-edge subsets for which the search runs.
+#: Largest bound n * C(m, n) on the search's states for which it runs.
 DEFAULT_SUBSET_BUDGET = 10_000_000
-
-#: Largest vertex count accepted by the exhaustive enumeration.
-DEFAULT_VERTEX_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -245,32 +244,26 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
 def _checked_search(
     wg: WeightedGainGraph, budget: int | None
 ) -> Iterator[tuple[tuple[int, ...], float]]:
-    """The search, after the checks that refuse it up front."""
+    """The search, after the checks that refuse it up front.  As C(m, k) >= 2^k
+    for k <= m / 2, n * C(m, k) passes the budget within log2(budget) + 1 steps."""
     budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if budget < 1:
         raise ValidationError(f"budget: expected a positive integer, got {budget}")
     n, m = wg.base.n, wg.base.m
-    if n > DEFAULT_VERTEX_LIMIT:
-        raise TooLarge(f"n = {n} exceeds the enumeration limit {DEFAULT_VERTEX_LIMIT}")
-    if m >= n and math.comb(m, n) > budget:
-        raise TooLarge(
-            f"C({m}, {n}) = {math.comb(m, n)} subsets exceeds the budget {budget}"
-        )
+    states, k = (n if m >= n else 0), 0
+    while states <= budget and k < min(n, m - n):
+        k += 1
+        states = states * (m - k + 1) // k
+    if states > budget:
+        raise TooLarge(f"{n} * C({m}, {n}) search states exceed the budget {budget}")
     return _one_forest_search(wg)
 
 
-def enumerate_spanning_one_forests(
-    wg: WeightedGainGraph, budget: int | None = None
-) -> Iterator[OneForest]:
-    """All spanning 1-forests, in lexicographic order of edge indices.
-
-    Raises:
-        ValidationError: if ``budget`` is below 1.
-        TooLarge: if n exceeds ``DEFAULT_VERTEX_LIMIT`` or the subset count
-            C(m, n) exceeds ``budget`` (checked before any work is done).
-    """
+def enumerate_spanning_one_forests(wg: WeightedGainGraph) -> Iterator[OneForest]:
+    """All spanning 1-forests, in lexicographic order of edge indices;
+    ``TooLarge`` up front if n * C(m, n) exceeds ``DEFAULT_SUBSET_BUDGET``."""
     n, pairs = wg.base.n, wg.base.edge_pairs()
-    search = _checked_search(wg, budget)
+    search = _checked_search(wg, None)
 
     def generate() -> Iterator[OneForest]:
         for indices, _ in search:
@@ -289,8 +282,8 @@ def _cycle_factor(c: complex) -> float:
 
 def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
-    weights, a float; 0.0 when no spanning 1-forest exists."""
-    _require_connected(wg.base)
+    weights, a float; 0.0 when no spanning 1-forest exists.  Up front,
+    ``ValidationError`` if ``budget`` < 1, ``TooLarge`` if n * C(m, n) exceeds it."""
     return float(sum(weight for _, weight in _checked_search(wg, budget)))
 
 

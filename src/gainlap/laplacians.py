@@ -15,8 +15,6 @@ long, and L longer and with other bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distances import auxiliary_gain_matrix
@@ -25,14 +23,6 @@ from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
 
 #: Most bytes (n * m * 16) a dense incidence matrix may take, else TooLarge.
 _INCIDENCE_BYTES = 1 << 26
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """An (n, m) complex matrix plus the oriented edge of each column."""
-
-    matrix: np.ndarray
-    oriented_edges: tuple[tuple[int, int], ...]
 
 
 def _columns(tails: np.ndarray, heads: np.ndarray, gains, weights) -> tuple:
@@ -49,12 +39,12 @@ def _require_dense(n: int, m: int) -> None:
         raise TooLarge(f"a dense {n} x {m} incidence takes over {_INCIDENCE_BYTES} bytes")
 
 
-def _incidence(n: int, columns: tuple) -> IncidenceMatrix:
+def _incidence(n: int, columns: tuple) -> np.ndarray:
     tails, heads, at_tail, at_head = columns
     H, cols = np.zeros((n, tails.size), dtype=complex), np.arange(tails.size)
     H[tails, cols] = at_tail
     H[heads, cols] = at_head
-    return IncidenceMatrix(H, tuple(zip((tails + 1).tolist(), (heads + 1).tolist())))
+    return H
 
 
 def _residual(columns: tuple, L: np.ndarray) -> float:
@@ -85,7 +75,7 @@ def weighted_laplacian(wg: WeightedGainGraph) -> np.ndarray:
 
 
 def _edge_columns(wg: WeightedGainGraph, orientation) -> tuple:
-    """The columns of the edges, oriented as ``weighted_incidence`` says."""
+    """The columns of the edges, oriented as ``factorization_residual`` says."""
     edges = wg.base.edges
     orientation = wg.base.edge_pairs() if orientation is None else orientation
     if len(orientation) != len(edges):
@@ -102,28 +92,21 @@ def _edge_columns(wg: WeightedGainGraph, orientation) -> tuple:
     return _columns(tails, heads, gains, wg.weights)
 
 
-def weighted_incidence(
-    wg: WeightedGainGraph,
-    orientation: tuple[tuple[int, int], ...] | None = None,
-) -> IncidenceMatrix:
-    """Incidence matrix with one column per edge, in edge-list order;
-    ``TooLarge`` past ``_INCIDENCE_BYTES``.
-
-    Args:
-        wg: the weighted gain graph.
-        orientation: optional (tail, head) pair of int vertices per edge,
-            aligned with the edge list (else ValidationError).  Defaults
-            to the stored u < v orientation.
-    """
+def weighted_incidence(wg: WeightedGainGraph) -> np.ndarray:
+    """Incidence matrix with one column per edge, in edge-list order, each
+    edge oriented u -> v as stored (u < v); ``TooLarge`` past
+    ``_INCIDENCE_BYTES``."""
     _require_dense(wg.base.n, wg.base.m)
-    return _incidence(wg.base.n, _edge_columns(wg, orientation))
+    return _incidence(wg.base.n, _edge_columns(wg, None))
 
 
 def factorization_residual(
     wg: WeightedGainGraph,
     orientation: tuple[tuple[int, int], ...] | None = None,
 ) -> float:
-    """max |L - H H*|; tiny for every orientation."""
+    """max |L - H H*|; tiny for every orientation.  ``orientation`` gives a
+    (tail, head) pair of int vertices per edge, aligned with the edge list
+    (else ValidationError); by default each edge is oriented u -> v as stored."""
     return _residual(_edge_columns(wg, orientation), weighted_laplacian(wg))
 
 
@@ -135,9 +118,10 @@ def _pair_columns(ordering: VertexOrdering, aux: np.ndarray, hop: np.ndarray) ->
     return _columns(tails, heads, aux[tails, heads], hop[tails, heads].astype(float))
 
 
-def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> IncidenceMatrix:
-    """Incidence matrix of the associated complete graph, columns as
-    ``_pair_columns`` gives them; ``TooLarge`` past ``_INCIDENCE_BYTES``,
+def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
+    """Incidence matrix of the associated complete graph: one column per
+    vertex pair, its tail at the ordering-smaller end, the columns sorted
+    by (tail rank, head rank).  ``TooLarge`` past ``_INCIDENCE_BYTES``,
     before the geodesic table is built."""
     _require_dense(g.n, g.n * (g.n - 1) // 2)
     return _incidence(g.n, _pair_columns(ordering, *auxiliary_gain_matrix(g, ordering, mode)))

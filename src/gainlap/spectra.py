@@ -1,11 +1,16 @@
 """Hermitian spectra and spectral balance criteria.
 
 Three independent routes decide whether a gain graph is balanced: the
-potential propagation over a spanning forest, singularity and rank of
-the gain distance Laplacians, and cospectrality of the gain distance
-Laplacian with that of the all-gain-1 copy of the graph.  On any input
-the three verdicts agree; the reports returned here carry the raw
-evidence alongside the verdict.
+potential propagation over a spanning forest (``graphs.BALANCE_TOL``),
+singularity and rank of the gain distance Laplacians (the rank cutoff
+of :func:`numerical_rank`), and cospectrality of the gain distance
+Laplacian with that of the all-gain-1 copy of the graph
+(``distances.ENTRY_TOL``, then ``_SPECTRUM_TOL``).  The verdicts agree
+outside a band of near-balanced graphs, where each route judges a cycle
+gain near 1 against its own tolerance: on C_12 with one gain e^{i 1e-8}
+the rank route finds it balanced and the other two do not.  ROADMAP
+open item 1 plans one decision for all three.  The reports returned here
+carry the raw evidence alongside the verdict.
 """
 
 from __future__ import annotations
@@ -154,7 +159,6 @@ class SingularityReport:
     hold the same quantities in the log domain, where they do not.
     """
 
-    n: int
     det_max: float
     det_min: float
     threshold_max: float
@@ -183,7 +187,7 @@ def balance_by_singularity(g: GainGraph, ordering: VertexOrdering) -> Singularit
         fields[f"rank_{mode}"] = numerical_rank(DL)
     balanced = fields["rank_max"] == g.n - 1 and fields["rank_min"] == g.n - 1
     return SingularityReport(
-        n=g.n, balanced=balanced, matches_potential=balanced == is_balanced(g), **fields
+        balanced=balanced, matches_potential=balanced == is_balanced(g), **fields
     )
 
 

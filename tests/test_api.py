@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "GainGraph",
     "GainLapError",
     "GraphDocument",
-    "IncidenceMatrix",
     "NotACycle",
     "NotAWalk",
     "NotHermitian",
@@ -82,29 +81,30 @@ def test_public_names_are_pinned():
 #: cap and limit is read from its module constant.
 OVERRIDES = {
     "det_via_forests": ["budget"],
-    "enumerate_spanning_one_forests": ["budget"],
     "factorization_residual": ["orientation"],
     "normalize_gain": ["strict"],
-    "weighted_incidence": ["orientation"],
 }
 
 #: Overrides that no caller outside the tests set, each now fixed to its
-#: constant; a test that needs another value patches the constant.
-REMOVED = {
-    "associated_complete_graph": "cap",
-    "distance_factorization_residual": "cap",
-    "distance_incidence": "cap",
-    "distance_laplacian": "cap",
-    "gain_distance_matrix": "cap",
-    "hermitian_eigensystem": "tol",
-    "hermitian_spectrum": "tol",
-    "is_balanced": "tol",
-    "is_compatible": "tol",
-    "is_cospectral": "tol",
-    "is_ordering_independent": "tol",
-    "numerical_rank": "tol",
-    "enumerate_spanning_one_forests": "vertex_limit",
-}
+#: constant or, for ``orientation``, to the stored u < v orientation; a
+#: test that needs another value patches the constant.
+REMOVED = (
+    ("associated_complete_graph", "cap"),
+    ("distance_factorization_residual", "cap"),
+    ("distance_incidence", "cap"),
+    ("distance_laplacian", "cap"),
+    ("gain_distance_matrix", "cap"),
+    ("hermitian_eigensystem", "tol"),
+    ("hermitian_spectrum", "tol"),
+    ("is_balanced", "tol"),
+    ("is_compatible", "tol"),
+    ("is_cospectral", "tol"),
+    ("is_ordering_independent", "tol"),
+    ("numerical_rank", "tol"),
+    ("enumerate_spanning_one_forests", "vertex_limit"),
+    ("enumerate_spanning_one_forests", "budget"),
+    ("weighted_incidence", "orientation"),
+)
 
 
 def test_only_the_kept_overrides_remain():
@@ -118,7 +118,7 @@ def test_only_the_kept_overrides_remain():
             if defaulted:
                 found[name] = defaulted
     assert found == OVERRIDES
-    for name, param in REMOVED.items():
+    for name, param in REMOVED:
         assert param not in inspect.signature(getattr(gainlap, name)).parameters, name
 
 
@@ -140,8 +140,9 @@ def test_star_import_and_dir_list_every_name():
 #: Public names that nothing in the library, the benchmark or the CLI
 #: called.  The tests list shortest paths with
 #: ``conftest.brute_shortest_paths`` and weigh forests with
-#: ``conftest.forest_weight``.
-GONE = ["enumerate_shortest_paths", "forest_weight"]
+#: ``conftest.forest_weight``; both incidences return the bare array, as
+#: nothing read ``IncidenceMatrix.oriented_edges``.
+GONE = ["enumerate_shortest_paths", "forest_weight", "IncidenceMatrix"]
 
 
 @pytest.mark.parametrize("name", GONE)
@@ -153,10 +154,12 @@ def test_removed_names_are_gone(name):
 
 def test_removed_methods_are_gone():
     """GainGraph.neighbors and .underlying, WeightedGainGraph.weight and
-    SwitchingFunction.identity had only test readers."""
+    SwitchingFunction.identity had only test readers; SingularityReport.n
+    had none."""
     for cls in (gainlap.GainGraph, gainlap.WeightedGainGraph, gainlap.SwitchingFunction):
         for name in ("neighbors", "underlying", "weight", "identity"):
             assert not hasattr(cls, name), (cls.__name__, name)
+    assert "n" not in gainlap.SingularityReport.__dataclass_fields__
 
 
 def test_unknown_name_raises_attribute_error():

@@ -35,7 +35,6 @@ from gainlap import (
     ValidationError,
     ZeroGain,
     csv_to_matrix,
-    det_via_forests,
     distance_laplacian,
     emit_graph,
     hermitian_spectrum,
@@ -461,21 +460,41 @@ DISCONNECTED = {
 
 @pytest.mark.parametrize(
     "query, argv",
-    [
-        (lambda doc: shortest_distances(doc.gain_graph()), ("dmatrix", "--mode", "max")),
-        (lambda doc: det_via_forests(doc.weighted_graph()), ("det", "--method", "forests")),
-    ],
-    ids=["distances", "forests"],
+    [(lambda doc: shortest_distances(doc.gain_graph()), ("dmatrix", "--mode", "max"))],
+    ids=["distances"],
 )
 def test_disconnected_graph_refused_with_one_text(capsys, tmp_path, query, argv):
     """The library and the CLI refuse a disconnected graph with the same
-    words, whichever layer needs it connected."""
+    words where a layer needs it connected."""
     text = "vertex 3 is unreachable from vertex 1"
     with pytest.raises(Disconnected) as exc:
         query(parse_graph(json.dumps(DISCONNECTED)))
     assert str(exc.value) == text
     path = write_document(tmp_path, DISCONNECTED)
     assert invoke(capsys, *argv, path) == (1, "", f"error: {text}\n")
+
+
+def test_forest_determinant_of_a_disconnected_graph(capsys, tmp_path):
+    """Regression: det --method forests and theorem 3 refused a
+    disconnected graph, though the expansion holds component by component.
+    On two lone edges both methods print 0; on two triangles of cycle
+    gain -1, 16 against LU's 15.999999999999991, and theorem 3 PASSes."""
+    path = write_document(tmp_path, DISCONNECTED)
+    lu = invoke(capsys, "det", "--method", "lu", path)
+    assert invoke(capsys, "det", "--method", "forests", path) == lu == (0, "0\n", "")
+    twisted = {
+        "n": 6,
+        "edges": [
+            {"u": u, "v": v, "gain": {"re": -1 if (u, v) in ((1, 3), (4, 6)) else 1, "im": 0}}
+            for u, v in [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+        ],
+    }
+    path = write_document(tmp_path, twisted, name="twisted.json")
+    assert invoke(capsys, "det", "--method", "forests", path) == (0, "16\n", "")
+    code, out, _ = invoke(capsys, "det", "--method", "lu", path)
+    assert code == 0 and float(out) == pytest.approx(16.0, rel=1e-12)
+    code, out, _ = invoke(capsys, "verify", "--theorem", "3", path)
+    assert code == 0 and out.startswith("PASS theorem=3 ")
 
 
 class TestExitCodes:
@@ -674,14 +693,13 @@ print(json.dumps(seen))
 
 def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     """Importing the package or the CLI loads no numpy, and neither do
-    balance, det --method forests (within or over its budget), an input
-    error and a verify row that refuses its input; dmatrix loads it, so
-    the probe can see it."""
+    balance, det --method forests and verify --theorem 3 over their budget,
+    det --method forests within it, an input error and a verify row that
+    refuses its input; dmatrix loads it, so the probe can see it."""
     truncated = tmp_path / "truncated.json"
     truncated.write_text(json.dumps(demo_document())[:40])
     k4 = [{"u": u, "v": v, "gain": {"theta": 0.5}} for u in range(1, 5) for v in range(u + 1, 5)]
     k4_path = write_document(tmp_path, {"n": 4, "edges": k4}, name="k4.json")
-    c11_path = write_document(tmp_path, cycle_document([1j] * 11), name="c11.json")
     two_path = write_document(tmp_path, TWO_TRIANGLES, name="two.json")
     calls = [
         (None, ["balance", demo_path]),
@@ -689,7 +707,7 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
         ("1", ["det", "--method", "forests", k4_path]),  # C(6, 4) = 15 subsets
         (None, ["balance", str(truncated)]),
         (None, ["verify", "--theorem", "2", demo_path]),  # not a cycle
-        (None, ["verify", "--theorem", "3", c11_path]),  # past the enumeration limit
+        ("1", ["verify", "--theorem", "3", k4_path]),  # past the budget
         (None, ["verify", "--theorem", "6", two_path]),  # disconnected
         (None, ["verify", "--theorem", "7", two_path]),
         (None, ["verify", "--theorem", "11", two_path]),

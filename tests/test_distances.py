@@ -895,18 +895,21 @@ class TestCompleteGraphIdentity:
     @settings(max_examples=150, deadline=None)
     @given(exact_graphs() | generic_graphs(), st.data())
     def test_same_bits_as_the_weighted_objects_of_k(self, g, data):
-        """DL is the weighted Laplacian of K(Θ), and DH its incidence
-        with each edge oriented from its ordering-smaller end."""
+        """DL is the weighted Laplacian of K(Θ), and DH its incidence with
+        each edge oriented from its ordering-smaller end: the incidence of
+        K(Θ) relabelled by rank, whose edges run u < v, rows in rank order."""
         if len(_bfs(g._neighbors, 1)[1]) < g.n:
             return  # disconnected: no distances
         o = VertexOrdering(tuple(data.draw(st.permutations(range(1, g.n + 1)))))
         for mode in ("max", "min"):
             k = associated_complete_graph(g, o, mode)
             assert weighted_laplacian(k).tobytes() == distance_laplacian(g, o, mode).tobytes()
-            smaller_first = tuple(
-                (u, v) if o.ranks[u - 1] < o.ranks[v - 1] else (v, u) for u, v, _ in k.base.edges
+            by_rank = sorted(
+                ((o.ranks[u - 1], o.ranks[v - 1], z), w) if o.ranks[u - 1] < o.ranks[v - 1]
+                else ((o.ranks[v - 1], o.ranks[u - 1], z.conjugate()), w)
+                for (u, v, z), w in zip(k.base.edges, k.weights)
             )
-            inc, dist = weighted_incidence(k, smaller_first), distance_incidence(g, o, mode)
-            cols = [inc.oriented_edges.index(e) for e in dist.oriented_edges]
-            assert sorted(cols) == list(range(k.base.m))
-            assert inc.matrix[:, cols].tobytes() == dist.matrix.tobytes()
+            edges, weights = zip(*by_rank) if by_rank else ((), ())
+            ranked = WeightedGainGraph(GainGraph(g.n, edges), weights)
+            H = weighted_incidence(ranked)[np.array(o.ranks) - 1]
+            assert H.tobytes() == distance_incidence(g, o, mode).tobytes()

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from conftest import (
     random_weights,
 )
 from gainlap import (
-    Disconnected,
     GainGraph,
     TooLarge,
     OneTree,
@@ -154,24 +154,71 @@ class TestEnumerate:
         assert f.components[0].cycle == (1, 2, 3)
 
     def test_vertex_limit(self):
-        g = GainGraph(11, tuple((i, i + 1, 1) for i in range(1, 11)))
-        with pytest.raises(TooLarge):
-            enumerate_spanning_one_forests(unit_weights(g))
+        """Regression: a vertex limit refused every n > 10, though the
+        subset budget already bounds the search; the 11-vertex path has
+        no spanning 1-forest and det 0.0."""
+        wg = unit_weights(GainGraph(11, tuple((i, i + 1, 1) for i in range(1, 11))))
+        assert list(enumerate_spanning_one_forests(wg)) == []
+        det = det_via_forests(wg)
+        assert type(det) is float and det == 0.0
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        """The budget bounds n * C(m, n), the search's states: K5 has
+        5 * C(10, 5) = 1260, so a budget of 1260 runs the search, one of
+        1259 refuses it, and the enumeration reads the module constant.
+        A 3-cycle has 3 * C(3, 3) = 3 states; a path has no 3-edge subset,
+        so no state, and runs under any budget."""
         k5 = unit_weights(
             GainGraph(5, tuple((u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)))
         )
+        with pytest.raises(TooLarge, match=r"^5 \* C\(10, 5\) search states exceed the budget 1259$"):
+            det_via_forests(k5, budget=1259)
+        assert det_via_forests(k5, budget=1260) == pytest.approx(0.0, abs=1e-9)  # balanced
+        monkeypatch.setattr(forests, "DEFAULT_SUBSET_BUDGET", 1259)
         with pytest.raises(TooLarge):
-            enumerate_spanning_one_forests(k5, budget=100)
+            enumerate_spanning_one_forests(k5)
+        with pytest.raises(TooLarge):
+            det_via_forests(k5)
+        c3 = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1), (1, 3, -1))))
+        with pytest.raises(TooLarge, match=r"^3 \* C\(3, 3\) search states"):
+            det_via_forests(c3, budget=2)
+        assert det_via_forests(c3, budget=3) == pytest.approx(4.0)
+        path = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1))))
+        assert det_via_forests(path, budget=1) == 0.0
+
+    def test_cycle_with_chords_refused_by_its_states(self):
+        """Regression: with only C(m, n) <= budget as the cap, the n-cycle
+        with one chord (n + 1 subsets) passed at n = 10^5, though its search
+        scans about n^2 / 2 states, hours of work; two chords give n^3 / 6.
+        n * C(m, n) refuses both at once."""
+        for n, chords in ((100_000, 1), (4000, 2)):
+            pairs = [(k, k + 1) for k in range(1, n)] + [(1, n)]
+            pairs += [(1, 1 + n * (c + 1) // (chords + 1)) for c in range(chords)]
+            wg = unit_weights(GainGraph(n, tuple((u, v, 1) for u, v in pairs)))
+            started = time.perf_counter()
+            with pytest.raises(TooLarge):
+                enumerate_spanning_one_forests(wg)  # lazy: a search let through fails here, not hangs
+            with pytest.raises(TooLarge, match=rf"^{n} \* C\({n + chords}, {n}\) search states exceed"):
+                det_via_forests(wg)
+            assert time.perf_counter() - started < 1.0
+
+    def test_budget_refuses_a_count_too_long_to_print(self):
+        """C(30000, 15000) has 9029 digits, past Python's 4300-digit limit
+        on converting an int to text: the states are counted only up to
+        the budget, and the refusal names n * C(m, n) without its value."""
+        n = 15000
+        pairs = sorted({tuple(sorted((v, (v + s - 1) % n + 1))) for v in range(1, n + 1) for s in (1, 2)})
+        wg = unit_weights(GainGraph(n, tuple((u, v, 1) for u, v in pairs)))
+        with pytest.raises(
+            TooLarge, match=r"^15000 \* C\(30000, 15000\) search states exceed the budget 10000000$"
+        ):
+            det_via_forests(wg)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_non_positive_budget(self, budget):
         """Regression: a budget below 1 was refused as exceeded
         (TooLarge) instead of as invalid."""
         wg = unit_weights(GainGraph(3, ((1, 2, 1), (2, 3, 1), (1, 3, 1j))))
-        with pytest.raises(ValidationError, match="budget"):
-            enumerate_spanning_one_forests(wg, budget=budget)
         with pytest.raises(ValidationError, match="budget"):
             det_via_forests(wg, budget=budget)
 
@@ -294,10 +341,30 @@ class TestWeightsAndDeterminant:
         assert type(det) is float and det == 0.0
         assert float.hex(det) == "0x0.0p+0"
 
-    def test_disconnected_rejected(self):
-        g = GainGraph(4, ((1, 2, 1), (3, 4, 1)))
-        with pytest.raises(Disconnected):
-            det_via_forests(unit_weights(g))
+    def test_disconnected_graph_multiplies_its_components(self):
+        """L is block diagonal over the components: two disjoint triangles
+        of cycle gains i and -1 give 2 * 4, and a tree component, here an
+        isolated vertex or a lone edge, gives 0.0."""
+        two = triangle_i().base.edges + ((4, 5, 1), (4, 6, -1), (5, 6, 1))
+        assert det_via_forests(unit_weights(GainGraph(6, two))) == pytest.approx(8.0, rel=1e-15)
+        for g in (GainGraph(7, two), GainGraph(4, ((1, 2, 1j), (3, 4, 1)))):
+            det = det_via_forests(unit_weights(g))
+            assert type(det) is float and det == 0.0
+
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_long_cycles_with_chords_match_lu(self, n):
+        """Regression: past 10 vertices the search was refused, though
+        C(n + 2, n) is small; with up to two chords it matches LU."""
+        rng = np.random.default_rng(n)
+        for chords in range(3):
+            pairs = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+            while len(pairs) < n + chords:
+                u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False) + 1)
+                pairs.add((u, v))
+            g = GainGraph(n, tuple((u, v, random_unit(rng)) for u, v in sorted(pairs)))
+            wg = random_weighted(rng, g)
+            lu = det_direct(weighted_laplacian(wg)).real
+            assert det_via_forests(wg) == pytest.approx(lu, rel=1e-9)
 
 
 class TestNonForestSubgraphsAreSingular:
@@ -413,7 +480,7 @@ class TestMarginals:
                 for pair in f.edges:
                     inside[index[pair]] += w
             enumerated = inside / total
-            H = weighted_incidence(wg).matrix
+            H = weighted_incidence(wg)
             L = H @ H.conj().T
             formula = np.real(np.einsum("ie,ie->e", H.conj(), np.linalg.solve(L, H)))
             assert np.max(np.abs(enumerated - formula)) <= 1e-9
@@ -449,14 +516,7 @@ class TestLastEdgeSummedInPlace:
         brute = sum(forest_weight(f, wg) for f in forests_found)
         total = sum(weight for _, weight in forests._one_forest_search(wg))
         assert total == pytest.approx(brute, rel=1e-12, abs=1e-300)
-        reach = {1}
-        for _ in range(n):
-            reach |= {x for e in pairs if reach.intersection(e) for x in e}
-        if len(reach) < n:
-            with pytest.raises(Disconnected):
-                det_via_forests(wg)
-        else:
-            assert repr(det_via_forests(wg)) == repr(float(total))
+        assert repr(det_via_forests(wg)) == repr(float(total))
 
 
 #: Unit gains with rational parts, so no gain depends on a libm call.
