@@ -27,7 +27,7 @@ from typing import Sequence
 
 import gainlap
 
-from .documents import GraphDocument, matrix_to_csv, parse_graph
+from .documents import GraphDocument, _csv_rows, parse_graph
 from .errors import GainLapError, ParseError, TooLarge, ValidationError
 from .graphs import _require_connected
 
@@ -71,13 +71,20 @@ def _ordering(doc: GraphDocument, reverse: bool):
     return ordering.reverse() if reverse else ordering
 
 
+def _print_csv(M) -> None:
+    """Print ``matrix_to_csv(M)`` a line at a time, so the whole text is
+    never held: an r x 0 matrix prints r empty lines."""
+    for line in _csv_rows(M):
+        print(line)
+
+
 # --- subcommand handlers: (document, arguments) -> exit code -------------
 
 
 def _cmd_distance(doc: GraphDocument, args: argparse.Namespace) -> int:
     dmatrix = args.command == "dmatrix"
     build = gainlap.gain_distance_matrix if dmatrix else gainlap.distance_laplacian
-    print(matrix_to_csv(build(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)))
+    _print_csv(build(doc.gain_graph(), _ordering(doc, args.reverse), args.mode))
     return 0
 
 
@@ -86,7 +93,7 @@ def _cmd_incidence(doc: GraphDocument, args: argparse.Namespace) -> int:
         H = gainlap.distance_incidence(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
     else:
         H = gainlap.weighted_incidence(doc.weighted_graph())
-    print(matrix_to_csv(H))
+    _print_csv(H)
     return 0
 
 

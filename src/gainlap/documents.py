@@ -20,6 +20,12 @@ The parser checks only the shape of the JSON; the model constructors
 in :mod:`gainlap.graphs` check every invariant of the values (n, the
 vertex range, u < v, duplicate edges, positive weights, the ordering
 permutation) and name the offending field.
+
+Matrices are written as CSV of 'a+bi' cells by :func:`matrix_to_csv`.
+Its lines come one at a time from :func:`_csv_rows`, and the CLI
+writes each as it comes, so the whole text is never held.  A Hermitian
+matrix formats each mirrored pair of cells once and holds the strings
+of at most n²/4 cells at a time.
 """
 
 from __future__ import annotations
@@ -206,7 +212,9 @@ def matrix_to_csv(M: np.ndarray) -> str:
     The output is byte for byte ``",".join(format_complex(z) for z in
     row)`` over the rows, ±0.0, ±inf and NaN parts included: a zero
     part prints as 0, and any other part prints "-" exactly when its
-    sign bit is set, so a NaN part keeps its sign bit.
+    sign bit is set, so a NaN part keeps its sign bit.  A Hermitian
+    matrix formats each mirrored pair of cells once (see
+    :func:`_csv_rows`).
 
     Raises:
         ValidationError: if M is not 2-D.
@@ -216,27 +224,53 @@ def matrix_to_csv(M: np.ndarray) -> str:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValidationError(f"matrix_to_csv: expected a 2-D matrix, got {M.ndim}-D input")
-    if (np.isnan(M.real) & np.signbit(M.real)).any():  # %g prints every NaN as nan
-        return "\n".join(",".join(map(format_complex, row)) for row in M.tolist())
     return "\n".join(_csv_rows(M))
 
 
 def _csv_rows(M: np.ndarray) -> Iterator[str]:
-    """The lines of :func:`matrix_to_csv` when no real part is a NaN with
-    its sign bit set.  The parts are taken for the whole matrix at once,
-    and each row is formatted by one ``%`` over all its cells.  As a
-    generator, it frees the parts before the rows are joined."""
+    """The lines of :func:`matrix_to_csv` for a 2-D complex array, one
+    at a time, so a caller that writes each line never holds the text.
+
+    The parts are taken for the whole matrix at once, and each row is
+    formatted by one ``%`` over all its cells.  When M is Hermitian
+    (square and M == M*, so it holds no NaN), cell (k, j) has the parts
+    of (j, k), and equal parts print equal strings; only its sign comes
+    from its own imaginary part.  Then one ``%`` over row j's cells
+    (j, j..n-1) makes for each a template with its parts and a ``%s``
+    for the sign, which two rows share.  Each column keeps the templates
+    of the rows above until its own row prints, so at most n²/4 cells
+    are held, and a row is its templates joined and filled with its
+    signs by one ``%``.
+    """
     import numpy as np
 
+    if (np.isnan(M.real) & np.signbit(M.real)).any():  # %g prints every NaN as nan
+        for row in M:
+            yield ",".join(map(format_complex, row.tolist()))
+        return
     re = M.real + 0.0  # -0.0 + 0.0 is 0.0
     sign = np.where(np.signbit(M.imag) & (M.imag != 0), "-", "+")
     im = abs(M.imag)
-    m = M.shape[1]
-    row = ",".join(["%.17g%s%.17gi"] * m)
-    args: list = [None] * (3 * m)  # re, sign, |im| of each cell in turn
-    for r, s, i in zip(re, sign, im):
-        args[0::3], args[1::3], args[2::3] = r.tolist(), s.tolist(), i.tolist()
-        yield row % tuple(args)
+    n, m = M.shape
+    if n != m or not (M == M.conj().T).all():
+        row = ",".join(["%.17g%s%.17gi"] * m)
+        args: list = [None] * (3 * m)  # re, sign, |im| of each cell in turn
+        for r, s, i in zip(re, sign, im):
+            args[0::3], args[1::3], args[2::3] = r.tolist(), s.tolist(), i.tolist()
+            yield row % tuple(args)
+        return
+    tail = "%.17g%%s%.17gi," * n  # 15 characters a cell; no part prints a %
+    cols: list = [[] for _ in range(n)]
+    for j in range(n):
+        parts: list = [None] * (2 * (n - j))
+        parts[0::2], parts[1::2] = re[j, j:].tolist(), im[j, j:].tolist()
+        cells = (tail[15 * j:] % tuple(parts)).split(",")
+        # list.append returns None, so any() runs the map to its end, in C.
+        any(map(list.append, cols[j + 1:], cells[1:]))
+        cells.pop()  # the empty string after the last ","
+        head, cols[j] = cols[j], None
+        head += cells
+        yield ",".join(head) % tuple(sign[j].tolist())
 
 
 def csv_to_matrix(text: str) -> np.ndarray:

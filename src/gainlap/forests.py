@@ -23,7 +23,8 @@ backtrack: an edge at an uncovered vertex, a root without a cycle, is
 always included on the way down.  With n - 1 edges chosen exactly one
 component is a tree (none has more edges than vertices, and all have one
 fewer in sum), so each further edge that adds no second cycle completes
-a forest and is summed in place, not entered.  Forests come in the
+a forest and is summed in place, not entered; when that tree is one
+uncovered vertex, the scan ends at its last edge.  Forests come in the
 lexicographic order of their edge indices, each weight built up along
 the way.  It visits at most n * C(m, n) states, a state being the edges
 decided so far with fewer than n chosen: each extends to one n-edge
@@ -147,9 +148,10 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
     component is a tree; a vertex holds its potential, the gain of the
     tree path to its parent.  At depth n - 1 an edge that passes the
     cycle checks is yielded with the forest it completes and the scan
-    goes on, so no leaf is entered or rolled back.  The loop is flat and
-    ``find`` is inlined, so the search runs in one frame whatever its
-    depth.
+    goes on, so no leaf is entered or rolled back, up to the last edge of
+    an uncovered vertex, as only its edges complete a forest there.  The
+    loop is flat and ``find`` is inlined, so the search runs in one frame
+    whatever its depth.
     """
     n, m = wg.base.n, wg.base.m
     ends = [(u, v) for u, v, _ in wg.base.edges]
@@ -200,6 +202,8 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
             elif cycle[ru] is None or cycle[rv] is None:
                 if leaf:
                     yield (*chosen, j), weight * weights[j]
+                    if (last[u] == j and not degree[u]) or (last[v] == j and not degree[v]):
+                        j = stop  # no later edge reaches the uncovered vertex
                 else:
                     z = gains[j]
                     if size[ru] < size[rv]:

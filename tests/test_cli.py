@@ -1,9 +1,11 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,13 +39,15 @@ from gainlap import (
     csv_to_matrix,
     distance_laplacian,
     emit_graph,
+    gain_distance_matrix,
     hermitian_spectrum,
     matrix_to_csv,
     parse_graph,
     shortest_distances,
     weighted_laplacian,
 )
-from gainlap.cli import run
+from gainlap.cli import build_parser, run
+from gainlap.graphs import VertexOrdering
 from test_documents import PARITY_CASES
 
 
@@ -140,6 +144,42 @@ class TestMatrixCommands:
         assert code == 0
         want = np.array([[1, 0], [-1, 1], [0, -1]], dtype=complex)
         assert np.max(np.abs(csv_to_matrix(out) - want)) <= 1e-12
+
+    def test_n300_rows_stream_the_joined_text(self, capsys, tmp_path):
+        """The matrix commands write their rows one at a time; the bytes
+        are those of matrix_to_csv plus one newline, at n = 300 too."""
+        g = random_connected_graph(np.random.default_rng(300), 300, 301)
+        edges = [{"u": u, "v": v, "gain": {"re": z.real, "im": z.imag}} for u, v, z in g.edges]
+        path = write_document(tmp_path, {"n": g.n, "edges": edges}, name="random300.json")
+        doc = parse_graph(Path(path).read_bytes())
+        reverse = VertexOrdering.standard(300).reverse()
+        for argv, M in (
+            (("dmatrix", "--mode", "min", "--reverse"), gain_distance_matrix(doc.gain_graph(), reverse, "min")),
+            (("dlaplacian", "--mode", "max"), distance_laplacian(doc.gain_graph(), VertexOrdering.standard(300), "max")),
+        ):
+            code, out, err = invoke(capsys, *argv, path)
+            assert (code, err) == (0, "")
+            same = out == matrix_to_csv(M) + "\n"  # no diff of 3.4 MB texts on failure
+            assert same
+
+    def test_n300_dmatrix_never_holds_its_text(self):
+        """Regression: dmatrix printed the joined text of matrix_to_csv,
+        3.4 MiB at n = 300 beside the list of its rows, and peaked at
+        8.2 MiB (tracemalloc) past the geodesic table; written a row at a
+        time, with each mirrored pair formatted once, it peaks at 5.3 MiB."""
+        g = random_connected_graph(np.random.default_rng(300), 300, 301)
+        doc = GraphDocument(n=g.n, edges=g.edges)
+        gain_distance_matrix(doc.gain_graph(), VertexOrdering.standard(300), "max")  # the table
+        args = build_parser().parse_args(["dmatrix", "--mode", "max", "random300.json"])
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = args.func(doc, args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 6.5 * 2**20
 
     def test_distance_incidence_factorizes(self, capsys, demo_path):
         code, out, _ = invoke(capsys, "incidence", "--distance", "--mode", "max", demo_path)

@@ -426,11 +426,12 @@ T4 = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, square: bool = False):
     """A complex matrix of any shape up to 6 x 6 (empty ones included)
     whose parts are arbitrary floats, special values, integers, or
     integer multiples of T4 gains formed as numpy forms them."""
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
     size = rows * cols
     kind = draw(st.sampled_from(["floats", "special", "integers", "t4"]))
     if kind == "t4":
@@ -448,11 +449,47 @@ def matrices(draw):
     return M
 
 
+@st.composite
+def hermitian_matrices(draw):
+    """M + M* for a square ``matrices()`` draw: Hermitian, with mirrored
+    ±0.0 imaginary parts, infinities, and NaN in mirror pairs (inf - inf),
+    which no Hermitian check passes.  Sometimes one off-diagonal part is
+    moved by one ulp, so the matrix is no longer Hermitian."""
+    M = draw(matrices(square=True))
+    with np.errstate(invalid="ignore", over="ignore"):
+        H = M + M.conj().T
+    n = len(H)
+    if n > 1 and draw(st.booleans()):
+        j, k = draw(st.permutations(range(n)))[:2]
+        re, im = H[j, k].real, H[j, k].imag
+        if draw(st.booleans()):
+            re = np.nextafter(re, math.inf)
+        else:
+            im = np.nextafter(im, -math.inf)
+        H[j, k] = complex(re, im)
+    return H
+
+
 class TestEmitParity:
     @settings(max_examples=300, deadline=None)
     @given(matrices())
     def test_same_bytes_as_the_cell_join(self, M):
         assert matrix_to_csv(M) == _cell_join(M)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hermitian_matrices())
+    def test_hermitian_same_bytes_as_the_cell_join(self, H):
+        """Each mirrored pair is formatted once; the bytes are those of
+        the cell join, each cell's sign taken from its own part."""
+        assert matrix_to_csv(H) == _cell_join(H)
+
+    def test_n300_distance_matrix(self):
+        g = random_connected_graph(np.random.default_rng(300), 300, 301)
+        D = gain_distance_matrix(g, VertexOrdering.standard(300).reverse(), "min")
+        assert (D == D.conj().T).all()
+        got, want = matrix_to_csv(D).split("\n"), _cell_join(D).split("\n")
+        assert len(got) == len(want) == 300
+        assert [j for j, (a, b) in enumerate(zip(got, want)) if a != b] == []
 
     def test_every_special_pair(self):
         M = np.array([[complex(a, b) for b in SPECIAL] for a in SPECIAL])
