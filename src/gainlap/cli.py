@@ -6,9 +6,14 @@ and balance queries.  ``verify`` re-derives one of the supported
 identities on the given graph and reports PASS or FAIL with the
 largest residual observed.
 
-Exit codes: 0 success (or PASS), 1 usage or input errors, 2 a verified
-identity failed, 3 an exceeded cap or budget: a ``TooLarge``, of which
-``PathExplosion`` is one.  The error's type alone picks 1 or 3.
+Exit codes: 0 success (or PASS), 1 usage or input errors, or output
+that cannot be written, 2 a verified identity failed, 3 an exceeded cap
+or budget: a ``TooLarge``, of which ``PathExplosion`` is one.  The error's
+type alone picks 1 or 3.
+
+``main``, the process entry point, flushes stdout and stderr and ends
+the process with ``os._exit``: no interpreter teardown and no ``atexit``
+callbacks.  In-process callers use ``run``, which returns the exit code.
 
 Handlers call the library as ``gainlap.<name>``, so the lazy package
 namespace is the one import-on-demand mechanism: a module loads at the
@@ -21,6 +26,7 @@ run without numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Sequence
@@ -335,7 +341,22 @@ def main() -> None:
     # environment of in-process callers alone.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    sys.exit(run())
+    try:
+        code = run()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with it closed
+                stream.flush()
+    except OSError as exc:
+        # A write to a closed pipe or a full device: the one file ``run``
+        # reads is opened in ``_read_document``, which reports its errors.
+        code = 1
+        if sys.stderr is not None:
+            with contextlib.suppress(OSError):
+                print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
+    # Every byte is out, so end here.  Interpreter teardown (module and GC
+    # finalization, 15-30 ms once numpy has loaded; README "Start-up")
+    # would only add time, and ``atexit`` callbacks, none of them gainlap's.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
 import contextlib
+import errno
 import json
 import os
 import subprocess
@@ -101,6 +102,13 @@ def assert_heavy_weights_refused(capsys, tmp_path, argv, heavy):
     assert err == "error: weights: twice their sum at vertex 2 is beyond the float range\n"
 
 
+def write_random300(tmp_path) -> str:
+    """A random connected document with n = 300, m = 600 and generic gains."""
+    g = random_connected_graph(np.random.default_rng(300), 300, 301)
+    edges = [{"u": u, "v": v, "gain": {"re": z.real, "im": z.imag}} for u, v, z in g.edges]
+    return write_document(tmp_path, {"n": g.n, "edges": edges}, name="random300.json")
+
+
 class TestMatrixCommands:
     def test_dmatrix_max(self, capsys, demo_path):
         code, out, _ = invoke(capsys, "dmatrix", "--mode", "max", demo_path)
@@ -148,9 +156,7 @@ class TestMatrixCommands:
     def test_n300_rows_stream_the_joined_text(self, capsys, tmp_path):
         """The matrix commands write their rows one at a time; the bytes
         are those of matrix_to_csv plus one newline, at n = 300 too."""
-        g = random_connected_graph(np.random.default_rng(300), 300, 301)
-        edges = [{"u": u, "v": v, "gain": {"re": z.real, "im": z.imag}} for u, v, z in g.edges]
-        path = write_document(tmp_path, {"n": g.n, "edges": edges}, name="random300.json")
+        path = write_random300(tmp_path)
         doc = parse_graph(Path(path).read_bytes())
         reverse = VertexOrdering.standard(300).reverse()
         for argv, M in (
@@ -711,6 +717,18 @@ def test_cycle_document_helper_orientation():
     assert doc_edges[(1, 3)] == pytest.approx(-1 + 0j)
 
 
+#: The process entry point, as the benchmark and the console script run it.
+ENTRY_POINT = (sys.executable, "-m", "gainlap.cli")
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This environment with the tested ``src`` first on PYTHONPATH, then
+    ``extra``."""
+    src = str(Path(gainlap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 #: Run in a fresh interpreter: whether numpy is loaded after each import,
 #: then the exit code and whether it is loaded after each (budget, argv)
 #: call of ``cli.run``, given as JSON in argv[1].
@@ -755,11 +773,9 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
         (None, ["verify", "--theorem", "13", two_path]),
         (None, ["dmatrix", "--mode", "max", demo_path]),
     ]
-    src = str(Path(gainlap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(out.stdout) == [
@@ -775,11 +791,9 @@ def test_numpy_random_loads_only_where_the_seed_is_read(demo_path):
     probe = _NUMPY_PROBE.replace('"numpy" in sys.modules', '("numpy" in sys.modules, "numpy.random" in sys.modules)')
     calls = [(None, ["verify", "--theorem", "7", demo_path]),
              (None, ["verify", "--theorem", "1", "--seed", "3", demo_path])]
-    src = str(Path(gainlap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(calls)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(out.stdout)[2:] == [[0, [True, False]], [0, [True, True]]]
@@ -797,7 +811,18 @@ def no_blas_thread_vars(monkeypatch):
         monkeypatch.delenv(var)
 
 
-def test_main_exits(tmp_path, capsys, monkeypatch, no_blas_thread_vars):
+@pytest.fixture()
+def exit_raises(monkeypatch):
+    """``os._exit(code)`` raises ``SystemExit(code)``, so that ``main``
+    returns to the test instead of ending the pytest process."""
+
+    def fake_exit(code: int):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+
+
+def test_main_exits(tmp_path, capsys, monkeypatch, no_blas_thread_vars, exit_raises):
     import gainlap.cli as cli_module
 
     monkeypatch.setattr("sys.argv", ["gainlap", "balance", "/nonexistent.json"])
@@ -807,7 +832,7 @@ def test_main_exits(tmp_path, capsys, monkeypatch, no_blas_thread_vars):
     capsys.readouterr()
 
 
-def test_main_keeps_a_thread_count_the_user_set(demo_path, capsys, monkeypatch, no_blas_thread_vars):
+def test_main_keeps_a_thread_count_the_user_set(demo_path, capsys, monkeypatch, no_blas_thread_vars, exit_raises):
     """``main`` sets only the counts the environment leaves unset;
     ``run``, which in-process callers use, sets none."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -821,6 +846,17 @@ def test_main_keeps_a_thread_count_the_user_set(demo_path, capsys, monkeypatch, 
     assert capsys.readouterr().out == "unbalanced\nunbalanced\n"
 
 
+def test_main_exits_2_on_fail(demo_path, capsys, monkeypatch, no_blas_thread_vars, exit_raises):
+    import gainlap.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_verify", lambda doc, theorem, seed: (False, 0.5, None))
+    monkeypatch.setattr("sys.argv", ["gainlap", "verify", "--theorem", "1", demo_path])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().out.startswith("FAIL theorem=1 max_residual=5.000e-01")
+
+
 def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A random connected document with n = 300, m = 600 and generic
     gains prints the same spectrum of L with the thread counts unset as
@@ -828,18 +864,103 @@ def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     the default of one thread, most of the 300 lines differ in their last
     digits on a machine with two or more cores.  On one core the test
     cannot fail."""
-    g = random_connected_graph(np.random.default_rng(300), 300, 301)
-    edges = [{"u": u, "v": v, "gain": {"re": z.real, "im": z.imag}} for u, v, z in g.edges]
-    path = write_document(tmp_path, {"n": g.n, "edges": edges}, name="random300.json")
-    src = str(Path(gainlap.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = write_random300(tmp_path)
+    env = {k: v for k, v in child_env().items() if k not in BLAS_THREAD_VARS}
     outs = [
         subprocess.run(
-            [sys.executable, "-m", "gainlap.cli", "spectrum", "--target", "lap", path],
+            [*ENTRY_POINT, "spectrum", "--target", "lap", path],
             env=e, capture_output=True, text=True, timeout=120, check=True,
         ).stdout
         for e in (env, {**env, **dict.fromkeys(BLAS_THREAD_VARS, "1")})
     ]
     assert len(outs[0].splitlines()) == 300
     assert outs[0] == outs[1]
+
+
+# --- the process entry point ---------------------------------------------
+#
+# ``main`` ends the process with ``os._exit`` once it has flushed, so only
+# a fresh interpreter shows what it writes and the code it exits with.
+
+
+def test_entry_point_writes_every_byte_before_it_exits(tmp_path, capsys):
+    """Through a pipe with a block-buffered stdout, the last partial
+    buffer of an n = 300 dmatrix reaches the reader before the exit."""
+    path = write_random300(tmp_path)
+    argv = ("dmatrix", "--mode", "min", "--reverse", path)
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([*ENTRY_POINT, *argv], env=env, capture_output=True, timeout=120)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    same = proc.stdout == out.encode()  # no diff of 3.4 MB texts on failure
+    assert same
+
+
+@pytest.mark.parametrize(
+    "argv, document, env, want",
+    [
+        (("dmatrix", "--mode", "max"), json.dumps(demo_document())[:-7], {}, 1),
+        (("det", "--method", "forests"), json.dumps(demo_document()), {"GAINLAP_BUDGET": "1"}, 3),
+    ],
+    ids=["malformed", "budget"],
+)
+def test_entry_point_exits_with_the_code_and_error_line_of_run(tmp_path, capsys, monkeypatch, argv, document, env, want):
+    path = tmp_path / "graph.json"
+    path.write_text(document)
+    proc = subprocess.run(
+        [*ENTRY_POINT, *argv, str(path)], env=child_env(**env), capture_output=True, text=True, timeout=60
+    )
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (want, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_output_to_a_full_device_exits_1_with_one_line(demo_path, unbuffered):
+    """Regression: the write failed with a traceback and exit 1 when
+    unbuffered, and at teardown with exit 120 when buffered."""
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [*ENTRY_POINT, "balance", demo_path], env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_output_to_a_closed_pipe_exits_1_with_one_line(tmp_path):
+    """Regression: ``dmatrix ... | head -c 100`` ended in a BrokenPipeError
+    traceback.  The 3.4 MB of an n = 300 dmatrix cannot all fit in the pipe,
+    so a write after the reader closes must fail."""
+    path = write_random300(tmp_path)
+    with subprocess.Popen(
+        [*ENTRY_POINT, "dmatrix", "--mode", "max", path],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == f"error: cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def test_entry_point_runs_no_atexit_callback(demo_path):
+    """Teardown is skipped, so a callback registered before the CLI runs
+    never runs; the output is flushed first."""
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "sys.argv = ['gainlap', 'balance', sys.argv[1]]\n"
+        "runpy.run_module('gainlap.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, demo_path], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "unbalanced\n", "")
