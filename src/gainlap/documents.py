@@ -19,7 +19,9 @@ are refused with the path of their field.
 The parser checks only the shape of the JSON; the model constructors
 in :mod:`gainlap.graphs` check every invariant of the values (n, the
 vertex range, u < v, duplicate edges, positive weights, the ordering
-permutation) and name the offending field.
+permutation) and name the offending field.  The document keeps the
+model objects that checked its values, and builds the default weights
+and ordering on first use, so each accessor returns one object.
 
 Matrices are written as CSV of 'a+bi' cells by :func:`matrix_to_csv`.
 Its lines come one at a time from :func:`_csv_rows`, and the CLI
@@ -69,16 +71,27 @@ class GraphDocument:
         instance, so its geodesic table is too."""
         return self._gain_graph
 
-    def weighted_graph(self) -> WeightedGainGraph:
-        g = self.gain_graph()
+    @cached_property
+    def _weighted_graph(self) -> WeightedGainGraph:
         if self.weights is None:
-            return unit_weights(g)
-        return WeightedGainGraph(g, self.weights)
+            return unit_weights(self._gain_graph)
+        return WeightedGainGraph(self._gain_graph, self.weights)
 
-    def vertex_ordering(self) -> VertexOrdering:
+    def weighted_graph(self) -> WeightedGainGraph:
+        """The document's graph with its weights, 1 on every edge when it
+        has none; built once and memoized on this instance."""
+        return self._weighted_graph
+
+    @cached_property
+    def _vertex_ordering(self) -> VertexOrdering:
         if self.ordering is None:
             return VertexOrdering.standard(self.n)
         return VertexOrdering(self.ordering)
+
+    def vertex_ordering(self) -> VertexOrdering:
+        """The document's ordering, the natural one when it has none;
+        built once and memoized on this instance."""
+        return self._vertex_ordering
 
 
 def _parse_gain(raw: object, where: str) -> complex:
@@ -146,19 +159,24 @@ def parse_graph(data: bytes | str) -> GraphDocument:
         edges.append((item.get("u"), item.get("v"), _parse_gain(item.get("gain"), f"{where}.gain")))
     g = GainGraph(obj.get("n"), tuple(edges))
 
+    # The model objects built here are stored on the document as
+    # functools.cached_property stores them, so no accessor builds another.
+    built: dict[str, object] = {"_gain_graph": g}
     weights: tuple[float, ...] | None = None
     if "weights" in obj:
-        weights = WeightedGainGraph(g, tuple(_list(obj, "weights"))).weights
+        wg = built["_weighted_graph"] = WeightedGainGraph(g, tuple(_list(obj, "weights")))
+        weights = wg.weights
 
     ordering: tuple[int, ...] | None = None
     if "ordering" in obj:
         ranks = _list(obj, "ordering")
         if len(ranks) != g.n:
             raise ValidationError(f"ordering: expected {g.n} ranks, got {ranks!r}")
-        ordering = VertexOrdering(tuple(ranks)).ranks
+        vo = built["_vertex_ordering"] = VertexOrdering(tuple(ranks))
+        ordering = vo.ranks
 
     doc = GraphDocument(n=g.n, edges=tuple(edges), weights=weights, ordering=ordering)
-    vars(doc)["_gain_graph"] = g  # stored as functools.cached_property stores it
+    vars(doc).update(built)
     return doc
 
 

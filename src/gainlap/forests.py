@@ -26,13 +26,18 @@ fewer in sum), so each further edge that adds no second cycle completes
 a forest and is summed in place, not entered; when that tree is one
 uncovered vertex, the scan ends at its last edge.  Forests come in the
 lexicographic order of their edge indices, each weight built up along
-the way.  It visits at most n * C(m, n) states, a state being the edges
-decided so far with fewer than n chosen: each extends to one n-edge
-subset by choosing the edges that follow, and at most n, one per number
-chosen, extend to the same subset.  A state costs two O(log n) finds;
-past the budget the search is refused up front.  No connected graph is
-needed: L is block diagonal over the components, and a spanning 1-forest
-is one of each, so a graph with a tree component has none and det L = 0.
+the way.  The search yields a stream of weights, bare floats, and no
+per-forest object: the edge indices are in the caller's list, which the
+search keeps as its stack of chosen edges, so at each yield that list
+holds the forest's n indices; the determinant sums the stream, and the
+enumeration copies the list.  The search visits at most n * C(m, n)
+states, a state being the edges decided so far with fewer than n
+chosen: each extends to one n-edge subset by choosing the edges that
+follow, and at most n, one per number chosen, extend to the same subset.
+A state costs two O(log n) finds; past the budget the search is refused
+up front.  No connected graph is needed: L is block diagonal over the
+components, and a spanning 1-forest is one of each, so a graph with a
+tree component has none and det L = 0.
 
 A forest's components, and the test of any edge subset, come from one
 :func:`graphs._bfs` over the subset: every component needs exactly one
@@ -115,11 +120,15 @@ def _one_forest_components(
 
 
 def _host_pairs(wg: WeightedGainGraph, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The edges as (u, v) pairs with u < v, once checked to be edges of wg."""
+    """The edges as (u, v) pairs with u < v, once checked to be distinct
+    edges of wg."""
     pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-    missing = set(pairs).difference(wg.base.edge_pairs())
+    distinct = set(pairs)
+    missing = distinct.difference(wg.base.edge_pairs())
     if missing:
         raise ValidationError(f"edges {sorted(missing)} are not edges of the host graph")
+    if len(distinct) != len(pairs):
+        raise ValidationError("edge subset contains duplicates")
     return pairs
 
 
@@ -129,29 +138,32 @@ def is_spanning_one_forest(
     """Whether the edge subset has exactly n edges and every component
     of the spanned subgraph is a 1-tree."""
     pairs = _host_pairs(wg, edges)
-    if len(set(pairs)) != len(pairs):
-        raise ValidationError("edge subset contains duplicates")
     n = wg.base.n
     if len(pairs) != n:
         return False
     return _one_forest_components(n, pairs) is not None
 
 
-def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Edge indices and weight of every spanning 1-forest, in
-    lexicographic order of edge indices, by the search that the module
-    docstring describes.
+def _one_forest_search(wg: WeightedGainGraph, chosen: list[int]) -> Iterator[float]:
+    """The weight of every spanning 1-forest, in lexicographic order of
+    edge indices, by the search that the module docstring describes.
+
+    ``chosen``, empty on the call, is the search's stack of chosen edge
+    indices: at each yield it holds the forest's n indices in increasing
+    order, and it changes once the search resumes, so a caller that
+    keeps them copies it.  No per-forest object is built.
 
     The union-find uses union by size and no path compression, so one
     union is undone by resetting one parent.  A root holds its
     component's cycle factor (:func:`_cycle_factor`), or None while the
     component is a tree; a vertex holds its potential, the gain of the
     tree path to its parent.  At depth n - 1 an edge that passes the
-    cycle checks is yielded with the forest it completes and the scan
-    goes on, so no leaf is entered or rolled back, up to the last edge of
-    an uncovered vertex, as only its edges complete a forest there.  The
-    loop is flat and ``find`` is inlined, so the search runs in one frame
-    whatever its depth.
+    cycle checks is pushed on ``chosen`` for the yield of the forest it
+    completes and popped after it, and the scan goes on, so no leaf is
+    entered or rolled back, up to the last edge of an uncovered vertex,
+    as only its edges complete a forest there.  The loop is flat and
+    ``find`` is inlined, so the search runs in one frame whatever its
+    depth.
     """
     n, m = wg.base.n, wg.base.m
     ends = [(u, v) for u, v, _ in wg.base.edges]
@@ -165,7 +177,6 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
     pot = [1.0 + 0.0j] * (n + 1)
     cycle: list[float | None] = [None] * (n + 1)
     degree = [0] * (n + 1)  # chosen edges at each vertex
-    chosen: list[int] = []
     # Per chosen edge: (root that got its cycle, -1, weight before) or
     # (child root, the root it was attached under, weight before).
     undo: list[tuple[int, int, float]] = []
@@ -193,7 +204,9 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
                     factor = abs(gu - gains[j] * gv)
                     factor = factor * factor
                     if leaf:
-                        yield (*chosen, j), weight * weights[j] * factor
+                        chosen.append(j)
+                        yield weight * weights[j] * factor
+                        chosen.pop()
                     else:
                         cycle[ru] = factor
                         undo.append((ru, -1, weight))
@@ -201,7 +214,9 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
                         break
             elif cycle[ru] is None or cycle[rv] is None:
                 if leaf:
-                    yield (*chosen, j), weight * weights[j]
+                    chosen.append(j)
+                    yield weight * weights[j]
+                    chosen.pop()
                     if (last[u] == j and not degree[u]) or (last[v] == j and not degree[v]):
                         j = stop  # no later edge reaches the uncovered vertex
                 else:
@@ -246,10 +261,11 @@ def _one_forest_search(wg: WeightedGainGraph) -> Iterator[tuple[tuple[int, ...],
 
 
 def _checked_search(
-    wg: WeightedGainGraph, budget: int | None
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """The search, after the checks that refuse it up front.  As C(m, k) >= 2^k
-    for k <= m / 2, n * C(m, k) passes the budget within log2(budget) + 1 steps."""
+    wg: WeightedGainGraph, budget: int | None, chosen: list[int]
+) -> Iterator[float]:
+    """The search on ``chosen``, after the checks that refuse it up front.
+    As C(m, k) >= 2^k for k <= m / 2, n * C(m, k) passes the budget within
+    log2(budget) + 1 steps."""
     budget = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if budget < 1:
         raise ValidationError(f"budget: expected a positive integer, got {budget}")
@@ -260,18 +276,19 @@ def _checked_search(
         states = states * (m - k + 1) // k
     if states > budget:
         raise TooLarge(f"{n} * C({m}, {n}) search states exceed the budget {budget}")
-    return _one_forest_search(wg)
+    return _one_forest_search(wg, chosen)
 
 
 def enumerate_spanning_one_forests(wg: WeightedGainGraph) -> Iterator[OneForest]:
     """All spanning 1-forests, in lexicographic order of edge indices;
     ``TooLarge`` up front if n * C(m, n) exceeds ``DEFAULT_SUBSET_BUDGET``."""
     n, pairs = wg.base.n, wg.base.edge_pairs()
-    search = _checked_search(wg, None)
+    chosen: list[int] = []
+    search = _checked_search(wg, None, chosen)
 
     def generate() -> Iterator[OneForest]:
-        for indices, _ in search:
-            edges = tuple(pairs[j] for j in indices)
+        for _ in search:
+            edges = tuple(pairs[j] for j in chosen)
             yield OneForest(edges, _one_forest_components(n, edges))
 
     return generate()
@@ -288,7 +305,7 @@ def det_via_forests(wg: WeightedGainGraph, budget: int | None = None) -> float:
     """det of the weighted Laplacian as the sum of spanning 1-forest
     weights, a float; 0.0 when no spanning 1-forest exists.  Up front,
     ``ValidationError`` if ``budget`` < 1, ``TooLarge`` if n * C(m, n) exceeds it."""
-    return float(sum(weight for _, weight in _checked_search(wg, budget)))
+    return float(sum(_checked_search(wg, budget, [])))
 
 
 def spanning_subgraph(

@@ -224,6 +224,45 @@ def test_document_built_directly_builds_its_graph_once(monkeypatch):
     assert built == [g] and g == GainGraph(3, ((1, 2, 1 + 0j), (2, 3, 1j)))
 
 
+WEIGHTS_AND_ORDERING = {"weights": [0.5, 2.0], "ordering": [3, 1, 2]}
+
+
+@pytest.mark.parametrize("keys", [{}, WEIGHTS_AND_ORDERING], ids=["defaults", "given"])
+def test_document_returns_one_weighted_graph_and_one_ordering(keys):
+    """Parsed or built directly, with or without the optional keys, a
+    document returns the same model objects on every call."""
+    weights, ordering = keys.get("weights"), keys.get("ordering")
+    direct = GraphDocument(3, _doc_graph().edges, weights and tuple(weights), ordering and tuple(ordering))
+    for doc in (parse_graph(doc_text(**keys)), direct):
+        wg, order = doc.weighted_graph(), doc.vertex_ordering()
+        assert doc.weighted_graph() is wg and doc.vertex_ordering() is order
+        assert wg.base is doc.gain_graph()
+        assert list(wg.weights) == (weights or [1.0, 1.0])
+        assert list(order.ranks) == (ordering or [1, 2, 3])
+
+
+def test_parsed_weights_and_ordering_are_checked_once(monkeypatch):
+    """The weighted graph and the ordering that parsing builds to check
+    the values are the ones the document returns; no call builds another."""
+    import gainlap.documents
+
+    built = []
+
+    def counting(cls):
+        def build(*args):
+            built.append(cls(*args))
+            return built[-1]
+
+        return build
+
+    monkeypatch.setattr(gainlap.documents, "WeightedGainGraph", counting(WeightedGainGraph))
+    monkeypatch.setattr(gainlap.documents, "VertexOrdering", counting(VertexOrdering))
+    doc = parse_graph(doc_text(**WEIGHTS_AND_ORDERING))
+    for _ in range(3):
+        doc.weighted_graph(), doc.vertex_ordering()
+    assert len(built) == 2 and built[0] is doc.weighted_graph() and built[1] is doc.vertex_ordering()
+
+
 def _doc_graph() -> GainGraph:
     """The graph of ``doc_text()``."""
     return GainGraph(3, ((1, 2, 1 + 0j), (2, 3, 1j)))

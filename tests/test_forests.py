@@ -101,8 +101,25 @@ class TestIsSpanningOneForest:
         with pytest.raises(ValidationError, match="duplicates"):
             is_spanning_one_forest(triangle_i(), edges)
 
+    @pytest.mark.parametrize("edges", [[(1, 2), (2, 3), (1, 2)], [(1, 2), (2, 3), (2, 1)]])
+    def test_spanning_subgraph_refuses_a_repeated_edge(self, edges):
+        """The subgraph refuses the list that the test refuses, with the same text."""
+        with pytest.raises(ValidationError, match="^edge subset contains duplicates$"):
+            spanning_subgraph(triangle_i(), edges)
+
 
 class TestEnumerate:
+    def test_a_forest_kept_while_the_search_goes_on(self):
+        """A forest keeps its edges after the search has moved past it."""
+        rng = np.random.default_rng(227)
+        wg = random_weighted(rng, random_connected_graph(rng, 6, 3))
+        n, pairs = wg.base.n, wg.base.edge_pairs()
+        want = [s for s in itertools.combinations(pairs, n) if _naive_is_one_forest(n, s)]
+        it = enumerate_spanning_one_forests(wg)
+        first = next(it)
+        rest = list(it)
+        assert first.edges == want[0] and len(rest) == len(want) - 1 > 0
+
     def test_cycle_has_exactly_one(self):
         for n in (3, 5, 8):
             wg = unit_cycle(n, [1 + 0j] * n)
@@ -514,7 +531,7 @@ class TestLastEdgeSummedInPlace:
         forests_found = list(enumerate_spanning_one_forests(wg))
         assert [f.edges for f in forests_found] == want
         brute = sum(forest_weight(f, wg) for f in forests_found)
-        total = sum(weight for _, weight in forests._one_forest_search(wg))
+        total = sum(forests._one_forest_search(wg, []))
         assert total == pytest.approx(brute, rel=1e-12, abs=1e-300)
         assert repr(det_via_forests(wg)) == repr(float(total))
 
@@ -562,7 +579,8 @@ def test_golden_forest_weights_and_determinant_bits(name):
     compensates its rounding, so there the determinant is pinned through
     the pinned weights rather than by its own hex."""
     wg, count, digest, det_hex = GOLDEN[name]
-    found = list(forests._one_forest_search(wg))
+    chosen: list[int] = []
+    found = [(tuple(chosen), weight) for weight in forests._one_forest_search(wg, chosen)]
     lines = "".join(f"{indices} {float.hex(weight)}\n" for indices, weight in found)
     assert (len(found), hashlib.sha256(lines.encode()).hexdigest()[:16]) == (count, digest)
     det = det_via_forests(wg)
