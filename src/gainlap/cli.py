@@ -2,7 +2,9 @@
 
 Subcommands emit matrices as CSV of 'a+bi' cells, spectra one
 eigenvalue per line, and single-token answers for determinant, rank,
-and balance queries.  ``verify`` re-derives one of the supported
+and balance queries.  ``rank`` prints n - b, b the balanced components,
+from the potential check that ``balance`` runs (``graphs.BALANCE_TOL``),
+so the two always agree.  ``verify`` re-derives one of the supported
 identities on the given graph and reports PASS or FAIL with the
 largest residual observed.
 
@@ -17,10 +19,10 @@ callbacks.  In-process callers use ``run``, which returns the exit code.
 
 Handlers call the library as ``gainlap.<name>``, so the lazy package
 namespace is the one import-on-demand mechanism: a module loads at the
-first call into it.  ``balance``, ``det --method forests``, usage errors,
-documents that do not parse or validate, and a ``verify`` row that
-refuses its input before it calls a module that does linear algebra
-run without numpy.
+first call into it.  ``balance``, ``rank``, ``det --method forests``,
+usage errors, documents that do not parse or validate, and a ``verify``
+row that refuses its input before it calls a module that does linear
+algebra run without numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import gainlap
 
 from .documents import GraphDocument, _csv_rows, parse_graph
 from .errors import GainLapError, ParseError, TooLarge, ValidationError
-from .graphs import _require_connected
+from .graphs import _component_balance, _require_connected
 
 #: Acceptance bounds of ``verify``: the residual of L = H H* (theorems 1
 #: and 7), and the relative gap of det L by LU to its closed form on a
@@ -127,7 +129,10 @@ def _cmd_det(doc: GraphDocument, args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(doc: GraphDocument, args: argparse.Namespace) -> int:
-    print(gainlap.numerical_rank(gainlap.weighted_laplacian(doc.weighted_graph())))
+    # rank L = n - b for positive weights, b the balanced components
+    # (Zaslavsky); the weights are read only to be checked.
+    g = doc.weighted_graph().base
+    print(g.n - sum(_component_balance(g).values()))
     return 0
 
 
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "det", _cmd_det, "determinant of the weighted Laplacian",
         ("--method", {"choices": ("lu", "forests"), "required": True}),
     )
-    add("rank", _cmd_rank, "numerical rank of the weighted Laplacian")
+    add("rank", _cmd_rank, "rank of L: n minus the balanced components")
     add("balance", _cmd_balance, "print 'balanced' or 'unbalanced'")
     add(
         "verify", _cmd_verify, "re-derive an identity on the input graph",

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from math import copysign
 from typing import TYPE_CHECKING, Iterator
@@ -45,6 +44,7 @@ from .graphs import (
     VertexOrdering,
     WeightedGainGraph,
     _finite,
+    _Record,
     normalize_gain,
     unit_weights,
 )
@@ -53,8 +53,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(_Record):
     """Parsed form of a graph document; convertible to model objects."""
 
     n: int

@@ -46,30 +46,33 @@ non-tree edge, which closes its cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge, ValidationError
-from .graphs import GainGraph, WeightedGainGraph, _bfs
+from .graphs import GainGraph, WeightedGainGraph, _bfs, _Record
 
 #: Largest bound n * C(m, n) on the search's states for which it runs.
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class OneTree:
+class OneTree(_Record):
     """A unicyclic component: its vertex set and its unique cycle."""
 
     vertices: frozenset[int]
     cycle: tuple[int, ...]
 
+    def __init__(self, vertices: frozenset[int], cycle: tuple[int, ...]) -> None:
+        vars(self).update(vertices=vertices, cycle=cycle)  # one per component found
 
-@dataclass(frozen=True)
-class OneForest:
+
+class OneForest(_Record):
     """An n-edge spanning subgraph whose components are all 1-trees."""
 
     edges: tuple[tuple[int, int], ...]
     components: tuple[OneTree, ...]
+
+    def __init__(self, edges: tuple[tuple[int, int], ...], components: tuple[OneTree, ...]) -> None:
+        vars(self).update(edges=edges, components=components)  # one per forest enumerated
 
 
 def _one_forest_components(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
 
@@ -91,8 +90,60 @@ def _check_vertex(x: object, n: int, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class GainGraph:
+class _Record:
+    """Base of the library's immutable records.
+
+    A subclass lists its fields as class annotations, in constructor
+    order, with a class attribute of the same name as a field's default.
+    The fields are compared, hashed and shown in that order, as
+    ``Name(field=value, ...)``; assignment and deletion raise
+    ``AttributeError``.  Values live in the instance ``__dict__``, so a
+    ``functools.cached_property`` stores there as well.  The constructor
+    takes each field by position or keyword, else its default; a
+    subclass that validates its arguments, or is built per forest found,
+    writes its own ``__init__`` and stores each field with ``vars(self)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        given = dict(zip(fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        clash = len(args) > len(fields) or given.keys() & kwargs.keys()
+        if clash or values.keys() != set(fields):
+            name = type(self).__name__
+            raise TypeError(f"{name}() takes the fields {', '.join(fields)}, each once or by default")
+        vars(self).update((f, values[f]) for f in fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GainGraph(_Record):
     """Simple undirected graph with one unit gain per oriented edge.
 
     Each edge is stored exactly once in its u < v orientation; the
@@ -103,15 +154,15 @@ class GainGraph:
     n: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"n: expected a positive integer, got {self.n!r}")
+    def __init__(self, n: int, edges: tuple[Edge, ...]) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"n: expected a positive integer, got {n!r}")
         # Each edge in both orientations, the reverse one with the conjugate gain.
         gain_of: dict[tuple[int, int], complex] = {}
         canon: list[Edge] = []
-        for i, (u, v, z) in enumerate(self.edges):
-            _check_vertex(u, self.n, f"edges[{i}].u")
-            _check_vertex(v, self.n, f"edges[{i}].v")
+        for i, (u, v, z) in enumerate(edges):
+            _check_vertex(u, n, f"edges[{i}].u")
+            _check_vertex(v, n, f"edges[{i}].v")
             if not u < v:
                 raise ValidationError(f"edges[{i}]: requires u < v, got ({u}, {v})")
             if (u, v) in gain_of:
@@ -122,8 +173,7 @@ class GainGraph:
                 raise type(exc)(f"edges[{i}].gain: {exc}") from None
             canon.append((u, v, z))
             gain_of[u, v], gain_of[v, u] = z, z.conjugate()
-        object.__setattr__(self, "edges", tuple(canon))
-        vars(self)["_gain_of"] = gain_of  # read by gain
+        vars(self).update(n=n, edges=tuple(canon), _gain_of=gain_of)  # _gain_of: read by gain
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -149,8 +199,7 @@ class GainGraph:
         return tuple((u, v) for u, v, _ in self.edges)
 
 
-@dataclass(frozen=True)
-class WeightedGainGraph:
+class WeightedGainGraph(_Record):
     """A gain graph together with strictly positive edge weights.
 
     ``weights[i]`` belongs to ``base.edges[i]``.  The weighted gain of an
@@ -162,17 +211,17 @@ class WeightedGainGraph:
     base: GainGraph
     weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.base.edges):
+    def __init__(self, base: GainGraph, weights: tuple[float, ...]) -> None:
+        if len(weights) != len(base.edges):
             raise ValidationError(
-                f"weights: expected {len(self.base.edges)} entries, got {len(self.weights)}"
+                f"weights: expected {len(base.edges)} entries, got {len(weights)}"
             )
-        ws = tuple(_finite(w, f"weights[{i}]") for i, w in enumerate(self.weights))
+        ws = tuple(_finite(w, f"weights[{i}]") for i, w in enumerate(weights))
         for i, w in enumerate(ws):
             if not w > 0.0:
                 raise ValidationError(f"weights[{i}]: expected a positive weight, got {w!r}")
-        degree = [0.0] * (self.base.n + 1)
-        for (u, v, _), w in zip(self.base.edges, ws):
+        degree = [0.0] * (base.n + 1)
+        for (u, v, _), w in zip(base.edges, ws):
             degree[u] += w
             degree[v] += w
         top = max(range(len(degree)), key=degree.__getitem__)
@@ -180,8 +229,8 @@ class WeightedGainGraph:
             raise ValidationError(
                 f"weights: twice their sum at vertex {top} is beyond the float range"
             )
-        object.__setattr__(self, "weights", ws)
-        vars(self)["_degree"] = degree  # read by laplacians.weighted_laplacian
+        # _degree: read by laplacians.weighted_laplacian
+        vars(self).update(base=base, weights=ws, _degree=degree)
 
 
 def unit_weights(g: GainGraph) -> WeightedGainGraph:
@@ -189,8 +238,7 @@ def unit_weights(g: GainGraph) -> WeightedGainGraph:
     return WeightedGainGraph(g, (1.0,) * g.m)
 
 
-@dataclass(frozen=True)
-class VertexOrdering:
+class VertexOrdering(_Record):
     """A total order on the vertices 1..n, stored as ranks.
 
     ``ranks[v - 1]`` is the position of vertex v; vertex u precedes
@@ -199,11 +247,11 @@ class VertexOrdering:
 
     ranks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ranks, n = tuple(self.ranks), len(self.ranks)
+    def __init__(self, ranks: tuple[int, ...]) -> None:
+        ranks, n = tuple(ranks), len(ranks)
         if not n or any(type(r) is not int for r in ranks) or sorted(ranks) != [*range(1, n + 1)]:
             raise ValidationError(f"ordering: expected a permutation of 1..{n}, got {ranks!r}")
-        object.__setattr__(self, "ranks", ranks)
+        vars(self)["ranks"] = ranks
 
     @classmethod
     def standard(cls, n: int) -> "VertexOrdering":
@@ -218,14 +266,13 @@ class VertexOrdering:
         return VertexOrdering(tuple(n + 1 - r for r in self.ranks))
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
+class SwitchingFunction(_Record):
     """One unit gain per vertex; ``values[v - 1]`` belongs to vertex v."""
 
     values: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(normalize_gain(z) for z in self.values))
+    def __init__(self, values: tuple[complex, ...]) -> None:
+        vars(self)["values"] = tuple(normalize_gain(z) for z in values)
 
     @property
     def n(self) -> int:
@@ -313,26 +360,35 @@ def _require_connected(g: GainGraph) -> None:
         raise Disconnected(f"vertex {dist.index(-1, 1)} is unreachable from vertex 1")
 
 
-def is_balanced(g: GainGraph) -> bool:
-    """Whether every cycle has gain 1, equivalently whether the gains
-    derive from a vertex potential.
+def _component_balance(g: GainGraph) -> dict[int, bool]:
+    """Whether each component is balanced, keyed by its smallest vertex.
 
     Propagates a potential over a BFS spanning forest and checks every
     non-forest edge against it; a mismatch beyond ``BALANCE_TOL``
-    witnesses an unbalanced cycle.
+    witnesses an unbalanced cycle in the edge's component.
     """
     _, order, parent = _bfs(g._neighbors, *range(1, g.n + 1))
     theta: list[complex] = [1.0 + 0.0j] * (g.n + 1)
+    root = list(range(g.n + 1))
     for b in order:
         a = parent[b]
         if a:
             theta[b] = theta[a] * g.gain(a, b)
+            root[b] = root[a]
+    balanced = {b: True for b in order if not parent[b]}
     for u, v, z in g.edges:
         if parent[v] == u or parent[u] == v:
             continue
         if abs(z - theta[u].conjugate() * theta[v]) > BALANCE_TOL:
-            return False
-    return True
+            balanced[root[u]] = False
+    return balanced
+
+
+def is_balanced(g: GainGraph) -> bool:
+    """Whether every cycle has gain 1, equivalently whether the gains
+    derive from a vertex potential: every component passes the potential
+    check of ``BALANCE_TOL``."""
+    return all(_component_balance(g).values())
 
 
 def _require_switching(g: GainGraph, xi: SwitchingFunction) -> None:

@@ -16,7 +16,6 @@ carry the raw evidence alongside the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .distances import (
 )
 from .errors import NotHermitian, ValidationError
 from .graphs import GainGraph, SwitchingFunction, VertexOrdering, is_balanced, switch
-from .graphs import _require_switching
+from .graphs import _Record, _require_switching
 from .laplacians import distance_laplacian
 
 #: Largest accepted deviation of a matrix from its conjugate transpose.
@@ -148,8 +147,7 @@ def _log_singularity_threshold(M: np.ndarray) -> float:
 # --- balance verdicts ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(_Record):
     """Dets and ranks of both gain distance Laplacians.
 
     The verdict is rank-based (rank n-1 in both modes means balanced).
@@ -191,8 +189,7 @@ def balance_by_singularity(g: GainGraph, ordering: VertexOrdering) -> Singularit
     )
 
 
-@dataclass(frozen=True)
-class CospectralityReport:
+class CospectralityReport(_Record):
     """Whether the two gain distance Laplacians coincide and share their
     spectrum with the all-gain-1 copy of the graph."""
 
@@ -226,8 +223,7 @@ def balance_by_cospectrality(
 # --- switching similarity ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SwitchingReport:
+class SwitchingReport(_Record):
     """Outcome of the switching similarity check.
 
     When the hypothesis (compatible and ordering independent) fails the

@@ -1,6 +1,7 @@
 """The public surface of the package."""
 
 import importlib
+import math
 import inspect
 
 import pytest
@@ -159,10 +160,150 @@ def test_removed_methods_are_gone():
     for cls in (gainlap.GainGraph, gainlap.WeightedGainGraph, gainlap.SwitchingFunction):
         for name in ("neighbors", "underlying", "weight", "identity"):
             assert not hasattr(cls, name), (cls.__name__, name)
-    assert "n" not in gainlap.SingularityReport.__dataclass_fields__
+    assert "n" not in gainlap.SingularityReport._fields
 
 
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         gainlap.no_such_name
     assert not hasattr(gainlap, "GainLapWarning")
+
+
+# --- records -------------------------------------------------------------
+
+_G = ((1, 2, 1j), (2, 3, -1), (1, 3, complex(0.6, 0.8)))
+_DOC = '{"n": 2, "edges": [{"u": 1, "v": 2, "gain": {"re": 0, "im": -1}}], "weights": [0.5], "ordering": [2, 1]}'
+_TREE = (frozenset({1, 2, 3}), (1, 2, 3))
+_SINGULAR = (0.0, -1.5, math.inf, 2e-8, 2, 3, False, True, -math.inf, 0.4, 710.5, -18.4)
+
+
+def _forest(gains=_G):
+    (forest,) = gainlap.enumerate_spanning_one_forests(gainlap.unit_weights(gainlap.GainGraph(3, gains)))
+    return forest
+
+
+#: Per record class: a builder, a builder of an unequal value, and the
+#: repr of the first, as the frozen dataclasses these classes once were
+#: printed it.
+RECORDS = {
+    "GainGraph": (
+        lambda: gainlap.GainGraph(3, _G),
+        lambda: gainlap.GainGraph(3, _G[:2]),
+        "GainGraph(n=3, edges=((1, 2, 1j), (2, 3, (-1+0j)), (1, 3, (0.6+0.8j))))",
+    ),
+    "WeightedGainGraph": (
+        lambda: gainlap.WeightedGainGraph(gainlap.GainGraph(3, _G), (1, 2.5, 3)),
+        lambda: gainlap.WeightedGainGraph(gainlap.GainGraph(3, _G), (1, 2.5, 4)),
+        "WeightedGainGraph(base=GainGraph(n=3, edges=((1, 2, 1j), (2, 3, (-1+0j)), (1, 3, (0.6+0.8j)))),"
+        " weights=(1.0, 2.5, 3.0))",
+    ),
+    "VertexOrdering": (
+        lambda: gainlap.VertexOrdering((2, 1, 3)),
+        lambda: gainlap.VertexOrdering((1, 2, 3)),
+        "VertexOrdering(ranks=(2, 1, 3))",
+    ),
+    "SwitchingFunction": (
+        lambda: gainlap.SwitchingFunction((1j, -1, 1)),
+        lambda: gainlap.SwitchingFunction((1j, -1, -1)),
+        "SwitchingFunction(values=(1j, (-1+0j), (1+0j)))",
+    ),
+    "GraphDocument": (
+        lambda: gainlap.parse_graph(_DOC),
+        lambda: gainlap.parse_graph(_DOC.replace("0.5", "0.25")),
+        "GraphDocument(n=2, edges=((1, 2, -1j),), weights=(0.5,), ordering=(2, 1))",
+    ),
+    "GraphDocument-defaults": (
+        lambda: gainlap.GraphDocument(2, ((1, 2, 1j),)),
+        lambda: gainlap.GraphDocument(2, ((1, 2, 1j),), ordering=(2, 1)),
+        "GraphDocument(n=2, edges=((1, 2, 1j),), weights=None, ordering=None)",
+    ),
+    "OneTree": (
+        lambda: gainlap.OneTree(*_TREE),
+        lambda: gainlap.OneTree(_TREE[0], (1, 3, 2)),
+        "OneTree(vertices=frozenset({1, 2, 3}), cycle=(1, 2, 3))",
+    ),
+    "OneForest": (
+        _forest,
+        lambda: _forest(((1, 2, 1j), (2, 3, -1), (1, 3, -1))).components[0],  # another class
+        "OneForest(edges=((1, 2), (2, 3), (1, 3)),"
+        " components=(OneTree(vertices=frozenset({1, 2, 3}), cycle=(1, 2, 3)),))",
+    ),
+    "SingularityReport": (
+        lambda: gainlap.SingularityReport(*_SINGULAR),
+        lambda: gainlap.SingularityReport(*_SINGULAR[:-1], -18.5),
+        "SingularityReport(det_max=0.0, det_min=-1.5, threshold_max=inf, threshold_min=2e-08,"
+        " rank_max=2, rank_min=3, balanced=False, matches_potential=True, log_det_max=-inf,"
+        " log_det_min=0.4, log_threshold_max=710.5, log_threshold_min=-18.4)",
+    ),
+    "CospectralityReport": (
+        lambda: gainlap.CospectralityReport(True, False, False, True),
+        lambda: gainlap.CospectralityReport(True, False, False, False),
+        "CospectralityReport(laplacians_match=True, cospectral_with_underlying=False,"
+        " balanced=False, matches_potential=True)",
+    ),
+    "SwitchingReport-defaults": (
+        lambda: gainlap.SwitchingReport(hypothesis_met=False),
+        lambda: gainlap.SwitchingReport(hypothesis_met=True),
+        "SwitchingReport(hypothesis_met=False, switched_compatible=None, similarity_residual=None,"
+        " spectra_match=None, spectrum_gap=None)",
+    ),
+    "SwitchingReport": (
+        lambda: gainlap.SwitchingReport(True, True, 1e-16, True, 2.5e-15),
+        lambda: gainlap.SwitchingReport(True, True, 1e-16, True, 2.5e-14),
+        "SwitchingReport(hypothesis_met=True, switched_compatible=True, similarity_residual=1e-16,"
+        " spectra_match=True, spectrum_gap=2.5e-15)",
+    ),
+}
+
+each_record = pytest.mark.parametrize("case", list(RECORDS))
+
+
+@each_record
+def test_record_repr(case):
+    make, _, shown = RECORDS[case]
+    assert repr(make()) == shown
+
+
+@each_record
+def test_record_equality_and_hash(case):
+    make, make_other, _ = RECORDS[case]
+    a, b, other = make(), make(), make_other()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other and hash(a) != hash(other)
+    assert a != tuple(getattr(a, f) for f in a._fields)  # records equal only their own class
+
+
+@each_record
+def test_record_refuses_assignment(case):
+    record = RECORDS[case][0]()
+    for name in (*record._fields, "extra"):
+        before = vars(record).get(name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        assert vars(record).get(name) is before
+
+
+def test_record_constructors_take_fields_by_position_keyword_or_default():
+    doc = gainlap.GraphDocument(2, ((1, 2, 1j),))
+    assert doc == gainlap.GraphDocument(edges=((1, 2, 1j),), n=2, weights=None)
+    assert doc == gainlap.GraphDocument(2, ((1, 2, 1j),), None, None)
+    assert gainlap.OneTree(*_TREE) == gainlap.OneTree(cycle=_TREE[1], vertices=_TREE[0])
+    assert gainlap.GainGraph(edges=_G, n=3) == gainlap.GainGraph(3, _G)
+    for bad in (
+        lambda: gainlap.GraphDocument(2),  # edges missing
+        lambda: gainlap.GraphDocument(2, (), None, None, None),  # one too many
+        lambda: gainlap.GraphDocument(2, (), n=2),  # n twice
+        lambda: gainlap.SwitchingReport(hypothesis_met=True, gap=0.0),  # no such field
+        lambda: gainlap.OneTree(frozenset()),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_cached_property_on_a_record():
+    """A cached value lives beside the fields and changes no comparison."""
+    g, h = gainlap.GainGraph(3, _G), gainlap.GainGraph(3, _G)
+    assert g._neighbors is g._neighbors and "_neighbors" in vars(g)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)

@@ -1,7 +1,9 @@
 """Command line interface: outputs, exit codes, and the verify command."""
 
+import cmath
 import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -12,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
+    all_simple_cycles,
     demo_dmax_reversed,
     demo_dmax_standard,
     demo_dmin_standard,
@@ -38,6 +42,7 @@ from gainlap import (
     ValidationError,
     ZeroGain,
     csv_to_matrix,
+    cycle_gain,
     distance_laplacian,
     emit_graph,
     gain_distance_matrix,
@@ -47,9 +52,10 @@ from gainlap import (
     shortest_distances,
     weighted_laplacian,
 )
-from gainlap.cli import build_parser, run
+from gainlap.cli import _cmd_rank, build_parser, run
 from gainlap.graphs import VertexOrdering
 from test_documents import PARITY_CASES
+from test_graphs import any_small_graphs
 
 
 def invoke(capsys, *argv):
@@ -77,17 +83,25 @@ def cycle_document(gains, weights=None):
     return obj
 
 
-#: One call of every subcommand.
-EVERY_SUBCOMMAND = pytest.mark.parametrize(
-    "argv",
-    [
-        ("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min"), ("incidence",),
-        ("spectrum", "--target", "lap"), ("det", "--method", "lu"),
-        ("det", "--method", "forests"), ("rank",), ("balance",),
-        ("verify", "--theorem", "1"), ("verify", "--theorem", "6"),
+#: Two triangles, one with every gain 1 and one with a 0.5 twist: L is
+#: singular, yet the graph is unbalanced.
+TWO_TRIANGLES = {
+    "n": 6,
+    "edges": [
+        {"u": u, "v": v, "gain": {"theta": 0.5 if (u, v) == (4, 6) else 0.0}}
+        for u, v in [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
     ],
-    ids=" ".join,
-)
+}
+
+
+#: One call of every subcommand.
+EVERY_ARGV = [
+    ("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min"), ("incidence",),
+    ("spectrum", "--target", "lap"), ("det", "--method", "lu"),
+    ("det", "--method", "forests"), ("rank",), ("balance",),
+    ("verify", "--theorem", "1"), ("verify", "--theorem", "6"),
+]
+EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", EVERY_ARGV, ids=" ".join)
 
 
 def assert_heavy_weights_refused(capsys, tmp_path, argv, heavy):
@@ -268,6 +282,37 @@ class TestScalarCommands:
         assert code == 0
         assert out.strip() == "3"
 
+    @pytest.mark.parametrize(
+        "name, obj, rank",
+        [
+            # The smallest eigenvalue, about 7, lies far under the
+            # eigenvalue cutoff n·eps·max|λ| ≈ 8e292, which read 2.
+            ("heavy", cycle_document([1, 1, 1j], weights=[4e307, 4e307, 1.0]), 3),
+            # A cycle gain 1e-6 from 1, which a cutoff read as balanced: 11.
+            ("c12", cycle_document([1 + 0j] * 11 + [cmath.exp(1e-6j)]), 12),
+            ("two", TWO_TRIANGLES, 5),
+        ],
+    )
+    def test_rank_is_n_minus_the_balanced_components(self, capsys, tmp_path, name, obj, rank):
+        path = write_document(tmp_path, obj, name=f"{name}.json")
+        assert invoke(capsys, "rank", path) == (0, f"{rank}\n", "")
+
+    @given(any_small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_against_the_cycle_oracle(self, g):
+        """rank = n - b, b the components whose every simple cycle has
+        gain 1; graphs on at most 7 vertices, disconnected ones included."""
+        label = list(range(g.n + 1))  # each vertex's smallest vertex in its component
+        for _ in range(g.n):
+            for u, v, _ in g.edges:
+                label[u] = label[v] = min(label[u], label[v])
+        unbalanced = {label[c[0]] for c in all_simple_cycles(g) if abs(cycle_gain(g, c) - 1) > 1e-9}
+        balanced = len(set(label[1:]) - unbalanced)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert _cmd_rank(GraphDocument(g.n, g.edges), None) == 0
+        assert out.getvalue() == f"{g.n - balanced}\n"
+
     def test_balance_tokens(self, capsys, tmp_path, demo_path):
         code, out, _ = invoke(capsys, "balance", demo_path)
         assert code == 0
@@ -280,17 +325,6 @@ class TestScalarCommands:
 
 #: Unbalanced geodetic graphs, on which theorem 12 has something to judge.
 GEODETIC = unbalanced_geodetic_graphs()
-
-#: Two triangles, one with every gain 1 and one with a 0.5 twist: L is
-#: singular, yet the graph is unbalanced.
-TWO_TRIANGLES = {
-    "n": 6,
-    "edges": [
-        {"u": u, "v": v, "gain": {"theta": 0.5 if (u, v) == (4, 6) else 0.0}}
-        for u, v in [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
-    ],
-}
-
 
 class TestVerify:
     @pytest.mark.parametrize("theorem", [1, 6, 7, 11, 13])
@@ -751,7 +785,7 @@ print(json.dumps(seen))
 
 def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     """Importing the package or the CLI loads no numpy, and neither do
-    balance, det --method forests and verify --theorem 3 over their budget,
+    balance, rank, det --method forests and verify --theorem 3 over their budget,
     det --method forests within it, an input error and a verify row that
     refuses its input; dmatrix loads it, so the probe can see it."""
     truncated = tmp_path / "truncated.json"
@@ -761,6 +795,7 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     two_path = write_document(tmp_path, TWO_TRIANGLES, name="two.json")
     calls = [
         (None, ["balance", demo_path]),
+        (None, ["rank", demo_path]),
         (None, ["det", "--method", "forests", demo_path]),
         ("1", ["det", "--method", "forests", k4_path]),  # C(6, 4) = 15 subsets
         (None, ["balance", str(truncated)]),
@@ -779,7 +814,7 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(out.stdout) == [
-        False, False, [0, False], [0, False], [3, False], [1, False],
+        False, False, [0, False], [0, False], [0, False], [3, False], [1, False],
         [1, False], [3, False], [1, False], [1, False], [1, False], [1, False], [1, False],
         [0, True],
     ]
@@ -797,6 +832,25 @@ def test_numpy_random_loads_only_where_the_seed_is_read(demo_path):
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(out.stdout)[2:] == [[0, [True, False]], [0, [True, True]]]
+
+
+def test_no_dataclasses_module_loads(demo_path):
+    """The records are plain classes: with every public name resolved and
+    every subcommand run, no ``dataclasses`` module has been imported."""
+    probe = (
+        "import contextlib, io, sys, gainlap, gainlap.cli\n"
+        "names = [getattr(gainlap, name) for name in gainlap.__all__]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [gainlap.cli.run(argv.split() + [sys.argv[1]]) for argv in sys.argv[2:]]\n"
+        "print(codes, 'dataclasses' in sys.modules)\n"
+    )
+    argvs = [" ".join(argv) for argv in EVERY_ARGV]
+    argvs += ["dlaplacian --mode max", "incidence --distance", "verify --theorem 13"]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, demo_path, *argvs],
+        env=child_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == f"{[0] * len(argvs)} False\n"
 
 
 #: The BLAS thread counts that ``main`` sets to 1 unless already set.

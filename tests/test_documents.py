@@ -3,10 +3,11 @@
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import demo_document, demo_graph, random_connected_graph, random_ordering, random_unit
@@ -490,23 +491,41 @@ def matrices(draw, square: bool = False):
 
 @st.composite
 def hermitian_matrices(draw):
-    """M + M* for a square ``matrices()`` draw: Hermitian, with mirrored
-    ±0.0 imaginary parts, infinities, and NaN in mirror pairs (inf - inf),
-    which no Hermitian check passes.  Sometimes one off-diagonal part is
-    moved by one ulp, so the matrix is no longer Hermitian."""
+    """(H, nudge): H = M + M* for a square ``matrices()`` draw, Hermitian,
+    with mirrored ±0.0 imaginary parts, infinities, and NaN in mirror pairs
+    (inf - inf), which no Hermitian check passes; ``nudge`` is None, or
+    sometimes the (j, k, real) that :func:`nudged` takes."""
     M = draw(matrices(square=True))
     with np.errstate(invalid="ignore", over="ignore"):
         H = M + M.conj().T
     n = len(H)
     if n > 1 and draw(st.booleans()):
         j, k = draw(st.permutations(range(n)))[:2]
-        re, im = H[j, k].real, H[j, k].imag
-        if draw(st.booleans()):
-            re = np.nextafter(re, math.inf)
-        else:
-            im = np.nextafter(im, -math.inf)
-        H[j, k] = complex(re, im)
+        return H, (j, k, draw(st.booleans()))
+    return H, None
+
+
+def nudged(H, nudge):
+    """H with the off-diagonal part that ``nudge`` = (j, k, real) names
+    moved by one ulp, the real part up or the imaginary part down, so H
+    is no longer Hermitian; H itself when ``nudge`` is None.  A part at
+    ±max float moves to ±inf, without an overflow warning."""
+    if nudge is None:
+        return H
+    j, k, real = nudge
+    re, im = H[j, k].real, H[j, k].imag
+    if real:
+        re = math.nextafter(re, math.inf)
+    else:
+        im = math.nextafter(im, -math.inf)
+    H = H.copy()
+    H[j, k] = complex(re, im)
     return H
+
+
+#: A Hermitian matrix whose off-diagonal parts are ±max float.
+_BIG = sys.float_info.max
+_MAX_PARTS = np.array([[0, complex(_BIG, -_BIG)], [complex(_BIG, _BIG), 0]])
 
 
 class TestEmitParity:
@@ -517,9 +536,12 @@ class TestEmitParity:
 
     @settings(max_examples=300, deadline=None)
     @given(hermitian_matrices())
-    def test_hermitian_same_bytes_as_the_cell_join(self, H):
+    @example((_MAX_PARTS, (0, 1, True)))  # max float to inf
+    @example((_MAX_PARTS, (0, 1, False)))  # -max float to -inf
+    def test_hermitian_same_bytes_as_the_cell_join(self, case):
         """Each mirrored pair is formatted once; the bytes are those of
         the cell join, each cell's sign taken from its own part."""
+        H = nudged(*case)
         assert matrix_to_csv(H) == _cell_join(H)
 
     def test_n300_distance_matrix(self):
