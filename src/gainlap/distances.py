@@ -7,47 +7,55 @@ against the active vertex ordering.  The gain distance matrix scales
 each auxiliary gain by the hop distance; it is Hermitian with zero
 diagonal by construction.
 
-Every distance object reads one geodesic table per graph, memoized on
-the graph.  Its one driver refuses a disconnected graph, then per source
-runs one BFS and has one of two walks return the source's lex-max and
-lex-min rows.  The float walk follows the shortest-path DAG in BFS
-order and gives each vertex the set of distinct gains of its geodesics
-from the source, each formed left to right as
-:func:`~gainlap.graphs.path_gain` forms it, so every kept value is bit
-for bit the gain of one of those geodesics.  A vertex whose geodesics
-so far share one gain holds that bare complex, pushed on by one
-multiplication per edge; it becomes a set only when a second distinct
-gain arrives.  A set is pushed on by mapping the edge gain's product
-into the next vertex's set, in C.  The lex extremes of a set come from
-one sort by real part; the tie band of a side is searched only when its
-next value lies within it.  A pair with more than ``DEFAULT_PATH_CAP``
-distinct geodesic gains raises ``PathExplosion``.  The driver then adds
-0.0 to the table, so no zero part is -0.0: the table holds values, the
-same whichever geodesic arrived first.
+One driver, :func:`_geodesic_rows`, refuses a disconnected graph, then
+per source runs one BFS and has one of two walks return the source's
+lex-max and lex-min rows.  It hands each source's hop, lex-max and
+lex-min rows, as Python sequences, to one of two consumers.  Every
+distance object of the library reads the geodesic table that
+:func:`_build_table` fills from them in numpy, memoized on the graph.
+The CLI's ``dmatrix`` and ``dlaplacian`` print from
+:func:`_auxiliary_gain_rows`, the ordering rule of
+:func:`auxiliary_gain_matrix` on the lists, and load no numpy.
 
-When every edge gain equals 1, i, -1 or -i (signed graphs included),
-the T4 walk runs the same walk on 4-bit masks, bit k when i^k is in a
+The float walk follows the shortest-path DAG in BFS order and gives each
+vertex the set of distinct gains of its geodesics from the source, each
+formed left to right as :func:`~gainlap.graphs.path_gain` forms it, so
+every kept value is bit for bit the gain of one of those geodesics.  A
+vertex whose geodesics so far share one gain holds that bare complex,
+pushed on by one multiplication per edge; it becomes a set only when a
+second distinct gain arrives.  A set is pushed on by mapping the edge
+gain's product into the next vertex's set, in C.  The lex extremes of a
+set come from one sort by real part; the tie band of a side is searched
+only when its next value lies within it.  A pair with more than
+``DEFAULT_PATH_CAP`` distinct geodesic gains raises ``PathExplosion``.
+The table then adds 0.0 to its gains, so no zero part is -0.0: it holds
+values, the same whichever geodesic arrived first.
+
+When every edge gain equals 1, i, -1 or -i (signed graphs included), the
+T4 walk runs the same walk on 4-bit masks, bit k when i^k is in a
 vertex's gain set: an edge of gain i^k rotates a mask by k, and sets
 merge by ``|``.  The lex extremes of the 16 masks come from
-:func:`_lex_extremes`, on the first such graph.  Such products are
-exact, so its table is bit for bit the float walk's.  A T4 set holds at
+:func:`_lex_extremes`, on the first such graph: the CLI reads them from
+two lists and the memoized table from one array.  Such products are
+exact, so its rows are bit for bit the float walk's.  A T4 set holds at
 most 4 gains, so it never reaches the path cap.  Gains that are T4
-values only up to rounding, such as the ``theta`` form of pi/2, take
-the float walk with their own bits.
+values only up to rounding, such as the ``theta`` form of pi/2, take the
+float walk with their own bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cache
-from operator import attrgetter
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from functools import cache, partial
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PathExplosion, ValidationError
 from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
 from .graphs import _bfs, _require_connected
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Cap on the number of distinct geodesic gains of one vertex pair in
 #: the geodesic table.
@@ -93,16 +101,16 @@ _T4_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
 
 
 @cache
-def _t4_tables() -> tuple[list[list[int]], np.ndarray]:
+def _t4_tables() -> tuple[list[list[int]], list[complex], list[complex]]:
     """Lookup tables of the exact T4 walk, built on first use: per
-    4-bit mask, ``rot[mask][k]``, the set times i^k, and ``ext[:, mask]``,
-    its lex max and min (0j for the empty set)."""
+    4-bit mask, ``rot[mask][k]``, the set times i^k, and ``hi[mask]`` and
+    ``lo[mask]``, its lex max and min (0j for the empty set)."""
     value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
     rot = [[(m << k | m >> (4 - k)) & 15 for k in range(4)] for m in range(16)]
-    ext = np.zeros((2, 16), dtype=complex)
+    hi, lo = [0j] * 16, [0j] * 16
     for m in range(1, 16):
-        ext[:, m] = _lex_extremes([value[k] for k in range(4) if m >> k & 1])
-    return rot, ext
+        hi[m], lo[m] = _lex_extremes([value[k] for k in range(4) if m >> k & 1])
+    return rot, hi, lo
 
 
 def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
@@ -119,9 +127,32 @@ def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
     return adj
 
 
-def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> np.ndarray:
-    """The float walk's rows of source s, walked on 4-bit gain-set masks."""
-    rot, ext = _t4_tables()
+def _t4_lists(mask: list[int]) -> tuple[tuple, tuple]:
+    """The lex-max and lex-min rows of vertices 1..n, as tuples, from
+    the masks of vertices 0..n and the lists of :func:`_t4_tables`."""
+    _, hi, lo = _t4_tables()
+    lookup = itemgetter(*mask)  # n + 1 >= 2 masks, so it returns a tuple
+    return lookup(hi)[1:], lookup(lo)[1:]
+
+
+@cache
+def _t4_array() -> np.ndarray:
+    """The lex lists of :func:`_t4_tables` as one (2, 16) array."""
+    import numpy as np
+
+    return np.array(_t4_tables()[1:])
+
+
+def _t4_arrays(mask: list[int]) -> np.ndarray:
+    """:func:`_t4_lists` as a (2, n) array, which numpy copies into the
+    memoized table without converting each gain."""
+    return _t4_array()[:, mask[1:]]
+
+
+def _t4_walk(adj: list, s: int, dist: list[int], order: list[int], rows):
+    """The float walk's rows of source s, walked on 4-bit gain-set masks
+    and read off them by ``rows``."""
+    rot = _t4_tables()[0]
     mask = [0] * len(dist)
     mask[s] = 1  # {1}
     for a in order:
@@ -131,7 +162,7 @@ def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> np.ndarray
             if dist[b] == step:
                 mask[b] |= row[k]
     mask[s] = 0  # the zero diagonal
-    return ext[:, mask[1:]]
+    return rows(mask)
 
 
 def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[list, list]:
@@ -181,21 +212,31 @@ def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[l
     return hi[1:], lo[1:]
 
 
-def _build_table(g: GainGraph) -> _GeodesicTable:
-    """The geodesic table of g, by the driver the module docstring describes."""
+def _geodesic_rows(g: GainGraph, t4_rows) -> Iterator[tuple[list[int], Sequence, Sequence]]:
+    """Row s - 1 of the geodesic table for each source s in turn: the hop
+    distances and the lex-max and lex-min gains, by the driver the module
+    docstring describes; the T4 walk's gains come from ``t4_rows``.  A
+    zero part may still be -0.0."""
     _require_connected(g)
-    adj, walk = _t4_adjacency(g), _t4_walk
+    adj, walk = _t4_adjacency(g), partial(_t4_walk, rows=t4_rows)
     if adj is None:
         adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
         walk = _float_walk
+    for s in range(1, g.n + 1):
+        dist, order, _ = _bfs(g._neighbors, s)
+        yield (dist[1:], *walk(adj, s, dist, order))
+
+
+def _build_table(g: GainGraph) -> _GeodesicTable:
+    """The geodesic table of g, filled from :func:`_geodesic_rows`."""
+    import numpy as np
+
     n = g.n
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
-    for s in range(1, n + 1):
-        dist, order, _ = _bfs(g._neighbors, s)
-        hop[s - 1] = dist[1:]
-        lex_max[s - 1], lex_min[s - 1] = walk(adj, s, dist, order)
+    for row, (dist, hi, lo) in enumerate(_geodesic_rows(g, _t4_arrays)):
+        hop[row], lex_max[row], lex_min[row] = dist, hi, lo
     lex_max += 0.0  # -0.0 + 0.0 is 0.0
     lex_min += 0.0
     for arr in (hop, lex_max, lex_min):
@@ -258,12 +299,46 @@ def auxiliary_gain_matrix(
     extremal gain from its ordering-smaller endpoint, and the reverse
     pair its conjugate.
     """
+    import numpy as np
+
     _require_mode(mode)
     _require_ordering(g, ordering)
     table = _geodesic_table(g)
     ext = table.lex_max if mode == "max" else table.lex_min
     rank = np.array(ordering.ranks)
     return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
+
+
+def _auxiliary_gain_rows(
+    g: GainGraph, ordering: VertexOrdering, mode: Mode
+) -> Iterator[tuple[list[int], list[float], list[float]]]:
+    """The upper triangle of :func:`auxiliary_gain_matrix`, for a caller
+    that loads no numpy: per vertex v_j in turn, its row of hop distances
+    and the real and the imaginary parts of the auxiliary gains of the
+    pairs (v_j, v_k), k >= j.  The values are those of the numpy form, by
+    the same rule (a zero part may be -0.0); the lower triangle is their
+    conjugate.  The rule is written twice because the numpy form keeps
+    the library's memoized table fast; tests hold the two equal.  Every
+    row of the geodesic walk is read before the first row is given, since
+    row j takes column j of the rows of the ordering-smaller vertices.
+    """
+    _require_mode(mode)
+    _require_ordering(g, ordering)
+    side = 1 if mode == "max" else 2
+    hops, ext = [], []
+    for row in _geodesic_rows(g, _t4_lists):
+        hops.append(row[0])
+        ext.append(row[side])
+    rank = ordering.ranks
+    for j, r in enumerate(rank):
+        up, ranks = ext[j][j:], rank[j:]
+        down = list(map(itemgetter(j), ext[j:]))
+        hop, hops[j], ext[j] = hops[j], None, None  # read for the last time
+        yield (
+            hop,
+            [a.real if r < q else b.real for a, b, q in zip(up, down, ranks)],
+            [a.imag if r < q else -b.imag for a, b, q in zip(up, down, ranks)],
+        )
 
 
 def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
@@ -275,19 +350,17 @@ def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> 
 
 def transmission_matrix(g: GainGraph) -> np.ndarray:
     """Diagonal matrix of transmissions, tr(v) = sum of distances from v."""
+    import numpy as np
+
     return np.diag(_geodesic_table(g).hop.sum(axis=1).astype(float))
-
-
-def hermitian_residual(M: np.ndarray) -> float:
-    """max |M - M*|, 0 for an empty matrix."""
-    M = np.asarray(M, dtype=complex)
-    return float(np.max(np.abs(M - M.conj().T), initial=0.0))
 
 
 def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
     """Whether the max and min gain distance matrices coincide within
     ``ENTRY_TOL``, i.e. all shortest paths between each vertex pair
     carry the same gain."""
+    import numpy as np
+
     dmax = gain_distance_matrix(g, ordering, "max")
     dmin = gain_distance_matrix(g, ordering, "min")
     return bool(np.max(np.abs(dmax - dmin)) <= ENTRY_TOL)
@@ -302,6 +375,8 @@ def is_ordering_independent(g: GainGraph, ordering: VertexOrdering) -> bool:
     the lex-max or lex-min table the change is |D - D*| under every
     ordering: the verdict is read off the geodesic table.
     """
+    from .spectra import hermitian_residual
+
     _require_ordering(g, ordering)
     table = _geodesic_table(g)
     return not any(

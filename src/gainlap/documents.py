@@ -26,8 +26,10 @@ and ordering on first use, so each accessor returns one object.
 Matrices are written as CSV of 'a+bi' cells by :func:`matrix_to_csv`.
 Its lines come one at a time from :func:`_csv_rows`, and the CLI
 writes each as it comes, so the whole text is never held.  A Hermitian
-matrix formats each mirrored pair of cells once and holds the strings
-of at most n²/4 cells at a time.
+matrix goes to :func:`_hermitian_rows`, which formats each mirrored
+pair of cells once and holds the strings of at most n²/4 cells at a
+time; it takes plain lists per row, so the CLI's ``dmatrix`` and
+``dlaplacian`` feed it without numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import cmath
 import json
 from functools import cached_property
 from math import copysign
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
 from .graphs import (
@@ -249,15 +251,8 @@ def _csv_rows(M: np.ndarray) -> Iterator[str]:
     at a time, so a caller that writes each line never holds the text.
 
     The parts are taken for the whole matrix at once, and each row is
-    formatted by one ``%`` over all its cells.  When M is Hermitian
-    (square and M == M*, so it holds no NaN), cell (k, j) has the parts
-    of (j, k), and equal parts print equal strings; only its sign comes
-    from its own imaginary part.  Then one ``%`` over row j's cells
-    (j, j..n-1) makes for each a template with its parts and a ``%s``
-    for the sign, which two rows share.  Each column keeps the templates
-    of the rows above until its own row prints, so at most n²/4 cells
-    are held, and a row is its templates joined and filled with its
-    signs by one ``%``.
+    formatted by one ``%`` over all its cells.  A Hermitian M (square
+    and M == M*, so it holds no NaN) goes to :func:`_hermitian_rows`.
     """
     import numpy as np
 
@@ -276,18 +271,37 @@ def _csv_rows(M: np.ndarray) -> Iterator[str]:
             args[0::3], args[1::3], args[2::3] = r.tolist(), s.tolist(), i.tolist()
             yield row % tuple(args)
         return
+    yield from _hermitian_rows(
+        n, ((re[j, j:].tolist(), im[j, j:].tolist(), sign[j].tolist()) for j in range(n))
+    )
+
+
+def _hermitian_rows(n: int, rows: Iterable[tuple[list, list, list]]) -> Iterator[str]:
+    """The lines of a Hermitian n x n matrix, from three lists per row j:
+    the real parts and the |imag| parts of its cells (j, j..n-1), a zero
+    real part as 0.0, and the sign, "+" or "-", of each of its n
+    imaginary parts.
+
+    Cell (k, j) has the parts of (j, k), and equal parts print equal
+    strings; only its sign comes from its own imaginary part.  So one
+    ``%`` over row j's cells (j, j..n-1) makes for each a template with
+    its parts and a ``%s`` for the sign, which two rows share.  Each
+    column keeps the templates of the rows above until its own row
+    prints, so at most n²/4 cells are held, and a row is its templates
+    joined and filled with its signs by one ``%``.
+    """
     tail = "%.17g%%s%.17gi," * n  # 15 characters a cell; no part prints a %
     cols: list = [[] for _ in range(n)]
-    for j in range(n):
+    for j, (re, im, signs) in enumerate(rows):
         parts: list = [None] * (2 * (n - j))
-        parts[0::2], parts[1::2] = re[j, j:].tolist(), im[j, j:].tolist()
+        parts[0::2], parts[1::2] = re, im
         cells = (tail[15 * j:] % tuple(parts)).split(",")
         # list.append returns None, so any() runs the map to its end, in C.
         any(map(list.append, cols[j + 1:], cells[1:]))
         cells.pop()  # the empty string after the last ","
         head, cols[j] = cols[j], None
         head += cells
-        yield ",".join(head) % tuple(sign[j].tolist())
+        yield ",".join(head) % tuple(signs)
 
 
 def csv_to_matrix(text: str) -> np.ndarray:

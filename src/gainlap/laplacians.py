@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distances import auxiliary_gain_matrix
 from .errors import TooLarge, ValidationError
 from .graphs import GainGraph, Mode, VertexOrdering, WeightedGainGraph
 
@@ -123,6 +122,8 @@ def distance_incidence(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np
     vertex pair, its tail at the ordering-smaller end, the columns sorted
     by (tail rank, head rank).  ``TooLarge`` past ``_INCIDENCE_BYTES``,
     before the geodesic table is built."""
+    from .distances import auxiliary_gain_matrix
+
     _require_dense(g.n, g.n * (g.n - 1) // 2)
     return _incidence(g.n, _pair_columns(ordering, *auxiliary_gain_matrix(g, ordering, mode)))
 
@@ -135,11 +136,15 @@ def _distance_laplacian(aux: np.ndarray, hop: np.ndarray) -> np.ndarray:
 def distance_laplacian(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
     """Gain distance Laplacian: transmissions on the diagonal minus the
     gain distance matrix."""
+    from .distances import auxiliary_gain_matrix
+
     return _distance_laplacian(*auxiliary_gain_matrix(g, ordering, mode))
 
 
 def distance_factorization_residual(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> float:
     """max |DL - DH DH*| for the given mode and ordering, from one
     ``auxiliary_gain_matrix``."""
+    from .distances import auxiliary_gain_matrix
+
     aux, hop = auxiliary_gain_matrix(g, ordering, mode)
     return _residual(_pair_columns(ordering, aux, hop), _distance_laplacian(aux, hop))

@@ -19,14 +19,6 @@ import math
 
 import numpy as np
 
-from .distances import (
-    gain_distance_matrix,
-    hermitian_residual,
-    is_compatible,
-    is_ordering_independent,
-    shortest_distances,
-    transmission_matrix,
-)
 from .errors import NotHermitian, ValidationError
 from .graphs import GainGraph, SwitchingFunction, VertexOrdering, is_balanced, switch
 from .graphs import _Record, _require_switching
@@ -84,6 +76,12 @@ def _square(M: np.ndarray) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValidationError("expected a finite matrix, got a NaN or infinite entry")
     return M
+
+
+def hermitian_residual(M: np.ndarray) -> float:
+    """max |M - M*|, 0 for an empty matrix."""
+    M = np.asarray(M, dtype=complex)
+    return float(np.max(np.abs(M - M.conj().T), initial=0.0))
 
 
 def _hermitian(M: np.ndarray) -> np.ndarray:
@@ -202,6 +200,8 @@ class CospectralityReport(_Record):
 def balance_by_cospectrality(
     g: GainGraph, ordering: VertexOrdering
 ) -> CospectralityReport:
+    from .distances import is_compatible, shortest_distances, transmission_matrix
+
     # The Laplacians match exactly when the gain distance matrices do:
     # DLmax - DLmin is -(Dmax - Dmin) bit for bit, the transmissions cancel.
     match = is_compatible(g, ordering)
@@ -245,6 +245,8 @@ def switching_similarity_check(
     xi(u)^(-1) ... xi(v).  Also checks that compatibility survives the
     switch and that the distance Laplacian spectra agree.
     """
+    from .distances import gain_distance_matrix, is_compatible, is_ordering_independent
+
     _require_switching(g, xi)
     if not (is_compatible(g, ordering) and is_ordering_independent(g, ordering)):
         return SwitchingReport(hypothesis_met=False)

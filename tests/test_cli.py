@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_simple_cycles,
@@ -121,6 +122,75 @@ def write_random300(tmp_path) -> str:
     g = random_connected_graph(np.random.default_rng(300), 300, 301)
     edges = [{"u": u, "v": v, "gain": {"re": z.real, "im": z.imag}} for u, v, z in g.edges]
     return write_document(tmp_path, {"n": g.n, "edges": edges}, name="random300.json")
+
+
+#: The gain group T4 = {1, i, -1, -i} with either sign of each zero part.
+SIGNED_T4 = (
+    complex(1.0, 0.0), complex(1.0, -0.0), complex(0.0, 1.0), complex(-0.0, 1.0),
+    complex(-1.0, 0.0), complex(-1.0, -0.0), complex(0.0, -1.0), complex(-0.0, -1.0),
+)
+
+
+@st.composite
+def distance_documents(draw):
+    """A connected document on 1 to 8 vertices with generic gains, gains
+    in T4, T4 gains and one generic gain (the float walk then meets zero
+    parts of both signs), every gain exactly 1, or one gain e^{i phi}
+    among ones; with its own ordering or none."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, n, int(rng.integers(0, n + 1)))
+    kind = draw(st.sampled_from(["generic", "t4", "t4 and one generic", "ones", "one phase"]))
+    edges = []
+    for u, v, z in g.edges:
+        if kind.startswith("t4"):
+            z = SIGNED_T4[int(rng.integers(8))]
+        elif kind != "generic":
+            z = 1.0 + 0.0j
+        edges.append({"u": u, "v": v, "gain": {"re": z.real, "im": z.imag}})
+    if kind == "t4 and one generic" and edges:
+        edges[int(rng.integers(len(edges)))]["gain"] = {"theta": float(rng.uniform(0.0, 2 * np.pi))}
+    if kind == "one phase" and edges:
+        phi = draw(st.floats(1e-12, 2 * np.pi, exclude_max=True))
+        edges[int(rng.integers(len(edges)))]["gain"] = {"theta": phi}
+    obj = {"n": n, "edges": edges}
+    if draw(st.booleans()):
+        obj["ordering"] = random_ordering(rng, n).ranks
+    return obj
+
+
+class TestDistanceRows:
+    """dmatrix and dlaplacian print from the rows of the geodesic walk,
+    with no numpy; the bytes are those of the library's matrices."""
+
+    @given(distance_documents(), st.sampled_from(["max", "min"]), st.booleans())
+    @example({"n": 1, "edges": []}, "max", False)
+    @example({"n": 2, "edges": [{"u": 1, "v": 2, "gain": {"theta": 1.0}}], "ordering": [2, 1]}, "min", True)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_matrix_to_csv(self, tmp_path_factory, obj, mode, reverse):
+        path = tmp_path_factory.getbasetemp() / "distance_rows.json"
+        path.write_text(json.dumps(obj))
+        doc = parse_graph(path.read_bytes())
+        ordering = doc.vertex_ordering().reverse() if reverse else doc.vertex_ordering()
+        for command, build in (("dmatrix", gain_distance_matrix), ("dlaplacian", distance_laplacian)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run([command, "--mode", mode, *["--reverse"] * reverse, str(path)])
+            assert code == 0
+            assert out.getvalue() == matrix_to_csv(build(doc.gain_graph(), ordering, mode)) + "\n"
+
+    @pytest.mark.parametrize("argv", [("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min", "--reverse")])
+    def test_refusals_keep_their_lines(self, capsys, tmp_path, monkeypatch, demo_path, argv):
+        """A disconnected document exits 1, and a pair past the path cap
+        exits 3, each with one error line and nothing on stdout."""
+        import gainlap.distances
+
+        path = write_document(tmp_path, DISCONNECTED, name="disconnected.json")
+        assert invoke(capsys, *argv, path) == (1, "", "error: vertex 3 is unreachable from vertex 1\n")
+        monkeypatch.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 1)
+        assert invoke(capsys, *argv, demo_path) == (
+            3, "", "error: more than 1 distinct geodesic gains between 1 and 3\n"
+        )
 
 
 class TestMatrixCommands:
@@ -786,13 +856,17 @@ print(json.dumps(seen))
 def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     """Importing the package or the CLI loads no numpy, and neither do
     balance, rank, det --method forests and verify --theorem 3 over their budget,
-    det --method forests within it, an input error and a verify row that
-    refuses its input; dmatrix loads it, so the probe can see it."""
+    det --method forests within it, an input error, a verify row that
+    refuses its input, and dmatrix and dlaplacian, on generic and T4 gains
+    and under a document's own ordering; det --method lu loads it, so the
+    probe can see it."""
     truncated = tmp_path / "truncated.json"
     truncated.write_text(json.dumps(demo_document())[:40])
     k4 = [{"u": u, "v": v, "gain": {"theta": 0.5}} for u in range(1, 5) for v in range(u + 1, 5)]
     k4_path = write_document(tmp_path, {"n": 4, "edges": k4}, name="k4.json")
     two_path = write_document(tmp_path, TWO_TRIANGLES, name="two.json")
+    t4_path = write_document(tmp_path, cycle_document([1j, 1j, -1, 1j]), name="t4.json")
+    ordered_path = write_document(tmp_path, {**demo_document(), "ordering": [3, 1, 5, 2, 4]}, name="ordered.json")
     calls = [
         (None, ["balance", demo_path]),
         (None, ["rank", demo_path]),
@@ -807,6 +881,9 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
         (None, ["verify", "--theorem", "12", two_path]),
         (None, ["verify", "--theorem", "13", two_path]),
         (None, ["dmatrix", "--mode", "max", demo_path]),
+        (None, ["dlaplacian", "--mode", "min", "--reverse", t4_path]),
+        (None, ["dmatrix", "--mode", "max", ordered_path]),
+        (None, ["det", "--method", "lu", demo_path]),
     ]
     out = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls)],
@@ -816,8 +893,32 @@ def test_numpy_loads_only_where_linear_algebra_runs(tmp_path, demo_path):
     assert json.loads(out.stdout) == [
         False, False, [0, False], [0, False], [0, False], [3, False], [1, False],
         [1, False], [3, False], [1, False], [1, False], [1, False], [1, False], [1, False],
-        [0, True],
+        [0, False], [0, False], [0, False], [0, True],
     ]
+
+
+def test_distances_loads_only_where_a_geodesic_table_is_read(tmp_path, demo_path):
+    """The calls that never read a geodesic table do not import
+    ``gainlap.distances``; dmatrix does, so the probe can see it."""
+    probe = _NUMPY_PROBE.replace('"numpy" in sys.modules', '"gainlap.distances" in sys.modules')
+    cycle_path = write_document(tmp_path, cycle_document([1, 1, 1j]), name="cycle.json")
+    calls = [
+        (None, ["incidence", demo_path]),
+        (None, ["spectrum", "--target", "lap", demo_path]),
+        (None, ["spectrum", "--target", "adj", demo_path]),
+        (None, ["det", "--method", "lu", demo_path]),
+        (None, ["verify", "--theorem", "1", demo_path]),
+        (None, ["verify", "--theorem", "2", cycle_path]),
+        (None, ["verify", "--theorem", "3", demo_path]),
+        (None, ["verify", "--theorem", "6", demo_path]),
+        (None, ["dmatrix", "--mode", "max", demo_path]),
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(calls)],
+        env=child_env(),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(out.stdout) == [False, False, *[[0, False]] * 8, [0, True]]
 
 
 def test_numpy_random_loads_only_where_the_seed_is_read(demo_path):

@@ -60,6 +60,7 @@ from gainlap.distances import (
     DEFAULT_PATH_CAP,
     ENTRY_TOL,
     LEX_TIE_BAND,
+    _auxiliary_gain_rows,
     _build_table,
     _lex_extremes,
     _t4_adjacency,
@@ -742,6 +743,35 @@ class TestExactT4Walk:
             capture_output=True, text=True, timeout=60, check=True,
         )
         assert out.stdout.strip() == "0"
+
+
+# --- the row form of the ordering rule against its numpy form --------------
+
+
+class TestAuxiliaryGainRows:
+    """``_auxiliary_gain_rows``, which the CLI prints from, gives the hop
+    distances and the upper triangle of ``auxiliary_gain_matrix``, row by
+    row; only the sign of a zero part may differ."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_graphs(), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["max", "min"]))
+    def test_same_values_as_the_numpy_form(self, g, seed, generic, mode):
+        rng = np.random.default_rng(seed)
+        if generic:
+            g = random_connected_graph(rng, g.n, int(rng.integers(0, 2 * g.n)))
+        ordering = random_ordering(rng, g.n)
+        rows = _auxiliary_gain_rows(g, ordering, mode)
+        try:
+            aux, hop = auxiliary_gain_matrix(g, ordering, mode)
+        except Disconnected as exc:
+            with pytest.raises(Disconnected) as got:
+                next(rows)
+            assert str(got.value) == str(exc)
+            return
+        for j, (h, re, im) in enumerate(rows):
+            assert h == hop[j].tolist()
+            got = np.array(re) + 1j * np.array(im)  # parts of the upper triangle
+            assert np.array_equal(_bits(got + 0.0), _bits(aux[j, j:] + 0.0))
 
 
 # --- one canonical zero: the table holds values, not arrival order --------

@@ -44,7 +44,7 @@ from gainlap import (
     switching_similarity_check,
 )
 import gainlap.spectra
-from gainlap.distances import hermitian_residual
+from gainlap.spectra import hermitian_residual
 from gainlap.spectra import _log_singularity_threshold
 
 
