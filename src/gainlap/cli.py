@@ -227,7 +227,10 @@ def _theorem_6(doc: GraphDocument, seed: int) -> _Verdict:
 
 def _theorem_7(doc: GraphDocument, seed: int) -> _Verdict:
     """DL = H H* in both modes, for the ordering and its reverse."""
+    from .distances import _geodesic_table
+
     g, ordering = doc.gain_graph(), doc.vertex_ordering()
+    _geodesic_table(g)  # both orderings read it: one full walk, not a half and then the full one
     residual = max(
         gainlap.distance_factorization_residual(g, o, mode)
         for o in (ordering, ordering.reverse())

@@ -17,6 +17,15 @@ The CLI's ``dmatrix`` and ``dlaplacian`` print from
 :func:`_auxiliary_gain_rows`, the ordering rule of
 :func:`auxiliary_gain_matrix` on the lists, and load no numpy.
 
+An ordering reads, of each pair, only the gain from its ordering-smaller
+endpoint, so half of the gains.  Given the ordering's ranks, the float
+walk from source s forms the lex extremes only of the targets ranked
+above s, and pushes a gain set on only into a vertex that leads to such
+a target.  A gain distance matrix of a fresh graph walks that half; the
+predicates, and any call the memoized half does not cover, walk every
+pair.  Either way every entry a call reads has the bits of the full
+table.
+
 The float walk follows the shortest-path DAG in BFS order and gives each
 vertex the set of distinct gains of its geodesics from the source, each
 formed left to right as :func:`~gainlap.graphs.path_gain` forms it, so
@@ -26,8 +35,10 @@ pushed on by one multiplication per edge; it becomes a set only when a
 second distinct gain arrives.  A set is pushed on by mapping the edge
 gain's product into the next vertex's set, in C.  The lex extremes of a
 set come from one sort by real part; the tie band of a side is searched
-only when its next value lies within it.  A pair with more than
-``DEFAULT_PATH_CAP`` distinct geodesic gains raises ``PathExplosion``.
+only when its next value lies within it.  The path cap guards every
+gain set a call walks: one with more than ``DEFAULT_PATH_CAP`` distinct
+geodesic gains raises ``PathExplosion``.  The full table walks the set
+of every pair; an ordering's half, at least those of the pairs it reads.
 The table then adds 0.0 to its gains, so no zero part is -0.0: it holds
 values, the same whichever geodesic arrived first.
 
@@ -38,9 +49,9 @@ merge by ``|``.  The lex extremes of the 16 masks come from
 :func:`_lex_extremes`, on the first such graph: the CLI reads them from
 two lists and the memoized table from one array.  Such products are
 exact, so its rows are bit for bit the float walk's.  A T4 set holds at
-most 4 gains, so it never reaches the path cap.  Gains that are T4
-values only up to rounding, such as the ``theta`` form of pi/2, take the
-float walk with their own bits.
+most 4 gains, so it never reaches the path cap; it walks every pair
+under any ordering.  Gains that are T4 values only up to rounding, such
+as the ``theta`` form of pi/2, take the float walk with their own bits.
 """
 
 from __future__ import annotations
@@ -84,7 +95,9 @@ def _require_ordering(g: GainGraph, ordering: VertexOrdering) -> None:
 
 class _GeodesicTable(NamedTuple):
     """Row s, column t: hop distance and lex-extremal geodesic gain from
-    vertex s + 1 to vertex t + 1; the diagonal gains are zero."""
+    vertex s + 1 to vertex t + 1; the diagonal gains are zero.  ``hop``
+    is complete; the gains of a table built for an ordering cover only
+    the pairs it reads, and the others hold no meaning."""
 
     hop: np.ndarray
     lex_max: np.ndarray
@@ -165,9 +178,37 @@ def _t4_walk(adj: list, s: int, dist: list[int], order: list[int], rows):
     return rows(mask)
 
 
-def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[list, list]:
+def _leads_above(
+    adj: list, dist: list[int], order: list[int], rank: Sequence[int], r: int, floor: int
+) -> list[bool]:
+    """Per vertex more than ``floor`` hops from the source, whether some
+    geodesic from the source through it ends at a vertex ranked above r.
+    One pass in reverse BFS order, down to ``floor`` + 1 hops: a vertex
+    so ranked, or marked by a successor, marks its predecessors."""
+    live = [False] * len(dist)
+    for a in reversed(order):
+        back = dist[a] - 1
+        if back < floor:
+            break
+        if live[a] or rank[a] > r:
+            live[a] = True
+            for b, _ in adj[a]:
+                if dist[b] == back:
+                    live[b] = True
+    return live
+
+
+def _float_walk(
+    adj: list, s: int, dist: list[int], order: list[int], rank: Sequence[int] | None
+) -> tuple[list, list]:
     """The lex-max and lex-min rows of source s, from the sets of
-    distinct geodesic gains; ``PathExplosion`` past the path cap."""
+    distinct geodesic gains; ``PathExplosion`` past the path cap.
+
+    Given ``rank``, the ordering's rank of each vertex 1..n (index 0
+    unused), only the targets ranked above s get their extremes, and a
+    set is pushed on only into a vertex that leads to one of them; the
+    other entries of the rows hold no meaning.
+    """
     cap = DEFAULT_PATH_CAP
     hi, lo = [0j] * len(dist), [0j] * len(dist)
     # Per vertex: None until reached, then its one geodesic gain as a
@@ -175,6 +216,12 @@ def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[l
     # BFS order completes a vertex's gains before reading them.
     gains: list = [None] * len(dist)
     gains[s] = 1.0 + 0.0j
+    # Whether a vertex leads to a target whose extremes are formed: all
+    # of them in the full walk; given ranks, found the first time a set
+    # is pushed on, so a walk whose sets are all sinks never looks, and
+    # only for the vertices beyond, which are all a later push reaches.
+    r = 0 if rank is None else rank[s]
+    live = [True] * len(dist) if rank is None else None
     for a in order:
         ws = gains[a]
         step = dist[a] + 1
@@ -196,9 +243,14 @@ def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[l
                         raise _too_many(cap, s, b)
             continue
         gains[a] = None  # a set is dropped once pushed on
-        hi[a], lo[a] = _lex_extremes(ws)
+        if rank is None or rank[a] > r:
+            hi[a], lo[a] = _lex_extremes(ws)
         for b, z in adj[a]:
             if dist[b] == step:
+                if live is None:
+                    live = _leads_above(adj, dist, order, rank, r, dist[a])
+                if not live[b]:
+                    continue  # so a vertex reached only by sets holds None
                 acc = gains[b]
                 if acc is None:
                     acc = gains[b] = set(map(z.__rmul__, ws))  # each w * z
@@ -212,30 +264,34 @@ def _float_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[l
     return hi[1:], lo[1:]
 
 
-def _geodesic_rows(g: GainGraph, t4_rows) -> Iterator[tuple[list[int], Sequence, Sequence]]:
+def _geodesic_rows(
+    g: GainGraph, t4_rows, ranks: tuple[int, ...] | None = None
+) -> Iterator[tuple[list[int], Sequence, Sequence]]:
     """Row s - 1 of the geodesic table for each source s in turn: the hop
     distances and the lex-max and lex-min gains, by the driver the module
     docstring describes; the T4 walk's gains come from ``t4_rows``.  A
-    zero part may still be -0.0."""
+    zero part may still be -0.0.  Given an ordering's ``ranks``, the
+    float walk forms only the gains of the pairs that ordering reads."""
     _require_connected(g)
     adj, walk = _t4_adjacency(g), partial(_t4_walk, rows=t4_rows)
     if adj is None:
         adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
-        walk = _float_walk
+        walk = partial(_float_walk, rank=None if ranks is None else (0, *ranks))
     for s in range(1, g.n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
         yield (dist[1:], *walk(adj, s, dist, order))
 
 
-def _build_table(g: GainGraph) -> _GeodesicTable:
-    """The geodesic table of g, filled from :func:`_geodesic_rows`."""
+def _build_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _GeodesicTable:
+    """The geodesic table of g, filled from :func:`_geodesic_rows`: every
+    pair, or the pairs the ordering with ``ranks`` reads."""
     import numpy as np
 
     n = g.n
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
-    for row, (dist, hi, lo) in enumerate(_geodesic_rows(g, _t4_arrays)):
+    for row, (dist, hi, lo) in enumerate(_geodesic_rows(g, _t4_arrays, ranks)):
         hop[row], lex_max[row], lex_min[row] = dist, hi, lo
     lex_max += 0.0  # -0.0 + 0.0 is 0.0
     lex_min += 0.0
@@ -244,18 +300,28 @@ def _build_table(g: GainGraph) -> _GeodesicTable:
     return _GeodesicTable(hop, lex_max, lex_min)
 
 
-def _geodesic_table(g: GainGraph) -> _GeodesicTable:
-    """The geodesic table of g, built on first use and memoized on the
-    graph instance (stored as functools.cached_property stores a value).
+def _geodesic_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _GeodesicTable:
+    """The geodesic table of g covering every pair, or with an ordering's
+    ``ranks`` the pairs (s, t), rank s < rank t, that ordering reads.
+
+    One slot on the graph instance (stored as functools.cached_property
+    stores a value) memoizes a table with what it covers: None for every
+    pair, else the ranks.  It serves a request it covers.  An empty slot
+    takes the ordering's half, so max and min mode share one walk, unless
+    the T4 walk runs, which covers every pair; any other miss builds the
+    full table, which serves every later request.
 
     Raises:
         Disconnected: if some vertex is unreachable.
-        PathExplosion: if some pair has more than ``DEFAULT_PATH_CAP``
-            distinct geodesic gains.
+        PathExplosion: if a gain set the walk forms, one at least for
+            each pair it covers, has more than ``DEFAULT_PATH_CAP`` gains.
     """
-    table = vars(g).get("_geodesics")
-    if table is None:
-        table = vars(g)["_geodesics"] = _build_table(g)
+    memo = vars(g).get("_geodesics")
+    if memo is not None and memo[0] in (None, ranks):
+        return memo[1]
+    cover = ranks if memo is None and _t4_adjacency(g) is None else None
+    table = _build_table(g, cover)
+    vars(g)["_geodesics"] = cover, table
     return table
 
 
@@ -265,7 +331,7 @@ def shortest_distances(g: GainGraph) -> np.ndarray:
     Raises:
         Disconnected: if some pair of vertices has no connecting walk.
         PathExplosion: if some pair has more than ``DEFAULT_PATH_CAP``
-            distinct geodesic gains.
+            distinct geodesic gains: this reads the full table.
     """
     return _geodesic_table(g).hop.copy()
 
@@ -303,7 +369,7 @@ def auxiliary_gain_matrix(
 
     _require_mode(mode)
     _require_ordering(g, ordering)
-    table = _geodesic_table(g)
+    table = _geodesic_table(g, ordering.ranks)
     ext = table.lex_max if mode == "max" else table.lex_min
     rank = np.array(ordering.ranks)
     return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
@@ -326,7 +392,7 @@ def _auxiliary_gain_rows(
     _require_ordering(g, ordering)
     side = 1 if mode == "max" else 2
     hops, ext = [], []
-    for row in _geodesic_rows(g, _t4_lists):
+    for row in _geodesic_rows(g, _t4_lists, ordering.ranks):
         hops.append(row[0])
         ext.append(row[side])
     rank = ordering.ranks
@@ -361,6 +427,8 @@ def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
     carry the same gain."""
     import numpy as np
 
+    _require_ordering(g, ordering)
+    _geodesic_table(g)  # the predicates share the full table: two halves cost more
     dmax = gain_distance_matrix(g, ordering, "max")
     dmin = gain_distance_matrix(g, ordering, "min")
     return bool(np.max(np.abs(dmax - dmin)) <= ENTRY_TOL)

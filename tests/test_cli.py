@@ -55,6 +55,7 @@ from gainlap import (
 )
 from gainlap.cli import _cmd_rank, build_parser, run
 from gainlap.graphs import VertexOrdering
+from test_distances import spy_walks
 from test_documents import PARITY_CASES
 from test_graphs import any_small_graphs
 
@@ -557,6 +558,14 @@ class TestVerify:
 
         g = GainGraph(5, ((1, 3, 1), (2, 3, 1), (2, 5, 1), (4, 5, 1), (1, 4, 1)))
         assert _spanning_cycle(g) == (1, 3, 2, 5, 4)
+
+    def test_theorem_7_walks_the_geodesics_once(self, capsys, demo_path, monkeypatch):
+        """Theorem 7 reads both orderings, so it walks every pair once,
+        not an ordering's half first and then the full table."""
+        walks = spy_walks(monkeypatch)
+        code, out, _ = invoke(capsys, "verify", "--theorem", "7", demo_path)
+        assert code == 0 and out.startswith("PASS theorem=7 ")
+        assert walks == [None]
 
     def test_fail_exits_2(self, capsys, demo_path, monkeypatch):
         import gainlap.cli as cli_module

@@ -508,27 +508,36 @@ class TestAssociatedCompleteGraph:
 # --- the geodesic table against the set-per-vertex walk --------------------
 
 
-def _set_walk_table(g, limit=DEFAULT_PATH_CAP):
+def _set_walk_table(g, limit=DEFAULT_PATH_CAP, ranks=None):
     """The geodesic table by the plain walk: every reached vertex holds
     a set of gains in a dict, even when it has one.  Same values, same
     insertion order, so every kept value must match bit for bit once
-    0.0 is added, which turns each -0.0 part into 0.0."""
+    0.0 is added, which turns each -0.0 part into 0.0.
+
+    Given an ordering's ranks, the sets the float walk forms for it: a
+    set of two or more gains is pushed on only into a vertex on a
+    geodesic from the source to a vertex ranked above it, and only
+    those get extremes; the other gains of the table are 0."""
     n = g.n
     adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
+    far = [None, *(_bfs(g._neighbors, t)[0] for t in range(1, n + 1))]
     for s in range(1, n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
         if len(order) < n:
             raise Disconnected(f"vertex {dist.index(-1, 1)} is unreachable from vertex {s}")
+        above = {t for t in range(1, n + 1) if ranks is None or ranks[t - 1] > ranks[s - 1]}
+        live = [any(dist[b] + far[t][b] == dist[t] for t in above) for b in range(n + 1)]
         hi, lo = [0j] * (n + 1), [0j] * (n + 1)
         gains = {s: {1.0 + 0.0j}}
         for a in order:
-            ws = gains.pop(a)
-            hi[a], lo[a] = _lex_extremes(ws)
+            ws = gains.pop(a, set())  # none when only sets arrived, all skipped
+            if a in above:
+                hi[a], lo[a] = _lex_extremes(ws)
             for b, z in adj[a]:
-                if dist[b] == dist[a] + 1:
+                if dist[b] == dist[a] + 1 and (len(ws) == 1 or live[b]):
                     acc = gains.setdefault(b, set())
                     acc.update([w * z for w in ws])
                     if len(acc) > limit:
@@ -561,25 +570,34 @@ def _assert_same_table(g):
     return None
 
 
-def _assert_same_table_under_cap(g, cap):
+def _assert_same_table_under_cap(g, cap, ordering):
     """Under the path cap lowered to ``cap``: the float walk raises the
-    set walk's PathExplosion, in the build and in the public query,
-    while the T4 walk never reaches a cap and returns the full table."""
+    set walk's PathExplosion in the build, and a fresh gain distance
+    matrix raises exactly when a set it walks, one of the set walk's
+    restricted to the ordering, passes the cap, with that error, and
+    else holds the bits of that walk's table; the T4 walk never reaches
+    a cap and returns the full table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gainlap.distances, "DEFAULT_PATH_CAP", cap)
         if _t4_adjacency(g) is None:
-            exc = _assert_same_table(g)
+            _assert_same_table(g)
+            try:
+                hop, *ext = _set_walk_table(g, cap, ordering.ranks)
+            except PathExplosion as exc:
+                with pytest.raises(PathExplosion) as query:
+                    gain_distance_matrix(GainGraph(g.n, g.edges), ordering, "max")
+                assert str(query.value) == str(exc)
+                return
         else:
-            exc = None
-            for have, expect in zip(_build_table(g), _set_walk_table(g)):
+            hop, *ext = _set_walk_table(g)
+            for have, expect in zip(_build_table(g), (hop, *ext)):
                 assert np.array_equal(_bits(have), _bits(expect))
-        o = VertexOrdering.standard(g.n)
-        if exc is None:
-            gain_distance_matrix(g, o, "max")
-        else:
-            with pytest.raises(PathExplosion) as query:
-                gain_distance_matrix(g, o, "max")
-            assert str(query.value) == str(exc)
+        rank = np.array(ordering.ranks)
+        read = rank[:, None] < rank[None, :]
+        for mode, e in zip(("max", "min"), ext):
+            want = np.where(read, e, e.conj().T) * hop
+            assert np.array_equal(_bits(gain_distance_matrix(GainGraph(g.n, g.edges), ordering, mode)),
+                                  _bits(want))
 
 
 @st.composite
@@ -604,10 +622,10 @@ def table_graphs(draw):
 
 class TestGeodesicTableParity:
     @settings(max_examples=150, deadline=None)
-    @given(table_graphs(), st.integers(1, 3))
-    def test_same_bits_as_the_set_walk(self, g, cap):
+    @given(table_graphs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_set_walk(self, g, cap, seed):
         if _assert_same_table(g) is None:
-            _assert_same_table_under_cap(g, cap)
+            _assert_same_table_under_cap(g, cap, random_ordering(np.random.default_rng(seed), g.n))
 
     @pytest.mark.parametrize("shape", ["Q5", "grid5x5", "Q5-balanced"])
     def test_same_bits_on_large_gain_sets(self, shape):
@@ -678,14 +696,14 @@ def _lex_rank(k):
 
 class TestExactT4Walk:
     @settings(max_examples=200, deadline=None)
-    @given(exact_graphs(), st.integers(1, 3))
+    @given(exact_graphs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
     @example(GainGraph(4, ((1, 2, SIGNED_T4[1]), (1, 3, SIGNED_T4[7]), (2, 4, SIGNED_T4[5]),
-                           (3, 4, SIGNED_T4[3]))), 1)
-    def test_same_bits_as_the_set_walk(self, g, cap):
+                           (3, 4, SIGNED_T4[3]))), 1, 0)
+    def test_same_bits_as_the_set_walk(self, g, cap, seed):
         generic = any(z not in T4 for _, _, z in g.edges)
         assert (_t4_adjacency(g) is None) == generic
         if _assert_same_table(g) is None:
-            _assert_same_table_under_cap(g, cap)
+            _assert_same_table_under_cap(g, cap, random_ordering(np.random.default_rng(seed), g.n))
 
     @settings(max_examples=100, deadline=None)
     @given(exact_graphs())
@@ -774,7 +792,143 @@ class TestAuxiliaryGainRows:
             assert np.array_equal(_bits(got + 0.0), _bits(aux[j, j:] + 0.0))
 
 
-# --- one canonical zero: the table holds values, not arrival order --------
+# --- a gain distance matrix walks the half its ordering reads -------------
+
+
+@st.composite
+def half_cases(draw):
+    """A graph of table_graphs() (generic, T4 or balanced gains) or of
+    ordering_graphs() (tie-prone and near-tie gains among them), and a
+    random ordering of its vertices."""
+    g = draw(table_graphs() | ordering_graphs().map(lambda case: case[0]))
+    return g, VertexOrdering(tuple(draw(st.permutations(range(1, g.n + 1)))))
+
+
+def _read_from(table, ordering):
+    """Per mode, what auxiliary_gain_matrix reads from the full table
+    under the ordering: the gain of each pair from its ordering-smaller
+    endpoint, the reverse pair its conjugate."""
+    rank = np.array(ordering.ranks)
+    read = rank[:, None] < rank[None, :]
+    return {mode: np.where(read, ext, ext.conj().T)
+            for mode, ext in (("max", table.lex_max), ("min", table.lex_min))}
+
+
+def spy_walks(monkeypatch):
+    """The list to which each walk of the geodesics from now on appends
+    its ranks, None for the full table."""
+    walks, rows = [], gainlap.distances._geodesic_rows
+
+    def spied_rows(g, t4_rows, ranks=None):
+        walks.append(ranks)
+        return rows(g, t4_rows, ranks)
+
+    monkeypatch.setattr(gainlap.distances, "_geodesic_rows", spied_rows)
+    return walks
+
+
+def _q4_generic():
+    """The 4-cube with generic gains: pairs at distance 2, 3 and 4 have
+    2, 6 and 24 geodesics, so the walk pushes gain sets on."""
+    rng = np.random.default_rng(4)
+    pairs = [(x + 1, (x | 1 << b) + 1) for x in range(16) for b in range(4) if not x >> b & 1]
+    return GainGraph(16, tuple((u, v, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))) for u, v in pairs))
+
+
+class TestOrderingHalf:
+    @settings(max_examples=200, deadline=None)
+    @given(half_cases(), st.sampled_from(["max", "min"]))
+    def test_every_read_entry_has_the_full_tables_bits(self, case, first):
+        """A fresh graph's auxiliary gains, in either mode first and then
+        in the other from the same half, and the CLI's rows are bit for
+        bit those read from the full table."""
+        g, ordering = case
+        try:
+            full = _build_table(g)
+        except Disconnected as exc:
+            with pytest.raises(Disconnected, match=f"^{exc}$"):
+                auxiliary_gain_matrix(g, ordering, first)
+            return
+        want = _read_from(full, ordering)
+        for mode in (first, "min" if first == "max" else "max"):
+            aux, hop = auxiliary_gain_matrix(g, ordering, mode)
+            assert np.array_equal(_bits(aux), _bits(want[mode]))
+            assert np.array_equal(hop, full.hop)
+            rows = list(_auxiliary_gain_rows(GainGraph(g.n, g.edges), ordering, mode))
+            for j, (h, re, im) in enumerate(rows):
+                assert h == full.hop[j].tolist()
+                got = np.array(re) + 1j * np.array(im)  # a zero part may be -0.0
+                assert np.array_equal(_bits(got + 0.0), _bits(want[mode][j, j:] + 0.0))
+        assert vars(g)["_geodesics"][0] == (ordering.ranks if _t4_adjacency(g) is None else None)
+
+    def test_a_matrix_walks_the_half_its_ordering_reads(self, monkeypatch):
+        """Extremes are formed only for targets ranked above their source,
+        the other mode walks nothing more, and a predicate then builds
+        the full table once, with the verdict of a fresh graph."""
+        g = _q4_generic()
+        ordering = VertexOrdering((5, 12, 1, 16, 9, 3, 14, 7, 2, 11, 8, 15, 4, 10, 6, 13))
+        verdict = is_ordering_independent(GainGraph(g.n, g.edges), ordering)
+        rank = (0, *ordering.ranks)
+        extremes, lex = [], gainlap.distances._lex_extremes
+
+        def spied_lex(values):
+            caller = sys._getframe(1).f_locals  # the float walk's source s and vertex a
+            extremes.append((caller["s"], caller["a"]))
+            return lex(values)
+
+        monkeypatch.setattr(gainlap.distances, "_lex_extremes", spied_lex)
+        walks = spy_walks(monkeypatch)
+        D = gain_distance_matrix(g, ordering, "max")
+        several = {
+            (s, t) for s, t in itertools.permutations(range(1, g.n + 1), 2)
+            if len({path_gain(g, p) for p in brute_shortest_paths(g, s, t)}) > 1
+        }
+        assert set(extremes) == {(s, t) for s, t in several if rank[s] < rank[t]}
+        assert len(extremes) == len(set(extremes)) == len(several) // 2
+        assert walks == [ordering.ranks] and vars(g)["_geodesics"][0] == ordering.ranks
+        extremes.clear()
+        gain_distance_matrix(g, ordering, "min")
+        assert walks == [ordering.ranks] and not extremes
+        assert is_ordering_independent(g, ordering) is verdict
+        assert walks == [ordering.ranks, None] and vars(g)["_geodesics"][0] is None
+        assert np.array_equal(_bits(gain_distance_matrix(g, ordering, "max")), _bits(D))
+        assert walks == [ordering.ranks, None]
+
+    def test_the_cap_guards_the_sets_a_call_walks(self):
+        """Two diamonds in a row: 1 to 7 has four geodesic gains.  Under
+        an ordering that ranks 7, 5 and 6 below 1, the walk from 1 pushes
+        no set past 4, and the matrix meets the cap of 3 only from 7."""
+        z = [cmath.exp(1j * (0.3 + 0.7 * k)) for k in range(8)]
+        g = GainGraph(7, ((1, 2, z[0]), (1, 3, z[1]), (2, 4, z[2]), (3, 4, z[3]),
+                          (4, 5, z[4]), (4, 6, z[5]), (5, 7, z[6]), (6, 7, z[7])))
+        ordering = VertexOrdering((4, 5, 6, 7, 2, 3, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 3)
+            with pytest.raises(PathExplosion, match="^more than 3 distinct geodesic gains between 1 and 7$"):
+                _build_table(g)
+            with pytest.raises(PathExplosion, match="^more than 3 distinct geodesic gains between 7 and 1$"):
+                gain_distance_matrix(g, ordering, "max")
+        _assert_same_table_under_cap(g, 3, ordering)
+
+    def test_a_t4_matrix_covers_every_pair(self, monkeypatch):
+        """The T4 walk covers every pair under any ordering, so a
+        predicate after a matrix walks nothing more."""
+        walks = spy_walks(monkeypatch)
+        g = GainGraph(4, ((1, 2, 1j), (2, 4, 1), (1, 3, -1j), (3, 4, 1)))  # i and -i tie from 1 to 4
+        o = VertexOrdering((2, 4, 1, 3))
+        gain_distance_matrix(g, o, "max")
+        assert not is_ordering_independent(g, o)
+        assert walks == [None] and vars(g)["_geodesics"][0] is None
+
+    def test_the_predicates_share_one_full_walk(self, monkeypatch):
+        """The hypothesis pair of theorem 12, compatibility and ordering
+        independence, walks every pair once on a fresh graph."""
+        walks = spy_walks(monkeypatch)
+        g, o = _q4_generic(), VertexOrdering.standard(16)
+        assert not is_compatible(g, o)
+        assert is_ordering_independent(g, o)
+        assert walks == [None]
+
 
 
 def _square(up, down):
