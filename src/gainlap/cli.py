@@ -23,8 +23,10 @@ first call into it.  ``dmatrix``, ``dlaplacian``, ``balance``, ``rank``,
 ``det --method forests``, usage errors, documents that do not parse or
 validate, and a ``verify`` row that refuses its input before it calls a
 module that does linear algebra run without numpy.  ``dmatrix`` and
-``dlaplacian`` print D and DL from the rows of the geodesic walk, with
-the bytes of ``matrix_to_csv`` of the library's matrices.
+``dlaplacian`` print D and DL from ``distances._distance_rows``, which
+forms their cells from the rows of the geodesic walk, through
+``documents._hermitian_rows``, with the bytes of ``matrix_to_csv`` of
+the library's matrices.
 """
 
 from __future__ import annotations
@@ -91,35 +93,13 @@ def _print_csv(M) -> None:
 # --- subcommand handlers: (document, arguments) -> exit code -------------
 
 
-def _distance_parts(n: int, rows, laplacian: bool):
-    """Per row j of D = hop * aux, or of DL (the transmissions on the
-    diagonal, -D off it), the lists ``_hermitian_rows`` takes, from the
-    rows of ``_auxiliary_gain_rows``: each part as numpy forms it from
-    ``gain_distance_matrix`` or ``distance_laplacian``, so the bytes are
-    those of ``matrix_to_csv``.  The sign of cell (k, j < k) is the
-    opposite of that of (j, k), so row j holds it for row k."""
-    held: list = [[] for _ in range(n)]
-    for j, (hop, re, im) in enumerate(rows):
-        own = ["-" if x < 0 else "+" for x in im]  # cells (j, k >= j)
-        mirrored = ["-" if x > 0 else "+" for x in im]  # cells (k >= j, j)
-        if laplacian:
-            own, mirrored = mirrored, own
-            re = [0.0 - h * x for h, x in zip(hop[j:], re)]
-            re[0] = float(sum(hop))
-        else:
-            re = [h * x + 0.0 for h, x in zip(hop[j:], re)]  # -0.0 + 0.0 is 0.0
-        any(map(list.append, held[j + 1:], mirrored[1:]))  # list.append returns None
-        signs, held[j] = held[j], None
-        signs += own
-        yield re, [h * abs(x) for h, x in zip(hop[j:], im)], signs
-
-
 def _cmd_distance(doc: GraphDocument, args: argparse.Namespace) -> int:
     # D or DL from the rows of the geodesic walk: no numpy loads.
-    from .distances import _auxiliary_gain_rows
+    from .distances import _distance_rows
 
-    rows = _auxiliary_gain_rows(doc.gain_graph(), _ordering(doc, args.reverse), args.mode)
-    for line in _hermitian_rows(doc.n, _distance_parts(doc.n, rows, args.command == "dlaplacian")):
+    laplacian = args.command == "dlaplacian"
+    rows = _distance_rows(doc.gain_graph(), _ordering(doc, args.reverse), args.mode, laplacian)
+    for line in _hermitian_rows(doc.n, rows):
         print(line)
     return 0
 

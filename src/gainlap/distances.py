@@ -10,12 +10,12 @@ diagonal by construction.
 One driver, :func:`_geodesic_rows`, refuses a disconnected graph, then
 per source runs one BFS and has one of two walks return the source's
 lex-max and lex-min rows.  It hands each source's hop, lex-max and
-lex-min rows, as Python sequences, to one of two consumers.  Every
+lex-min rows, as plain Python sequences, to one of two consumers.  Every
 distance object of the library reads the geodesic table that
 :func:`_build_table` fills from them in numpy, memoized on the graph.
-The CLI's ``dmatrix`` and ``dlaplacian`` print from
-:func:`_auxiliary_gain_rows`, the ordering rule of
-:func:`auxiliary_gain_matrix` on the lists, and load no numpy.
+The CLI's ``dmatrix`` and ``dlaplacian`` print through
+:func:`_distance_rows`, which forms the cells of D and DL from the same
+rows as numpy forms them, and load no numpy.
 
 An ordering reads, of each pair, only the gain from its ordering-smaller
 endpoint, so half of the gains.  Given the ordering's ranks, the float
@@ -46,12 +46,12 @@ When every edge gain equals 1, i, -1 or -i (signed graphs included), the
 T4 walk runs the same walk on 4-bit masks, bit k when i^k is in a
 vertex's gain set: an edge of gain i^k rotates a mask by k, and sets
 merge by ``|``.  The lex extremes of the 16 masks come from
-:func:`_lex_extremes`, on the first such graph: the CLI reads them from
-two lists and the memoized table from one array.  Such products are
-exact, so its rows are bit for bit the float walk's.  A T4 set holds at
-most 4 gains, so it never reaches the path cap; it walks every pair
-under any ordering.  Gains that are T4 values only up to rounding, such
-as the ``theta`` form of pi/2, take the float walk with their own bits.
+:func:`_lex_extremes`, on the first such graph, and the walk reads its
+rows off them.  Such products are exact, so its rows are bit for bit the
+float walk's.  A T4 set holds at most 4 gains, so it never reaches the
+path cap; it walks every pair under any ordering.  Gains that are T4
+values only up to rounding, such as the ``theta`` form of pi/2, take the
+float walk with their own bits.
 """
 
 from __future__ import annotations
@@ -140,32 +140,10 @@ def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
     return adj
 
 
-def _t4_lists(mask: list[int]) -> tuple[tuple, tuple]:
-    """The lex-max and lex-min rows of vertices 1..n, as tuples, from
-    the masks of vertices 0..n and the lists of :func:`_t4_tables`."""
-    _, hi, lo = _t4_tables()
-    lookup = itemgetter(*mask)  # n + 1 >= 2 masks, so it returns a tuple
-    return lookup(hi)[1:], lookup(lo)[1:]
-
-
-@cache
-def _t4_array() -> np.ndarray:
-    """The lex lists of :func:`_t4_tables` as one (2, 16) array."""
-    import numpy as np
-
-    return np.array(_t4_tables()[1:])
-
-
-def _t4_arrays(mask: list[int]) -> np.ndarray:
-    """:func:`_t4_lists` as a (2, n) array, which numpy copies into the
-    memoized table without converting each gain."""
-    return _t4_array()[:, mask[1:]]
-
-
-def _t4_walk(adj: list, s: int, dist: list[int], order: list[int], rows):
+def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[tuple, tuple]:
     """The float walk's rows of source s, walked on 4-bit gain-set masks
-    and read off them by ``rows``."""
-    rot = _t4_tables()[0]
+    and read off them by the lex lists of :func:`_t4_tables`."""
+    rot, hi, lo = _t4_tables()
     mask = [0] * len(dist)
     mask[s] = 1  # {1}
     for a in order:
@@ -175,7 +153,8 @@ def _t4_walk(adj: list, s: int, dist: list[int], order: list[int], rows):
             if dist[b] == step:
                 mask[b] |= row[k]
     mask[s] = 0  # the zero diagonal
-    return rows(mask)
+    lookup = itemgetter(*mask)  # n + 1 >= 2 masks, so it returns a tuple
+    return lookup(hi)[1:], lookup(lo)[1:]
 
 
 def _leads_above(
@@ -265,15 +244,15 @@ def _float_walk(
 
 
 def _geodesic_rows(
-    g: GainGraph, t4_rows, ranks: tuple[int, ...] | None = None
-) -> Iterator[tuple[list[int], Sequence, Sequence]]:
+    g: GainGraph, ranks: tuple[int, ...] | None = None
+) -> Iterator[tuple[list[int], Sequence[complex], Sequence[complex]]]:
     """Row s - 1 of the geodesic table for each source s in turn: the hop
-    distances and the lex-max and lex-min gains, by the driver the module
-    docstring describes; the T4 walk's gains come from ``t4_rows``.  A
-    zero part may still be -0.0.  Given an ordering's ``ranks``, the
-    float walk forms only the gains of the pairs that ordering reads."""
+    distances and the lex-max and lex-min gains, as plain Python
+    sequences, by the driver the module docstring describes.  A zero
+    part may still be -0.0.  Given an ordering's ``ranks``, the float
+    walk forms only the gains of the pairs that ordering reads."""
     _require_connected(g)
-    adj, walk = _t4_adjacency(g), partial(_t4_walk, rows=t4_rows)
+    adj, walk = _t4_adjacency(g), _t4_walk
     if adj is None:
         adj = [[(b, g.gain(a, b)) for b in nbrs] for a, nbrs in enumerate(g._neighbors)]
         walk = partial(_float_walk, rank=None if ranks is None else (0, *ranks))
@@ -291,7 +270,7 @@ def _build_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _Geodesi
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
-    for row, (dist, hi, lo) in enumerate(_geodesic_rows(g, _t4_arrays, ranks)):
+    for row, (dist, hi, lo) in enumerate(_geodesic_rows(g, ranks)):
         hop[row], lex_max[row], lex_min[row] = dist, hi, lo
     lex_max += 0.0  # -0.0 + 0.0 is 0.0
     lex_min += 0.0
@@ -375,36 +354,38 @@ def auxiliary_gain_matrix(
     return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
 
 
-def _auxiliary_gain_rows(
-    g: GainGraph, ordering: VertexOrdering, mode: Mode
-) -> Iterator[tuple[list[int], list[float], list[float]]]:
-    """The upper triangle of :func:`auxiliary_gain_matrix`, for a caller
-    that loads no numpy: per vertex v_j in turn, its row of hop distances
-    and the real and the imaginary parts of the auxiliary gains of the
-    pairs (v_j, v_k), k >= j.  The values are those of the numpy form, by
-    the same rule (a zero part may be -0.0); the lower triangle is their
-    conjugate.  The rule is written twice because the numpy form keeps
-    the library's memoized table fast; tests hold the two equal.  Every
-    row of the geodesic walk is read before the first row is given, since
-    row j takes column j of the rows of the ordering-smaller vertices.
-    """
+def _distance_rows(
+    g: GainGraph, ordering: VertexOrdering, mode: Mode, laplacian: bool
+) -> Iterator[tuple[list[float], list[float], list[str]]]:
+    """Per row j of D, or with ``laplacian`` of DL, the lists that
+    ``documents._hermitian_rows`` takes, for a caller that loads no numpy.
+    Each cell (j, k >= j) is formed as :func:`gain_distance_matrix` and
+    ``distance_laplacian`` form it, so the bytes are those of
+    ``matrix_to_csv``; the sign of (k, j) is the opposite, so row j holds
+    it for row k.  Every walk row is read before the first row is given:
+    row j takes column j of the rows of the ordering-smaller vertices."""
     _require_mode(mode)
     _require_ordering(g, ordering)
     side = 1 if mode == "max" else 2
     hops, ext = [], []
-    for row in _geodesic_rows(g, _t4_lists, ordering.ranks):
+    for row in _geodesic_rows(g, ordering.ranks):
         hops.append(row[0])
         ext.append(row[side])
     rank = ordering.ranks
+    held: list = [[] for _ in rank]  # the signs of the cells (j, k < j)
     for j, r in enumerate(rank):
-        up, ranks = ext[j][j:], rank[j:]
-        down = list(map(itemgetter(j), ext[j:]))
-        hop, hops[j], ext[j] = hops[j], None, None  # read for the last time
-        yield (
-            hop,
-            [a.real if r < q else b.real for a, b, q in zip(up, down, ranks)],
-            [a.imag if r < q else -b.imag for a, b, q in zip(up, down, ranks)],
-        )
+        up, down = zip(hops[j][j:], ext[j][j:]), map(itemgetter(j), ext[j:])
+        cells = [h * (a if r < q else b.conjugate()) for (h, a), b, q in zip(up, down, rank[j:])]
+        if laplacian:
+            cells = [0.0 - c for c in cells]
+            cells[0] = float(sum(hops[j]))
+        hops[j], ext[j] = None, None  # read for the last time
+        im = [c.imag for c in cells]
+        # list.append returns None, so any() runs the map to its end, in C.
+        any(map(list.append, held[j + 1:], ["-" if x > 0 else "+" for x in im[1:]]))
+        signs, held[j] = held[j], None
+        signs += ["-" if x < 0 else "+" for x in im]
+        yield [c.real + 0.0 for c in cells], list(map(abs, im)), signs  # -0.0 + 0.0 is 0.0
 
 
 def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> np.ndarray:
@@ -424,14 +405,18 @@ def transmission_matrix(g: GainGraph) -> np.ndarray:
 def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
     """Whether the max and min gain distance matrices coincide within
     ``ENTRY_TOL``, i.e. all shortest paths between each vertex pair
-    carry the same gain."""
+    carry the same gain.  Read off the geodesic table: a matrix holds
+    hop * E, E the lex-max or lex-min table, at each pair the ordering
+    reads (rank s < rank t), and its conjugate at the reverse pair."""
     import numpy as np
 
     _require_ordering(g, ordering)
-    _geodesic_table(g)  # the predicates share the full table: two halves cost more
-    dmax = gain_distance_matrix(g, ordering, "max")
-    dmin = gain_distance_matrix(g, ordering, "min")
-    return bool(np.max(np.abs(dmax - dmin)) <= ENTRY_TOL)
+    table = _geodesic_table(g)  # the predicates share the full table: two halves cost more
+    rank = np.array(ordering.ranks)
+    read = rank[:, None] < rank[None, :]
+    hop = table.hop[read]
+    gap = np.abs(hop * table.lex_max[read] - hop * table.lex_min[read])
+    return bool(np.max(gap, initial=0.0) <= ENTRY_TOL)
 
 
 def is_ordering_independent(g: GainGraph, ordering: VertexOrdering) -> bool:

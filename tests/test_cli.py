@@ -180,6 +180,34 @@ class TestDistanceRows:
             assert code == 0
             assert out.getvalue() == matrix_to_csv(build(doc.gain_graph(), ordering, mode)) + "\n"
 
+    @pytest.mark.parametrize("gains", ["t4", "generic"])
+    def test_same_bytes_on_the_6_cube(self, tmp_path, gains):
+        """The 64-vertex 6-cube of the benchmark's Q6 jobs, whose pairs have
+        up to 720 geodesics: T4 gains take the T4 walk, generic ones the
+        float walk; both modes, both orderings, D and DL."""
+        from gainlap.distances import _t4_adjacency
+
+        rng = np.random.default_rng(6)
+        pairs = [(x + 1, (x | 1 << b) + 1) for x in range(64) for b in range(6) if not x >> b & 1]
+        if gains == "t4":
+            t4 = [{"re": 1, "im": 0}, {"re": 0, "im": 1}, {"re": -1, "im": 0}, {"re": 0, "im": -1}]
+            drawn = [t4[k] for k in rng.integers(4, size=len(pairs))]
+        else:
+            drawn = [{"theta": t} for t in rng.uniform(0.0, 2 * np.pi, size=len(pairs)).tolist()]
+        edges = [{"u": u, "v": v, "gain": z} for (u, v), z in zip(pairs, drawn)]
+        path = write_document(tmp_path, {"n": 64, "edges": edges}, name="q6.json")
+        doc = parse_graph(Path(path).read_bytes())
+        assert (_t4_adjacency(doc.gain_graph()) is not None) == (gains == "t4")
+        for command, build in (("dmatrix", gain_distance_matrix), ("dlaplacian", distance_laplacian)):
+            for mode in ("max", "min"):
+                for reverse in (False, True):
+                    ordering = doc.vertex_ordering().reverse() if reverse else doc.vertex_ordering()
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = run([command, "--mode", mode, *["--reverse"] * reverse, path])
+                    assert code == 0
+                    assert out.getvalue() == matrix_to_csv(build(doc.gain_graph(), ordering, mode)) + "\n"
+
     @pytest.mark.parametrize("argv", [("dmatrix", "--mode", "max"), ("dlaplacian", "--mode", "min", "--reverse")])
     def test_refusals_keep_their_lines(self, capsys, tmp_path, monkeypatch, demo_path, argv):
         """A disconnected document exits 1, and a pair past the path cap

@@ -48,6 +48,7 @@ from gainlap import (
     is_balanced,
     is_compatible,
     is_ordering_independent,
+    matrix_to_csv,
     parse_graph,
     path_gain,
     shortest_distances,
@@ -60,12 +61,13 @@ from gainlap.distances import (
     DEFAULT_PATH_CAP,
     ENTRY_TOL,
     LEX_TIE_BAND,
-    _auxiliary_gain_rows,
     _build_table,
+    _distance_rows,
     _lex_extremes,
     _t4_adjacency,
     auxiliary_gain_matrix,
 )
+from gainlap.documents import _hermitian_rows
 from gainlap.graphs import _bfs
 import cmath
 
@@ -763,33 +765,34 @@ class TestExactT4Walk:
         assert out.stdout.strip() == "0"
 
 
-# --- the row form of the ordering rule against its numpy form --------------
+# --- the CLI's row form of D and DL against the numpy forms ----------------
 
 
-class TestAuxiliaryGainRows:
-    """``_auxiliary_gain_rows``, which the CLI prints from, gives the hop
-    distances and the upper triangle of ``auxiliary_gain_matrix``, row by
-    row; only the sign of a zero part may differ."""
+class TestDistanceRows:
+    """``_distance_rows``, which the CLI prints from, gives through
+    ``_hermitian_rows`` the bytes of ``matrix_to_csv`` of D and of DL, so
+    the hop distances, the ordering rule and the signs of the parts."""
 
     @settings(max_examples=150, deadline=None)
-    @given(exact_graphs(), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["max", "min"]))
-    def test_same_values_as_the_numpy_form(self, g, seed, generic, mode):
+    @given(
+        exact_graphs(), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["max", "min"]),
+        st.booleans(),
+    )
+    def test_same_bytes_as_the_numpy_forms(self, g, seed, generic, mode, laplacian):
         rng = np.random.default_rng(seed)
         if generic:
             g = random_connected_graph(rng, g.n, int(rng.integers(0, 2 * g.n)))
         ordering = random_ordering(rng, g.n)
-        rows = _auxiliary_gain_rows(g, ordering, mode)
+        rows = _distance_rows(g, ordering, mode, laplacian)
+        build = distance_laplacian if laplacian else gain_distance_matrix
         try:
-            aux, hop = auxiliary_gain_matrix(g, ordering, mode)
+            want = matrix_to_csv(build(g, ordering, mode))
         except Disconnected as exc:
             with pytest.raises(Disconnected) as got:
                 next(rows)
             assert str(got.value) == str(exc)
             return
-        for j, (h, re, im) in enumerate(rows):
-            assert h == hop[j].tolist()
-            got = np.array(re) + 1j * np.array(im)  # parts of the upper triangle
-            assert np.array_equal(_bits(got + 0.0), _bits(aux[j, j:] + 0.0))
+        assert "\n".join(_hermitian_rows(g.n, rows)) == want
 
 
 # --- a gain distance matrix walks the half its ordering reads -------------
@@ -819,9 +822,9 @@ def spy_walks(monkeypatch):
     its ranks, None for the full table."""
     walks, rows = [], gainlap.distances._geodesic_rows
 
-    def spied_rows(g, t4_rows, ranks=None):
+    def spied_rows(g, ranks=None):
         walks.append(ranks)
-        return rows(g, t4_rows, ranks)
+        return rows(g, ranks)
 
     monkeypatch.setattr(gainlap.distances, "_geodesic_rows", spied_rows)
     return walks
@@ -840,8 +843,8 @@ class TestOrderingHalf:
     @given(half_cases(), st.sampled_from(["max", "min"]))
     def test_every_read_entry_has_the_full_tables_bits(self, case, first):
         """A fresh graph's auxiliary gains, in either mode first and then
-        in the other from the same half, and the CLI's rows are bit for
-        bit those read from the full table."""
+        in the other from the same half, are bit for bit those read from
+        the full table, and the CLI's rows print the bytes of D read so."""
         g, ordering = case
         try:
             full = _build_table(g)
@@ -854,11 +857,8 @@ class TestOrderingHalf:
             aux, hop = auxiliary_gain_matrix(g, ordering, mode)
             assert np.array_equal(_bits(aux), _bits(want[mode]))
             assert np.array_equal(hop, full.hop)
-            rows = list(_auxiliary_gain_rows(GainGraph(g.n, g.edges), ordering, mode))
-            for j, (h, re, im) in enumerate(rows):
-                assert h == full.hop[j].tolist()
-                got = np.array(re) + 1j * np.array(im)  # a zero part may be -0.0
-                assert np.array_equal(_bits(got + 0.0), _bits(want[mode][j, j:] + 0.0))
+            rows = _distance_rows(GainGraph(g.n, g.edges), ordering, mode, False)
+            assert "\n".join(_hermitian_rows(g.n, rows)) == matrix_to_csv(want[mode] * full.hop)
         assert vars(g)["_geodesics"][0] == (ordering.ranks if _t4_adjacency(g) is None else None)
 
     def test_a_matrix_walks_the_half_its_ordering_reads(self, monkeypatch):
