@@ -21,10 +21,14 @@ An ordering reads, of each pair, only the gain from its ordering-smaller
 endpoint, so half of the gains.  Given the ordering's ranks, the float
 walk from source s forms the lex extremes only of the targets ranked
 above s, and pushes a gain set on only into a vertex that leads to such
-a target.  A gain distance matrix of a fresh graph walks that half; the
-predicates, and any call the memoized half does not cover, walk every
-pair.  Either way every entry a call reads has the bits of the full
-table.
+a target.  A gain distance matrix of a fresh graph walks that half, and
+a later call reads the memoized table when it covers what that call
+reads: compatibility reads its ordering's half, the hop distances and
+transmissions only ``hop``, which every table holds complete.  Any other
+call walks every pair: ordering independence, which reads them all, a
+predicate or hop reader on a fresh graph, and a call the memoized half
+does not cover.  Either way every entry a call reads has the bits of the
+full table.
 
 The float walk follows the shortest-path DAG in BFS order and gives each
 vertex the set of distinct gains of its geodesics from the source, each
@@ -279,16 +283,22 @@ def _build_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _Geodesi
     return _GeodesicTable(hop, lex_max, lex_min)
 
 
-def _geodesic_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _GeodesicTable:
-    """The geodesic table of g covering every pair, or with an ordering's
-    ``ranks`` the pairs (s, t), rank s < rank t, that ordering reads.
+def _geodesic_table(
+    g: GainGraph, ranks: tuple[int, ...] | None = None, *, half: bool = False
+) -> _GeodesicTable:
+    """A geodesic table of g that covers the gains a caller reads: with
+    ``ranks`` None every pair, with an ordering's ranks the pairs (s, t),
+    rank s < rank t, that ordering reads, and with () none, for a caller
+    that reads only ``hop``, which every table holds complete.
 
     One slot on the graph instance (stored as functools.cached_property
     stores a value) memoizes a table with what it covers: None for every
-    pair, else the ranks.  It serves a request it covers.  An empty slot
-    takes the ordering's half, so max and min mode share one walk, unless
-    the T4 walk runs, which covers every pair; any other miss builds the
-    full table, which serves every later request.
+    pair, else the ranks.  It serves a request it covers.  With ``half``
+    an empty slot takes the ordering's half, so max and min mode share one
+    walk, unless the T4 walk runs, which covers every pair; any other miss
+    builds the full table, which serves every later request.  Only a
+    matrix asks for the half: a predicate on an empty slot walks every
+    pair, because ordering independence, its partner, reads them all.
 
     Raises:
         Disconnected: if some vertex is unreachable.
@@ -296,23 +306,24 @@ def _geodesic_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _Geod
             each pair it covers, has more than ``DEFAULT_PATH_CAP`` gains.
     """
     memo = vars(g).get("_geodesics")
-    if memo is not None and memo[0] in (None, ranks):
+    if memo is not None and (ranks == () or memo[0] in (None, ranks)):
         return memo[1]
-    cover = ranks if memo is None and _t4_adjacency(g) is None else None
+    cover = ranks if half and memo is None and _t4_adjacency(g) is None else None
     table = _build_table(g, cover)
     vars(g)["_geodesics"] = cover, table
     return table
 
 
 def shortest_distances(g: GainGraph) -> np.ndarray:
-    """All-pairs hop distances as an (n, n) integer matrix.
+    """All-pairs hop distances as an (n, n) integer matrix, off any
+    memoized geodesic table; an empty slot takes the full table.
 
     Raises:
         Disconnected: if some pair of vertices has no connecting walk.
-        PathExplosion: if some pair has more than ``DEFAULT_PATH_CAP``
-            distinct geodesic gains: this reads the full table.
+        PathExplosion: if, on a fresh graph, some pair has more than
+            ``DEFAULT_PATH_CAP`` distinct geodesic gains.
     """
-    return _geodesic_table(g).hop.copy()
+    return _geodesic_table(g, ()).hop.copy()
 
 
 def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
@@ -348,7 +359,7 @@ def auxiliary_gain_matrix(
 
     _require_mode(mode)
     _require_ordering(g, ordering)
-    table = _geodesic_table(g, ordering.ranks)
+    table = _geodesic_table(g, ordering.ranks, half=True)
     ext = table.lex_max if mode == "max" else table.lex_min
     rank = np.array(ordering.ranks)
     return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
@@ -396,10 +407,17 @@ def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> 
 
 
 def transmission_matrix(g: GainGraph) -> np.ndarray:
-    """Diagonal matrix of transmissions, tr(v) = sum of distances from v."""
+    """Diagonal matrix of transmissions, tr(v) = sum of distances from v,
+    off any memoized geodesic table; an empty slot takes the full table.
+
+    Raises:
+        Disconnected: if some pair of vertices has no connecting walk.
+        PathExplosion: if, on a fresh graph, some pair has more than
+            ``DEFAULT_PATH_CAP`` distinct geodesic gains.
+    """
     import numpy as np
 
-    return np.diag(_geodesic_table(g).hop.sum(axis=1).astype(float))
+    return np.diag(_geodesic_table(g, ()).hop.sum(axis=1).astype(float))
 
 
 def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
@@ -407,11 +425,13 @@ def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
     ``ENTRY_TOL``, i.e. all shortest paths between each vertex pair
     carry the same gain.  Read off the geodesic table: a matrix holds
     hop * E, E the lex-max or lex-min table, at each pair the ordering
-    reads (rank s < rank t), and its conjugate at the reverse pair."""
+    reads (rank s < rank t), and its conjugate at the reverse pair.  So
+    the ordering's half serves, when a matrix has memoized it; a fresh
+    graph walks every pair, which ordering independence reads next."""
     import numpy as np
 
     _require_ordering(g, ordering)
-    table = _geodesic_table(g)  # the predicates share the full table: two halves cost more
+    table = _geodesic_table(g, ordering.ranks)
     rank = np.array(ordering.ranks)
     read = rank[:, None] < rank[None, :]
     hop = table.hop[read]

@@ -595,6 +595,28 @@ class TestVerify:
         assert code == 0 and out.startswith("PASS theorem=7 ")
         assert walks == [None]
 
+    def test_theorem_13_walks_its_orderings_half_once(self, capsys, demo_path, monkeypatch):
+        """The cospectrality check forms DL first, so the demo, whose
+        gains are generic, walks only the half of its ordering."""
+        ranks = parse_graph(Path(demo_path).read_bytes()).vertex_ordering().ranks
+        walks = spy_walks(monkeypatch)
+        code, out, _ = invoke(capsys, "verify", "--theorem", "13", demo_path)
+        assert code == 0 and out.startswith("PASS theorem=13 ")
+        assert walks == [ranks]
+
+    def test_theorem_12_walks_the_switched_copy_by_half(self, capsys, tmp_path, monkeypatch):
+        """On a balanced 3-cube with generic gains from a vertex potential,
+        the hypothesis walks every pair of the graph, and the switched copy
+        only the half of the ordering; the line is unchanged."""
+        t = [0.0, 0.4, 1.7, 2.9, 5.1, 0.8, 3.3, 4.6, 2.2]
+        pairs = [(x + 1, (x | 1 << b) + 1) for x in range(8) for b in range(3) if not x >> b & 1]
+        obj = {"n": 8, "edges": [{"u": u, "v": v, "gain": {"theta": t[v] - t[u]}} for u, v in pairs]}
+        path = write_document(tmp_path, obj, name="q3.json")
+        walks = spy_walks(monkeypatch)
+        code, out, _ = invoke(capsys, "verify", "--theorem", "12", path)
+        assert (code, out) == (0, "PASS theorem=12 max_residual=1.421e-14\n")
+        assert walks == [None, VertexOrdering.standard(8).ranks]
+
     def test_fail_exits_2(self, capsys, demo_path, monkeypatch):
         import gainlap.cli as cli_module
 

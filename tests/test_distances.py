@@ -32,6 +32,7 @@ from conftest import (
     potential_balanced_graph,
     random_connected_graph,
     random_ordering,
+    random_switching,
 )
 import gainlap
 from gainlap import (
@@ -42,6 +43,9 @@ from gainlap import (
     VertexOrdering,
     WeightedGainGraph,
     associated_complete_graph,
+    balance_by_cospectrality,
+    balance_by_singularity,
+    distance_factorization_residual,
     distance_incidence,
     distance_laplacian,
     gain_distance_matrix,
@@ -52,6 +56,7 @@ from gainlap import (
     parse_graph,
     path_gain,
     shortest_distances,
+    switching_similarity_check,
     transmission_matrix,
     weighted_incidence,
     weighted_laplacian,
@@ -929,6 +934,114 @@ class TestOrderingHalf:
         assert is_ordering_independent(g, o)
         assert walks == [None]
 
+
+#: An ordering of the 4-cube's vertices that is neither the standard one
+#: nor its reverse.
+_Q4_ORDER = VertexOrdering((5, 12, 1, 16, 9, 3, 14, 7, 2, 11, 8, 15, 4, 10, 6, 13))
+
+
+def _q4_balanced():
+    """The 4-cube with generic gains taken from a vertex potential, so
+    balanced, compatible and ordering independent: theorem 12's
+    hypothesis holds, and a switched copy has generic gains too."""
+    rng = np.random.default_rng(16)
+    theta = [cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(17)]
+    return GainGraph(16, tuple((u, v, theta[u].conjugate() * theta[v]) for u, v, _ in _q4_generic().edges))
+
+
+def _fresh(g):
+    return GainGraph(g.n, g.edges)
+
+
+def _hexed(report):
+    """A report's fields in order, each float as ``float.hex``, so that
+    0.0 and -0.0 differ and NaN equals NaN."""
+    return tuple(float.hex(v) if type(v) is float else v for v in map(vars(report).get, report._fields))
+
+
+class TestWalkBudget:
+    """Each distance query walks only the geodesic gains it reads: a
+    matrix its ordering's half, a predicate or hop reader whatever table
+    already covers it, and the two spectral checks form a matrix first."""
+
+    def test_a_session_walks_the_graph_once_and_its_switched_copy_by_half(self, monkeypatch):
+        """The queries of one analysis session, in its order: the full
+        table of g, for ordering independence, then the half of the
+        switched copy, which every call on it reads."""
+        g, o = _q4_balanced(), _Q4_ORDER
+        xi = random_switching(np.random.default_rng(17), g.n)
+        walks = spy_walks(monkeypatch)
+        assert is_balanced(g) and is_compatible(g, o) and is_ordering_independent(g, o)
+        for mode in ("max", "min"):
+            assert distance_factorization_residual(g, o, mode) < 1e-9
+        assert balance_by_singularity(g, o).balanced
+        assert balance_by_cospectrality(g, o).balanced
+        rep = switching_similarity_check(g, o, xi)
+        assert rep.hypothesis_met and rep.switched_compatible and rep.spectra_match
+        distance_laplacian(g, o, "max")
+        assert walks == [None, o.ranks]
+
+    def test_cospectrality_walks_its_orderings_half(self, monkeypatch):
+        g, o = _q4_generic(), _Q4_ORDER
+        want = _hexed(balance_by_cospectrality(_fresh(g), o))
+        walks = spy_walks(monkeypatch)
+        assert _hexed(balance_by_cospectrality(g, o)) == want
+        assert walks == [o.ranks]
+
+    def test_readers_after_a_matrix_walk_only_what_it_does_not_cover(self, monkeypatch):
+        """After a matrix, compatibility under its ordering and the hop
+        readers walk nothing; compatibility under another ordering walks
+        every pair."""
+        g, o = _q4_generic(), _Q4_ORDER
+        other = VertexOrdering.standard(g.n)
+        verdicts = [is_compatible(_fresh(g), r) for r in (o, other)]
+        hop, tr = shortest_distances(_fresh(g)), transmission_matrix(_fresh(g))
+        walks = spy_walks(monkeypatch)
+        gain_distance_matrix(g, o, "max")
+        assert is_compatible(g, o) is verdicts[0]
+        assert np.array_equal(shortest_distances(g), hop)
+        assert np.array_equal(transmission_matrix(g), tr)
+        assert walks == [o.ranks]
+        assert is_compatible(g, other) is verdicts[1]
+        assert walks == [o.ranks, None]
+
+    @settings(max_examples=150, deadline=None)
+    @given(half_cases(), st.integers(0, 2**32 - 1))
+    def test_the_reports_have_the_bits_of_full_walks(self, case, seed):
+        """The three balance reports of a fresh graph, field by field,
+        are those computed when every walk covers every pair."""
+        g, o = case
+        xi = random_switching(np.random.default_rng(seed), g.n)
+        reports = (
+            lambda h: switching_similarity_check(h, o, xi),
+            lambda h: balance_by_cospectrality(h, o),
+            lambda h: balance_by_singularity(h, o),
+        )
+        full_build = gainlap.distances._build_table
+        for report in reports:
+            try:
+                got = _hexed(report(_fresh(g)))
+            except Disconnected as exc:
+                got = exc.args
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gainlap.distances, "_build_table", lambda h, ranks=None: full_build(h))
+                try:
+                    want = _hexed(report(_fresh(g)))
+                except Disconnected as exc:
+                    want = exc.args
+            assert got == want
+
+    def test_cospectrality_meets_the_cap_only_in_its_orderings_half(self):
+        """The two diamonds of the test above: a fresh graph's report
+        raises from the walk that the matrix's half makes, from 7."""
+        z = [cmath.exp(1j * (0.3 + 0.7 * k)) for k in range(8)]
+        g = GainGraph(7, ((1, 2, z[0]), (1, 3, z[1]), (2, 4, z[2]), (3, 4, z[3]),
+                          (4, 5, z[4]), (4, 6, z[5]), (5, 7, z[6]), (6, 7, z[7])))
+        ordering = VertexOrdering((4, 5, 6, 7, 2, 3, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gainlap.distances, "DEFAULT_PATH_CAP", 3)
+            with pytest.raises(PathExplosion, match="^more than 3 distinct geodesic gains between 7 and 1$"):
+                balance_by_cospectrality(g, ordering)
 
 
 def _square(up, down):
