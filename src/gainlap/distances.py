@@ -315,8 +315,8 @@ def _geodesic_table(
 
 
 def shortest_distances(g: GainGraph) -> np.ndarray:
-    """All-pairs hop distances as an (n, n) integer matrix, off any
-    memoized geodesic table; an empty slot takes the full table.
+    """All-pairs hop distances as an (n, n) integer matrix, read off
+    whichever geodesic table g holds; a fresh graph builds the full one.
 
     Raises:
         Disconnected: if some pair of vertices has no connecting walk.
@@ -408,7 +408,8 @@ def gain_distance_matrix(g: GainGraph, ordering: VertexOrdering, mode: Mode) -> 
 
 def transmission_matrix(g: GainGraph) -> np.ndarray:
     """Diagonal matrix of transmissions, tr(v) = sum of distances from v,
-    off any memoized geodesic table; an empty slot takes the full table.
+    read off whichever geodesic table g holds; a fresh graph builds the
+    full one.
 
     Raises:
         Disconnected: if some pair of vertices has no connecting walk.

@@ -956,7 +956,7 @@ def _fresh(g):
 def _hexed(report):
     """A report's fields in order, each float as ``float.hex``, so that
     0.0 and -0.0 differ and NaN equals NaN."""
-    return tuple(float.hex(v) if type(v) is float else v for v in map(vars(report).get, report._fields))
+    return tuple(float.hex(v) if type(v) is float else v for v in report._values())
 
 
 class TestWalkBudget:
