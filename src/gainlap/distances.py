@@ -9,10 +9,11 @@ diagonal by construction.
 
 One driver, :func:`_geodesic_rows`, refuses a disconnected graph, then
 per source runs one BFS and has one of two walks return the source's
-lex-max and lex-min rows.  It hands each source's hop, lex-max and
-lex-min rows, as plain Python sequences, to one of two consumers.  Every
-distance object of the library reads the geodesic table that
-:func:`_build_table` fills from them in numpy, memoized on the graph.
+lex-max and lex-min rows and tie gap.  It hands each source's hop,
+lex-max and lex-min rows, as plain Python sequences, to one of two
+consumers.  Every distance object of the library reads the geodesic
+table that :func:`_build_table` fills from them in numpy, memoized on
+the graph.
 The CLI's ``dmatrix`` and ``dlaplacian`` print through
 :func:`_distance_rows`, which forms the cells of D and DL from the same
 rows as numpy forms them, and load no numpy.
@@ -21,14 +22,21 @@ An ordering reads, of each pair, only the gain from its ordering-smaller
 endpoint, so half of the gains.  Given the ordering's ranks, the float
 walk from source s forms the lex extremes only of the targets ranked
 above s, and pushes a gain set on only into a vertex that leads to such
-a target.  A gain distance matrix of a fresh graph walks that half, and
-a later call reads the memoized table when it covers what that call
-reads: compatibility reads its ordering's half, the hop distances and
-transmissions only ``hop``, which every table holds complete.  Any other
-call walks every pair: ordering independence, which reads them all, a
-predicate or hop reader on a fresh graph, and a call the memoized half
-does not cover.  Either way every entry a call reads has the bits of the
-full table.
+a target.  A gain distance matrix or a predicate of a fresh graph walks
+that half, and a later call reads the memoized table when it covers what
+that call reads: the hop distances and transmissions read only ``hop``,
+which every table holds complete.  A hop reader on a fresh graph walks
+every pair, and so does a call the memoized half does not cover.  Either
+way every entry a call reads has the bits of the full table.
+
+Reversing the ordering gives a pair the conjugate of the extreme of the
+set seen from its other end, the conjugate set, so up to rounding the
+co-extreme of the set seen from the first: the other end of the same tie
+band by (imaginary, real) part.  Each walk keeps the largest hop times
+the distance of an extreme from its co-extreme over the pairs it forms,
+the table's tie gap, and ordering independence compares that with
+``ENTRY_TOL``: the lex extreme against the co-extreme of the same set,
+read off the ordering's half like compatibility.
 
 The float walk follows the shortest-path DAG in BFS order and gives each
 vertex the set of distinct gains of its geodesics from the source, each
@@ -39,23 +47,27 @@ pushed on by one multiplication per edge; it becomes a set only when a
 second distinct gain arrives.  A set is pushed on by mapping the edge
 gain's product into the next vertex's set, in C.  The lex extremes of a
 set come from one sort by real part; the tie band of a side is searched
-only when its next value lies within it.  The path cap guards every
-gain set a call walks: one with more than ``DEFAULT_PATH_CAP`` distinct
-geodesic gains raises ``PathExplosion``.  The full table walks the set
-of every pair; an ordering's half, at least those of the pairs it reads.
+only when its next value lies within it, and when every value lies in
+one band, as the near-equal gains of a balanced graph do, the band is
+the whole set.  Off a tie the co-extremes are the extremes, and the walk
+scales no gap by the hop.  The path cap guards every gain set a call
+walks: one with more than ``DEFAULT_PATH_CAP`` distinct geodesic gains
+raises ``PathExplosion``.  The full table walks the set of every pair;
+an ordering's half, at least those of the pairs it reads.
 The table then adds 0.0 to its gains, so no zero part is -0.0: it holds
 values, the same whichever geodesic arrived first.
 
 When every edge gain equals 1, i, -1 or -i (signed graphs included), the
 T4 walk runs the same walk on 4-bit masks, bit k when i^k is in a
 vertex's gain set: an edge of gain i^k rotates a mask by k, and sets
-merge by ``|``.  The lex extremes of the 16 masks come from
-:func:`_lex_extremes`, on the first such graph, and the walk reads its
-rows off them.  Such products are exact, so its rows are bit for bit the
-float walk's.  A T4 set holds at most 4 gains, so it never reaches the
-path cap; it walks every pair under any ordering.  Gains that are T4
-values only up to rounding, such as the ``theta`` form of pi/2, take the
-float walk with their own bits.
+merge by ``|``.  The lex extremes and co-extremes of the 16 masks come
+from :func:`_lex_extremes`, on the first such graph, and the walk reads
+its rows off them, and its tie gap only off a row that holds one of the
+three masks that tie.  Such products are exact, so its rows are bit for
+bit the float walk's.  A T4 set holds at most 4 gains, so it never
+reaches the path cap; it walks every pair under any ordering.  Gains
+that are T4 values only up to rounding, such as the ``theta`` form of
+pi/2, take the float walk with their own bits.
 """
 
 from __future__ import annotations
@@ -101,11 +113,14 @@ class _GeodesicTable(NamedTuple):
     """Row s, column t: hop distance and lex-extremal geodesic gain from
     vertex s + 1 to vertex t + 1; the diagonal gains are zero.  ``hop``
     is complete; the gains of a table built for an ordering cover only
-    the pairs it reads, and the others hold no meaning."""
+    the pairs it reads, and the others hold no meaning.  ``tie_gap`` is
+    the largest hop times the distance of an extreme from its co-extreme
+    over the pairs the table covers, 0.0 when no gain set ties."""
 
     hop: np.ndarray
     lex_max: np.ndarray
     lex_min: np.ndarray
+    tie_gap: float
 
 
 def _too_many(cap: int, u: int, v: int) -> PathExplosion:
@@ -117,17 +132,25 @@ def _too_many(cap: int, u: int, v: int) -> PathExplosion:
 _T4_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
 
 
+#: The T4 masks whose gains tie on a side: {i, -i} alone, or with 1 or
+#: with -1.  Only at these do a mask's extremes and co-extremes differ.
+_T4_TIES = frozenset((0b1010, 0b1011, 0b1110))
+
+
 @cache
-def _t4_tables() -> tuple[list[list[int]], list[complex], list[complex]]:
+def _t4_tables() -> tuple[list[list[int]], list[complex], list[complex], list[float]]:
     """Lookup tables of the exact T4 walk, built on first use: per
-    4-bit mask, ``rot[mask][k]``, the set times i^k, and ``hi[mask]`` and
-    ``lo[mask]``, its lex max and min (0j for the empty set)."""
+    4-bit mask, ``rot[mask][k]``, the set times i^k, ``hi[mask]`` and
+    ``lo[mask]``, its lex max and min (0j for the empty set), and
+    ``gap[mask]``, the larger distance of an extreme from its
+    co-extreme."""
     value = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
     rot = [[(m << k | m >> (4 - k)) & 15 for k in range(4)] for m in range(16)]
-    hi, lo = [0j] * 16, [0j] * 16
+    hi, lo, gap = [0j] * 16, [0j] * 16, [0.0] * 16
     for m in range(1, 16):
-        hi[m], lo[m] = _lex_extremes([value[k] for k in range(4) if m >> k & 1])
-    return rot, hi, lo
+        hi[m], lo[m], co_hi, co_lo = _lex_extremes([value[k] for k in range(4) if m >> k & 1])
+        gap[m] = max(abs(hi[m] - co_hi), abs(lo[m] - co_lo))
+    return rot, hi, lo, gap
 
 
 def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
@@ -144,10 +167,12 @@ def _t4_adjacency(g: GainGraph) -> list[list[tuple[int, int]]] | None:
     return adj
 
 
-def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[tuple, tuple]:
-    """The float walk's rows of source s, walked on 4-bit gain-set masks
-    and read off them by the lex lists of :func:`_t4_tables`."""
-    rot, hi, lo = _t4_tables()
+def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[tuple, tuple, float]:
+    """The float walk's rows and tie gap of source s, walked on 4-bit
+    gain-set masks and read off them by the lists of :func:`_t4_tables`.
+    A row with a mask that ties is scanned back from its farthest vertex
+    to the first such mask, whose hop is the largest of them."""
+    rot, hi, lo, gap = _t4_tables()
     mask = [0] * len(dist)
     mask[s] = 1  # {1}
     for a in order:
@@ -157,8 +182,14 @@ def _t4_walk(adj: list, s: int, dist: list[int], order: list[int]) -> tuple[tupl
             if dist[b] == step:
                 mask[b] |= row[k]
     mask[s] = 0  # the zero diagonal
+    tie_gap = 0.0
+    if not _T4_TIES.isdisjoint(mask):
+        for a in reversed(order):  # BFS order: hops never decrease
+            if mask[a] in _T4_TIES:
+                tie_gap = dist[a] * gap[mask[a]]
+                break
     lookup = itemgetter(*mask)  # n + 1 >= 2 masks, so it returns a tuple
-    return lookup(hi)[1:], lookup(lo)[1:]
+    return lookup(hi)[1:], lookup(lo)[1:], tie_gap
 
 
 def _leads_above(
@@ -183,9 +214,11 @@ def _leads_above(
 
 def _float_walk(
     adj: list, s: int, dist: list[int], order: list[int], rank: Sequence[int] | None
-) -> tuple[list, list]:
+) -> tuple[list, list, float]:
     """The lex-max and lex-min rows of source s, from the sets of
-    distinct geodesic gains; ``PathExplosion`` past the path cap.
+    distinct geodesic gains, and its tie gap: the largest hop times the
+    distance of an extreme from its co-extreme over the targets it forms;
+    ``PathExplosion`` past the path cap.
 
     Given ``rank``, the ordering's rank of each vertex 1..n (index 0
     unused), only the targets ranked above s get their extremes, and a
@@ -194,6 +227,7 @@ def _float_walk(
     """
     cap = DEFAULT_PATH_CAP
     hi, lo = [0j] * len(dist), [0j] * len(dist)
+    tie_gap = 0.0
     # Per vertex: None until reached, then its one geodesic gain as a
     # bare complex, then a set once a second distinct gain arrives.
     # BFS order completes a vertex's gains before reading them.
@@ -227,7 +261,10 @@ def _float_walk(
             continue
         gains[a] = None  # a set is dropped once pushed on
         if rank is None or rank[a] > r:
-            hi[a], lo[a] = _lex_extremes(ws)
+            h, l, co_hi, co_lo = _lex_extremes(ws)
+            hi[a], lo[a] = h, l
+            if co_hi is not h or co_lo is not l:  # off a tie they are the extremes
+                tie_gap = max(tie_gap, dist[a] * max(abs(h - co_hi), abs(l - co_lo)))
         for b, z in adj[a]:
             if dist[b] == step:
                 if live is None:
@@ -244,17 +281,18 @@ def _float_walk(
                 if len(acc) > cap:
                     raise _too_many(cap, s, b)
     hi[s] = lo[s] = 0j
-    return hi[1:], lo[1:]
+    return hi[1:], lo[1:], tie_gap
 
 
 def _geodesic_rows(
     g: GainGraph, ranks: tuple[int, ...] | None = None
-) -> Iterator[tuple[list[int], Sequence[complex], Sequence[complex]]]:
+) -> Iterator[tuple[list[int], Sequence[complex], Sequence[complex], float]]:
     """Row s - 1 of the geodesic table for each source s in turn: the hop
     distances and the lex-max and lex-min gains, as plain Python
-    sequences, by the driver the module docstring describes.  A zero
-    part may still be -0.0.  Given an ordering's ``ranks``, the float
-    walk forms only the gains of the pairs that ordering reads."""
+    sequences, by the driver the module docstring describes, and the
+    row's tie gap.  A zero part may still be -0.0.  Given an ordering's
+    ``ranks``, the float walk forms only the gains of the pairs that
+    ordering reads."""
     _require_connected(g)
     adj, walk = _t4_adjacency(g), _t4_walk
     if adj is None:
@@ -274,18 +312,18 @@ def _build_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _Geodesi
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
-    for row, (dist, hi, lo) in enumerate(_geodesic_rows(g, ranks)):
+    tie_gap = 0.0
+    for row, (dist, hi, lo, gap) in enumerate(_geodesic_rows(g, ranks)):
         hop[row], lex_max[row], lex_min[row] = dist, hi, lo
+        tie_gap = max(tie_gap, gap)
     lex_max += 0.0  # -0.0 + 0.0 is 0.0
     lex_min += 0.0
     for arr in (hop, lex_max, lex_min):
         arr.flags.writeable = False
-    return _GeodesicTable(hop, lex_max, lex_min)
+    return _GeodesicTable(hop, lex_max, lex_min, tie_gap)
 
 
-def _geodesic_table(
-    g: GainGraph, ranks: tuple[int, ...] | None = None, *, half: bool = False
-) -> _GeodesicTable:
+def _geodesic_table(g: GainGraph, ranks: tuple[int, ...] | None = None) -> _GeodesicTable:
     """A geodesic table of g that covers the gains a caller reads: with
     ``ranks`` None every pair, with an ordering's ranks the pairs (s, t),
     rank s < rank t, that ordering reads, and with () none, for a caller
@@ -293,12 +331,11 @@ def _geodesic_table(
 
     One slot on the graph instance (stored as functools.cached_property
     stores a value) memoizes a table with what it covers: None for every
-    pair, else the ranks.  It serves a request it covers.  With ``half``
-    an empty slot takes the ordering's half, so max and min mode share one
-    walk, unless the T4 walk runs, which covers every pair; any other miss
-    builds the full table, which serves every later request.  Only a
-    matrix asks for the half: a predicate on an empty slot walks every
-    pair, because ordering independence, its partner, reads them all.
+    pair, else the ranks.  It serves a request it covers.  An empty slot
+    asked for an ordering's ranks takes that ordering's half, so both
+    modes and both predicates share one walk, unless the T4 walk runs,
+    which covers every pair; any other miss builds the full table, which
+    serves every later request.
 
     Raises:
         Disconnected: if some vertex is unreachable.
@@ -308,7 +345,7 @@ def _geodesic_table(
     memo = vars(g).get("_geodesics")
     if memo is not None and (ranks == () or memo[0] in (None, ranks)):
         return memo[1]
-    cover = ranks if half and memo is None and _t4_adjacency(g) is None else None
+    cover = ranks if ranks and memo is None and _t4_adjacency(g) is None else None
     table = _build_table(g, cover)
     vars(g)["_geodesics"] = cover, table
     return table
@@ -326,23 +363,36 @@ def shortest_distances(g: GainGraph) -> np.ndarray:
     return _geodesic_table(g, ()).hop.copy()
 
 
-def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex]:
-    """(lex max, lex min) of a nonempty collection, real part first.
+def _lex_extremes(values: Iterable[complex]) -> tuple[complex, complex, complex, complex]:
+    """(lex max, lex min, co-max, co-min) of a nonempty collection, real
+    part first.
 
     Two stages keep the result independent of the input order: take
     the extremal real part, then among the values whose real part lies
     within ``LEX_TIE_BAND`` of it the extremal (imaginary, real) pair.
-    A side whose next value lies outside the band holds its extreme
-    alone, so its band is searched only on a near-tie.
+    The co-extreme of a side is the other end of its band by (imaginary,
+    real): the extreme itself off a tie.  A side whose next value lies
+    outside the band holds its extreme alone, so its band is searched
+    only on a near-tie; when every value lies in both bands, or a set of
+    two ties on one side, the band is the whole set.  Each band test is
+    the comparison of the plain rule, so the fast paths give its bits.
     """
     vals = sorted(values, key=_REAL)
     hi, lo = vals[-1], vals[0]
     top, bot = hi.real - LEX_TIE_BAND, lo.real + LEX_TIE_BAND
-    if len(vals) > 1 and vals[-2].real >= top:
-        hi = max(vals[bisect_left(vals, top, key=_REAL):], key=_IMAG_REAL)
-    if len(vals) > 1 and vals[1].real <= bot:
-        lo = min(vals[:bisect_right(vals, bot, key=_REAL)], key=_IMAG_REAL)
-    return hi, lo
+    if len(vals) > 1 and vals[-2].real < top and vals[1].real > bot:  # no tie
+        return hi, lo, hi, lo
+    if lo.real >= top and hi.real <= bot:  # one band, a single value included
+        hi, lo = max(vals, key=_IMAG_REAL), min(vals, key=_IMAG_REAL)
+        return hi, lo, lo, hi
+    co_hi, co_lo = hi, lo
+    if vals[-2].real >= top:
+        band = vals[bisect_left(vals, top, key=_REAL):] if len(vals) > 2 else vals
+        hi, co_hi = max(band, key=_IMAG_REAL), min(band, key=_IMAG_REAL)
+    if vals[1].real <= bot:
+        band = vals[:bisect_right(vals, bot, key=_REAL)] if len(vals) > 2 else vals
+        lo, co_lo = min(band, key=_IMAG_REAL), max(band, key=_IMAG_REAL)
+    return hi, lo, co_hi, co_lo
 
 
 def auxiliary_gain_matrix(
@@ -359,7 +409,7 @@ def auxiliary_gain_matrix(
 
     _require_mode(mode)
     _require_ordering(g, ordering)
-    table = _geodesic_table(g, ordering.ranks, half=True)
+    table = _geodesic_table(g, ordering.ranks)
     ext = table.lex_max if mode == "max" else table.lex_min
     rank = np.array(ordering.ranks)
     return np.where(rank[:, None] < rank[None, :], ext, ext.conj().T), table.hop
@@ -427,8 +477,8 @@ def is_compatible(g: GainGraph, ordering: VertexOrdering) -> bool:
     carry the same gain.  Read off the geodesic table: a matrix holds
     hop * E, E the lex-max or lex-min table, at each pair the ordering
     reads (rank s < rank t), and its conjugate at the reverse pair.  So
-    the ordering's half serves, when a matrix has memoized it; a fresh
-    graph walks every pair, which ordering independence reads next."""
+    the ordering's half serves, the one a fresh graph walks and ordering
+    independence reads too."""
     import numpy as np
 
     _require_ordering(g, ordering)
@@ -444,18 +494,16 @@ def is_ordering_independent(g: GainGraph, ordering: VertexOrdering) -> bool:
     """Whether both gain distance matrices are unchanged, within
     ``ENTRY_TOL``, when the ordering is reversed.
 
-    Reversing the ordering swaps the entry of each pair for the
-    conjugate of the reverse pair's entry, so with D = hop * E for E
-    the lex-max or lex-min table the change is |D - D*| under every
-    ordering: the verdict is read off the geodesic table.
+    Reversing the ordering gives pair (s, t) the conjugate of the
+    extreme of the gain set seen from t, the conjugate set.  Up to
+    rounding that is the co-extreme of the set seen from s, the other
+    end of the same tie band, so the change of D at the pair is hop
+    times the distance of the extreme from its co-extreme.  The verdict
+    is the geodesic table's tie gap, over the ordering's half, which
+    compatibility reads too.
     """
-    from .spectra import hermitian_residual
-
     _require_ordering(g, ordering)
-    table = _geodesic_table(g)
-    return not any(
-        hermitian_residual(table.hop * ext) > ENTRY_TOL for ext in (table.lex_max, table.lex_min)
-    )
+    return _geodesic_table(g, ordering.ranks).tie_gap <= ENTRY_TOL
 
 
 def associated_complete_graph(

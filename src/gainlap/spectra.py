@@ -201,10 +201,9 @@ def balance_by_cospectrality(
     g: GainGraph, ordering: VertexOrdering
 ) -> CospectralityReport:
     """Balanced when both gain distance Laplacians coincide and DL max is
-    cospectral with that of the all-gain-1 copy.  DL comes first, so a
-    fresh graph walks only its ordering's half, which every later call
-    reads, and ``PathExplosion`` is raised exactly when that half passes
-    the cap."""
+    cospectral with that of the all-gain-1 copy.  A fresh graph walks
+    only its ordering's half, which every call here reads, and
+    ``PathExplosion`` is raised exactly when that half passes the cap."""
     from .distances import is_compatible, shortest_distances, transmission_matrix
 
     dl_max = distance_laplacian(g, ordering, "max")
@@ -248,9 +247,9 @@ def switching_similarity_check(
     """Verify that switching conjugates the common gain distance matrix
     by S = diag(xi): D(switched) = S^(-1) D S, entry (u, v) picking up
     xi(u)^(-1) ... xi(v).  Also checks that compatibility survives the
-    switch and that the distance Laplacian spectra agree.  The
-    hypothesis walks every pair of g; the switched graph walks only its
-    ordering's half, which every call on it reads.
+    switch and that the distance Laplacian spectra agree.  A fresh g
+    and the switched graph each walk only the ordering's half, which
+    every call on them reads.
     """
     from .distances import gain_distance_matrix, is_compatible, is_ordering_independent
 
@@ -258,8 +257,6 @@ def switching_similarity_check(
     if not (is_compatible(g, ordering) and is_ordering_independent(g, ordering)):
         return SwitchingReport(hypothesis_met=False)
     gx = switch(g, xi)
-    # The switched graph is fresh: Dx first walks only its ordering's
-    # half, which compatibility and its distance Laplacian then read.
     Dx = gain_distance_matrix(gx, ordering, "max")
     switched_compatible = is_compatible(gx, ordering)
     D = gain_distance_matrix(g, ordering, "max")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -269,6 +271,28 @@ def all_simple_cycles(g: GainGraph) -> list[tuple[int, ...]]:
     for s in range(1, g.n + 1):
         extend([s], {s})
     return cycles
+
+
+def lex_extremes_reference(values) -> tuple[complex, complex, complex, complex]:
+    """(lex max, lex min, co-max, co-min) by the geodesic table's lex rule
+    as it stood before its fast paths: one sort by real part, and a side's
+    band, by bisection, only when its next value lies within
+    ``LEX_TIE_BAND`` of the extreme; the co-extreme is the other end of
+    that band by (imag, real), the extreme itself off a tie."""
+    from gainlap.distances import LEX_TIE_BAND
+
+    real, imag_real = attrgetter("real"), attrgetter("imag", "real")
+    vals = sorted(values, key=real)
+    hi, lo = vals[-1], vals[0]
+    co_hi, co_lo = hi, lo
+    top, bot = hi.real - LEX_TIE_BAND, lo.real + LEX_TIE_BAND
+    if len(vals) > 1 and vals[-2].real >= top:
+        band = vals[bisect_left(vals, top, key=real):]
+        hi, co_hi = max(band, key=imag_real), min(band, key=imag_real)
+    if len(vals) > 1 and vals[1].real <= bot:
+        band = vals[:bisect_right(vals, bot, key=real)]
+        lo, co_lo = min(band, key=imag_real), max(band, key=imag_real)
+    return hi, lo, co_hi, co_lo
 
 
 def forest_weight(forest: OneForest, wg: WeightedGainGraph) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from conftest import (
     Q,
@@ -29,6 +30,7 @@ from conftest import (
     demo_dmin_standard,
     demo_graph,
     demo_transmissions,
+    lex_extremes_reference,
     potential_balanced_graph,
     random_connected_graph,
     random_ordering,
@@ -74,6 +76,7 @@ from gainlap.distances import (
 )
 from gainlap.documents import _hermitian_rows
 from gainlap.graphs import _bfs
+from gainlap.spectra import hermitian_residual
 import cmath
 
 #: The gain group T4 = {1, i, -1, -i}: many geodesics share a gain, and
@@ -219,16 +222,18 @@ def _naive_gain_distance(g, ordering, mode, select=_exact_lex):
 def _two_stage_lex(values):
     """The two-stage rule written out, with no sort and no bisect: the
     extremal real part, then the extremal (imag, real) pair among the
-    values within LEX_TIE_BAND of it; of equal pairs, the first given."""
+    values within LEX_TIE_BAND of it, and the co-extreme at the other
+    end of that band; of equal pairs, the first given."""
     top = max(z.real for z in values)
     bottom = min(z.real for z in values)
 
     def key(z):
         return z.imag, z.real
 
-    hi = max((z for z in values if z.real >= top - LEX_TIE_BAND), key=key)
-    lo = min((z for z in values if z.real <= bottom + LEX_TIE_BAND), key=key)
-    return hi, lo
+    top_band = [z for z in values if z.real >= top - LEX_TIE_BAND]
+    bottom_band = [z for z in values if z.real <= bottom + LEX_TIE_BAND]
+    return (max(top_band, key=key), min(bottom_band, key=key),
+            min(top_band, key=key), max(bottom_band, key=key))
 
 
 @st.composite
@@ -256,6 +261,52 @@ def near_tie_lists(draw):
     return draw(st.permutations(values))
 
 
+def _hexed_values(values):
+    """Each complex as the hex of its parts, so 0.0 and -0.0 differ."""
+    return [(float.hex(z.real), float.hex(z.imag)) for z in values]
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 0.9, -0.9]) | st.floats(-1, 1)
+
+
+@st.composite
+def band_edge_lists(draw):
+    """One to six values whose real parts lie at an anchor, exactly
+    LEX_TIE_BAND either side of it, a few ulps past either band edge,
+    at half or twice the band, or anywhere in [-1, 1]; the anchor may be
+    a signed zero, and imaginary parts include both signed zeros, so
+    exact ties in real part and in both parts occur."""
+    anchor = draw(st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-1, 1))
+    edges = [anchor + LEX_TIE_BAND, anchor - LEX_TIE_BAND]
+    reals = [anchor, *edges, anchor + 0.5 * LEX_TIE_BAND, anchor - 2 * LEX_TIE_BAND]
+    for edge in edges:
+        for k in (1, 2):
+            up, down = edge, edge
+            for _ in range(k):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            reals += [up, down]
+    real = st.sampled_from(reals) | st.floats(-1, 1)
+    return draw(st.lists(st.builds(complex, real, _PARTS), min_size=1, max_size=6))
+
+
+#: Two values each whose real parts round so that only one band test
+#: holds: only the top side ties in the first, only the bottom in the
+#: second.
+ONE_SIDED = (
+    [complex(-7.15011212182351e-13, 0.9), complex(2.84988787817649e-13, -0.9)],
+    [complex(-2.0256801543646183e-14, -0.0), complex(9.797431984563538e-13, 0.9)],
+)
+
+
+@st.composite
+def one_sided_pairs(draw):
+    """Two values whose real parts lie LEX_TIE_BAND apart, moved by up to
+    four ulps, in either order, with any imaginary parts."""
+    x = draw(st.floats(-1, 1) | st.floats(-1e-11, 1e-11))
+    y = x + LEX_TIE_BAND + draw(st.integers(-4, 4)) * math.ulp(max(abs(x), abs(x + LEX_TIE_BAND)))
+    return draw(st.permutations([complex(x, draw(_PARTS)), complex(y, draw(_PARTS))]))
+
+
 class TestLexExtremal:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -280,15 +331,42 @@ class TestLexExtremal:
 
     def test_non_transitive_band_example(self):
         values = [0.9j, 8e-13, 1.6e-12 - 0.9j]
-        assert _lex_extremes(values) == (8e-13, 8e-13)
+        assert _lex_extremes(values) == (8e-13, 8e-13, 1.6e-12 - 0.9j, 0.9j)
 
     @settings(max_examples=300, deadline=None)
     @given(near_tie_lists())
     def test_matches_the_two_stage_rule(self, values):
-        """The sort with its near-tie shortcut gives the rule's values,
-        bit for bit, whichever branch each side takes."""
+        """The sort with its near-tie shortcut gives the rule's extremes
+        and co-extremes, bit for bit, whichever branch each side takes."""
         assert np.array_equal(_bits(np.array(_lex_extremes(values))),
                               _bits(np.array(_two_stage_lex(values))))
+
+    @settings(max_examples=400, deadline=None)
+    @given(band_edge_lists())
+    @example([complex(0.0, 0.9), complex(LEX_TIE_BAND, -0.0), complex(-0.0, 0.0)])
+    @example([complex(0.5, 0.0), complex(0.5, -0.0), complex(0.5 - LEX_TIE_BAND, 0.9)])
+    def test_fast_paths_match_the_reference(self, values):
+        """The no-tie, one-band and two-value paths give, bit for bit, the
+        extremes and co-extremes of the rule as it stood before them."""
+        assert _hexed_values(_lex_extremes(values)) == _hexed_values(lex_extremes_reference(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_sided_pairs())
+    @example(ONE_SIDED[0])
+    @example(ONE_SIDED[1])
+    def test_two_values_tied_on_one_side(self, values):
+        """Two real parts LEX_TIE_BAND apart up to a few ulps: rounding of
+        the two band edges can make one side tie and not the other, and
+        each side's comparison must be the reference's."""
+        assert _hexed_values(_lex_extremes(values)) == _hexed_values(lex_extremes_reference(values))
+
+    def test_the_one_sided_examples_tie_on_one_side_only(self):
+        """The examples above reach both one-sided branches."""
+        sides = []
+        for values in ONE_SIDED:
+            a, b = sorted(z.real for z in values)
+            sides.append((a >= b - LEX_TIE_BAND, b <= a + LEX_TIE_BAND))
+        assert sides == [(True, False), (False, True)]
 
 
 
@@ -519,7 +597,9 @@ def _set_walk_table(g, limit=DEFAULT_PATH_CAP, ranks=None):
     """The geodesic table by the plain walk: every reached vertex holds
     a set of gains in a dict, even when it has one.  Same values, same
     insertion order, so every kept value must match bit for bit once
-    0.0 is added, which turns each -0.0 part into 0.0.
+    0.0 is added, which turns each -0.0 part into 0.0; and the tie gap,
+    the largest hop times the distance of an extreme from its
+    co-extreme over the pairs given extremes.
 
     Given an ordering's ranks, the sets the float walk forms for it: a
     set of two or more gains is pushed on only into a vertex on a
@@ -530,6 +610,7 @@ def _set_walk_table(g, limit=DEFAULT_PATH_CAP, ranks=None):
     hop = np.zeros((n, n), dtype=int)
     lex_max = np.zeros((n, n), dtype=complex)
     lex_min = np.zeros((n, n), dtype=complex)
+    tie_gap = 0.0
     far = [None, *(_bfs(g._neighbors, t)[0] for t in range(1, n + 1))]
     for s in range(1, n + 1):
         dist, order, _ = _bfs(g._neighbors, s)
@@ -542,7 +623,8 @@ def _set_walk_table(g, limit=DEFAULT_PATH_CAP, ranks=None):
         for a in order:
             ws = gains.pop(a, set())  # none when only sets arrived, all skipped
             if a in above:
-                hi[a], lo[a] = _lex_extremes(ws)
+                hi[a], lo[a], co_hi, co_lo = _lex_extremes(ws)
+                tie_gap = max(tie_gap, dist[a] * max(abs(hi[a] - co_hi), abs(lo[a] - co_lo)))
             for b, z in adj[a]:
                 if dist[b] == dist[a] + 1 and (len(ws) == 1 or live[b]):
                     acc = gains.setdefault(b, set())
@@ -553,7 +635,7 @@ def _set_walk_table(g, limit=DEFAULT_PATH_CAP, ranks=None):
                         )
         hi[s] = lo[s] = 0j
         hop[s - 1], lex_max[s - 1], lex_min[s - 1] = dist[1:], hi[1:], lo[1:]
-    return hop, lex_max + 0.0, lex_min + 0.0
+    return hop, lex_max + 0.0, lex_min + 0.0, tie_gap
 
 
 def _bits(a):
@@ -712,6 +794,20 @@ class TestExactT4Walk:
         if _assert_same_table(g) is None:
             _assert_same_table_under_cap(g, cap, random_ordering(np.random.default_rng(seed), g.n))
 
+    def test_tie_gap_is_read_at_the_farthest_tie(self):
+        """Two diamonds in a row, the first with gains i and -i: from 1,
+        vertices 4 to 7 hold {i, -i}, which ties, at hops 2 to 4; the gap
+        of i from -i is 2, so the row's tie gap, and the table's, is 2 * 4."""
+        g = GainGraph(7, ((1, 2, 1j), (1, 3, -1j), (2, 4, 1), (3, 4, 1),
+                          (4, 5, 1), (4, 6, 1), (5, 7, 1), (6, 7, 1)))
+        assert _t4_adjacency(g) is not None
+        assert next(gainlap.distances._geodesic_rows(g))[3] == 8.0
+        assert _build_table(g).tie_gap == _set_walk_table(g)[3] == 8.0
+
+    def test_the_masks_that_tie_are_those_with_a_gap(self):
+        gap = gainlap.distances._t4_tables()[3]
+        assert gainlap.distances._T4_TIES == {m for m in range(16) if gap[m]}
+
     @settings(max_examples=100, deadline=None)
     @given(exact_graphs())
     def test_group_exponents_match_brute_force(self, g):
@@ -868,8 +964,8 @@ class TestOrderingHalf:
 
     def test_a_matrix_walks_the_half_its_ordering_reads(self, monkeypatch):
         """Extremes are formed only for targets ranked above their source,
-        the other mode walks nothing more, and a predicate then builds
-        the full table once, with the verdict of a fresh graph."""
+        the other mode walks nothing more, and ordering independence then
+        reads the same half, with the verdict of a fresh graph."""
         g = _q4_generic()
         ordering = VertexOrdering((5, 12, 1, 16, 9, 3, 14, 7, 2, 11, 8, 15, 4, 10, 6, 13))
         verdict = is_ordering_independent(GainGraph(g.n, g.edges), ordering)
@@ -895,9 +991,8 @@ class TestOrderingHalf:
         gain_distance_matrix(g, ordering, "min")
         assert walks == [ordering.ranks] and not extremes
         assert is_ordering_independent(g, ordering) is verdict
-        assert walks == [ordering.ranks, None] and vars(g)["_geodesics"][0] is None
         assert np.array_equal(_bits(gain_distance_matrix(g, ordering, "max")), _bits(D))
-        assert walks == [ordering.ranks, None]
+        assert walks == [ordering.ranks] and vars(g)["_geodesics"][0] == ordering.ranks
 
     def test_the_cap_guards_the_sets_a_call_walks(self):
         """Two diamonds in a row: 1 to 7 has four geodesic gains.  Under
@@ -925,14 +1020,14 @@ class TestOrderingHalf:
         assert not is_ordering_independent(g, o)
         assert walks == [None] and vars(g)["_geodesics"][0] is None
 
-    def test_the_predicates_share_one_full_walk(self, monkeypatch):
+    def test_the_predicates_share_one_half_walk(self, monkeypatch):
         """The hypothesis pair of theorem 12, compatibility and ordering
-        independence, walks every pair once on a fresh graph."""
+        independence, walks its ordering's half once on a fresh graph."""
         walks = spy_walks(monkeypatch)
-        g, o = _q4_generic(), VertexOrdering.standard(16)
+        g, o = _q4_generic(), _Q4_ORDER
         assert not is_compatible(g, o)
         assert is_ordering_independent(g, o)
-        assert walks == [None]
+        assert walks == [o.ranks]
 
 
 #: An ordering of the 4-cube's vertices that is neither the standard one
@@ -961,13 +1056,13 @@ def _hexed(report):
 
 class TestWalkBudget:
     """Each distance query walks only the geodesic gains it reads: a
-    matrix its ordering's half, a predicate or hop reader whatever table
-    already covers it, and the two spectral checks form a matrix first."""
+    matrix or a predicate its ordering's half, a hop reader whatever
+    table already covers it."""
 
     def test_a_session_walks_the_graph_once_and_its_switched_copy_by_half(self, monkeypatch):
-        """The queries of one analysis session, in its order: the full
-        table of g, for ordering independence, then the half of the
-        switched copy, which every call on it reads."""
+        """The queries of one analysis session, in its order: the half of
+        g, which both predicates read, then the half of the switched
+        copy, which every call on it reads."""
         g, o = _q4_balanced(), _Q4_ORDER
         xi = random_switching(np.random.default_rng(17), g.n)
         walks = spy_walks(monkeypatch)
@@ -979,7 +1074,7 @@ class TestWalkBudget:
         rep = switching_similarity_check(g, o, xi)
         assert rep.hypothesis_met and rep.switched_compatible and rep.spectra_match
         distance_laplacian(g, o, "max")
-        assert walks == [None, o.ranks]
+        assert walks == [o.ranks, o.ranks]
 
     def test_cospectrality_walks_its_orderings_half(self, monkeypatch):
         g, o = _q4_generic(), _Q4_ORDER
@@ -1066,8 +1161,10 @@ def _relabel(g, p):
 def _assert_same_up_to_relabelling(g, p):
     """The table of g, relabelled by p, is bit for bit the table of g."""
     q = [p[v] - 1 for v in range(1, g.n + 1)]
-    for have, expect in zip(_build_table(_relabel(g, p)), _build_table(g)):
+    relabelled, table = _build_table(_relabel(g, p)), _build_table(g)
+    for have, expect in zip(relabelled[:3], table[:3]):
         assert np.array_equal(_bits(have[np.ix_(q, q)]), _bits(expect))
+    assert float.hex(relabelled.tie_gap) == float.hex(table.tie_gap)
 
 
 def _assert_no_negative_zero(table):
@@ -1176,6 +1273,131 @@ class TestOrderingIndependenceOracle:
     def test_ordering_checked(self, demo):
         with pytest.raises(ValidationError, match="ordering covers 4 vertices"):
             is_ordering_independent(demo, VertexOrdering.standard(4))
+
+
+# --- ordering independence from the co-extremes of one half -------------
+
+
+def _full_table_ordering_independent(g):
+    """Ordering independence as the full geodesic table decides it: each
+    gain distance matrix, hop * E for E the lex-max or lex-min table,
+    changes under the reversed ordering by its distance from Hermitian."""
+    table = _build_table(_fresh(g))
+    return all(hermitian_residual(table.hop * ext) <= ENTRY_TOL for ext in (table.lex_max, table.lex_min))
+
+
+def _near_balanced_cycle(n, phi, edge):
+    """C_n with the edges (k, k + 1) and (1, n), all of gain 1 but edge
+    number ``edge``, of gain e^{i phi}."""
+    pairs = [(k, k + 1) for k in range(1, n)] + [(1, n)]
+    return GainGraph(n, tuple((u, v, cmath.exp(1j * phi) if j == edge else 1 + 0j)
+                              for j, (u, v) in enumerate(pairs)))
+
+
+class TestOrderingIndependenceFromOneHalf:
+    """The tie gap of an ordering's half against the full table's
+    Hermitian residual, the check that decided ordering independence
+    before it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(half_cases())
+    def test_matches_the_full_table_check(self, case):
+        g, o = case
+        if len(_bfs(g._neighbors, 1)[1]) < g.n:
+            return  # disconnected: no distances
+        assert is_ordering_independent(g, o) is _full_table_ordering_independent(g)
+
+    @pytest.mark.parametrize("n", [4, 12, 40])
+    @pytest.mark.parametrize("exponent", range(3, 13))
+    def test_near_balanced_cycles(self, n, exponent):
+        """C_4, C_12 and C_40 with one gain e^{i phi}, phi = 1e-3 ... 1e-12:
+        antipodal pairs carry 1 and e^{+-i phi}, tied in real part once
+        phi is below about 1.4e-6."""
+        g = _near_balanced_cycle(n, 10.0 ** -exponent, n - 1)
+        want = _full_table_ordering_independent(g)
+        rng = np.random.default_rng(n * 100 + exponent)
+        for o in (VertexOrdering.standard(n), VertexOrdering.standard(n).reverse(), random_ordering(rng, n)):
+            assert is_ordering_independent(_fresh(g), o) is want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([4, 12, 40]), st.floats(-12, -3), st.booleans(), st.data())
+    def test_near_balanced_cycles_at_any_phi(self, n, exponent, negative, data):
+        phi = (-1.0 if negative else 1.0) * 10.0 ** exponent
+        g = _near_balanced_cycle(n, phi, data.draw(st.integers(0, n - 1)))
+        o = VertexOrdering(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        assert is_ordering_independent(g, o) is _full_table_ordering_independent(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20).map(lambda k: 2 * k + 1), st.floats(-math.pi, math.pi), st.data())
+    def test_odd_cycles_stay_compatible_and_ordering_independent(self, n, phi, data):
+        """Every pair of an odd cycle has one geodesic, so both predicates
+        hold at every phi."""
+        g = _near_balanced_cycle(n, phi, data.draw(st.integers(0, n - 1)))
+        o = VertexOrdering(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        assert is_compatible(g, o) and is_ordering_independent(g, o)
+
+
+# --- any order of queries answers as a fresh graph does --------------------
+
+
+def _answer_bits(x):
+    """An answer in a form that compares bit for bit: arrays by dtype,
+    shape and bytes, floats by hex, so 0.0 and -0.0 differ."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(_answer_bits, x))
+    if isinstance(x, WeightedGainGraph):
+        return _answer_bits(tuple(complex(z) for _, _, z in x.base.edges)), x.base.edge_pairs(), x.weights
+    if isinstance(x, complex):
+        return float.hex(x.real), float.hex(x.imag)
+    if isinstance(x, float):
+        return float.hex(x)
+    return x
+
+
+def _ask(query, g):
+    try:
+        return _answer_bits(query(g))
+    except (Disconnected, PathExplosion) as exc:
+        return type(exc), str(exc)
+
+
+_MATRIX_QUERIES = (
+    auxiliary_gain_matrix, gain_distance_matrix, distance_laplacian, distance_incidence,
+    distance_factorization_residual, associated_complete_graph,
+)
+
+
+class DistanceQueries(RuleBasedStateMachine):
+    """Every distance query, both predicates, four orderings and both
+    modes, in any order on one graph: each answer has the bits of the
+    same query on a fresh graph, whatever the memoized table covers."""
+
+    @initialize(case=half_cases())
+    def graph(self, case):
+        self.g, o = case
+        standard = VertexOrdering.standard(self.g.n)
+        self.orderings = (o, o.reverse(), standard, standard.reverse())
+
+    def _check(self, query):
+        assert _ask(query, self.g) == _ask(query, _fresh(self.g))
+
+    @rule(k=st.integers(0, 3), mode=st.sampled_from(["max", "min"]), query=st.sampled_from(_MATRIX_QUERIES))
+    def matrix(self, k, mode, query):
+        self._check(lambda h: query(h, self.orderings[k], mode))
+
+    @rule(k=st.integers(0, 3), predicate=st.sampled_from([is_compatible, is_ordering_independent]))
+    def predicate(self, k, predicate):
+        self._check(lambda h: predicate(h, self.orderings[k]))
+
+    @rule(reader=st.sampled_from([shortest_distances, transmission_matrix]))
+    def hops(self, reader):
+        self._check(reader)
+
+
+TestDistanceQueries = DistanceQueries.TestCase
+TestDistanceQueries.settings = settings(max_examples=80, stateful_step_count=12, deadline=None)
 
 
 # --- the distance objects are the weighted objects of K(Θ), bit for bit ----
